@@ -89,6 +89,8 @@ from .toric import (
     honeycomb_effective_coupling,
     honeycomb_phase,
     interferometer_run,
+    stabilizer_products_are_identity,
+    stabilizers_commute,
     string_operator,
     syndrome,
     vertex_path_edges,

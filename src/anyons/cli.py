@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ class CommandResult:
     status: int
     payload: dict | None = None
     error: str | None = None
+    text: str = ""  # the payload as strict JSON, what ``render`` prints
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,13 +55,29 @@ def _parse_label(model: fusion.AnyonModel, token: str):
     raise InputError(f"label {token!r} not in model {list(model.labels)}")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are input errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _log_base(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0 or value == 1:
+        raise argparse.ArgumentTypeError("a logarithm base must be > 0 and != 1")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise InputError(f"cannot parse complex number from {text!r}")
+    if len(parts) not in (1, 2):
+        raise InputError(f"cannot parse complex number from {text!r}")
+    re_im = [float(part) for part in parts] + [0.0]
+    if not all(math.isfinite(v) for v in re_im):
+        raise InputError(f"{text!r} is not a finite complex number")
+    return complex(re_im[0], re_im[1])
 
 
 def _cpx(z: complex) -> list[float]:
@@ -128,12 +146,12 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("qdims", help="quantum dimensions")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tolerance", type=float, default=fusion.QDIM_TOL)
+    sp.add_argument("--tolerance", type=_finite_float, default=fusion.QDIM_TOL)
 
     sp = sub.add_parser("entropy", help="total quantum dimension and entropy")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tolerance", type=float, default=fusion.QDIM_TOL)
-    sp.add_argument("--base", type=float, default=None,
+    sp.add_argument("--tolerance", type=_finite_float, default=fusion.QDIM_TOL)
+    sp.add_argument("--base", type=_log_base, default=None,
                     help="logarithm base (natural log when omitted)")
 
     for name in ("pentagon", "hexagon"):
@@ -148,7 +166,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("braid-check", help="braid-relation residual of a rep")
     sp.add_argument("--rep", choices=("abelian", "tl", "fib"), required=True)
     sp.add_argument("--strands", type=int, default=3)
-    sp.add_argument("--phi", type=float, default=np.pi,
+    sp.add_argument("--phi", type=_finite_float, default=np.pi,
                     help="abelian exchange phase")
     sp.add_argument("--t", default="1,0", help="Temperley-Lieb parameter re,im")
     sp.add_argument("--braid", default=None,
@@ -172,7 +190,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--braid", required=True)
     sp.add_argument("--rep", choices=("fib", "tl", "abelian"), default="fib")
     sp.add_argument("--t", default="1,0")
-    sp.add_argument("--phi", type=float, default=np.pi)
+    sp.add_argument("--phi", type=_finite_float, default=np.pi)
     sp.add_argument("--shots", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
@@ -184,15 +202,15 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("interferometer", help="charge/flux interferometer")
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_finite_float, required=True)
     sp.add_argument("--braid", choices=("yes", "no"), required=True)
 
     sub.add_parser("stringnet-check", help="Levin-Wen face-term residuals")
 
     sp = sub.add_parser("honeycomb", help="honeycomb-model phase and coupling")
-    sp.add_argument("--jx", type=float, required=True)
-    sp.add_argument("--jy", type=float, required=True)
-    sp.add_argument("--jz", type=float, required=True)
+    sp.add_argument("--jx", type=_finite_float, required=True)
+    sp.add_argument("--jy", type=_finite_float, required=True)
+    sp.add_argument("--jz", type=_finite_float, required=True)
 
     sp = sub.add_parser("cf-statistics", help="composite-fermion statistics")
     sp.add_argument("--j", type=int, required=True)
@@ -225,11 +243,12 @@ OPERATION_COVERAGE = {
     "bracket": ["parse_braid", "kauffman_bracket", "bracket_tl_b3"],
     "trace-est": ["exact_normalized_trace", "hadamard_test_trace", "evaluate"],
     "toric": [
-        "build_stabilizers", "commutation_phase", "ground_space_dim",
-        "dyon_braiding_phase", "string_operator", "syndrome", "correct",
+        "ground_space_dim", "stabilizers_commute",
+        "stabilizer_products_are_identity", "dyon_braiding_phase",
+        "commutation_phase", "string_operator", "syndrome", "correct",
         "homology_class",
     ],
-    "interferometer": ["ground_state", "interferometer_run"],
+    "interferometer": ["ground_state", "interferometer_run", "build_stabilizers"],
     "stringnet-check": ["vertex_projector", "face_operator", "face_term_checks"],
     "honeycomb": ["honeycomb_phase", "honeycomb_effective_coupling"],
     "cf-statistics": ["composite_fermion_statistics"],
@@ -362,19 +381,20 @@ def _cmd_trace_est(args) -> dict:
 
 def _cmd_toric(args) -> dict:
     lat = toric.TorusLattice(args.lx, args.ly)
-    lat.validate()
     d = args.d
-    stars, plaqs = toric.build_stabilizers(lat, d)
-    ops = stars + plaqs
-    commute = max(
-        toric.commutation_phase(p, q) for p in ops for q in ops
-    ) == 0
-    prod_stars = stars[0]
-    for s in stars[1:]:
-        prod_stars = prod_stars * s
-    prod_plaqs = plaqs[0]
-    for q in plaqs[1:]:
-        prod_plaqs = prod_plaqs * q
+    # bad input (exit 1) before the work caps (exit 2); the trial division
+    # of the prime test is cheap below 2**31, and larger d is over the cap
+    if d < 2 ** 31 and not toric._is_prime(d):
+        raise InputError(f"ground_space_dim needs prime d, got {d}")
+    if d ** 4 > toric.BRAIDING_TABLE_CAP:
+        raise ResourceError(
+            f"a d={d} braiding table has {d ** 4} entries, over the cap of "
+            f"{toric.BRAIDING_TABLE_CAP}"
+        )
+    # first, as it checks the rank step's memory cap up front
+    degeneracy = toric.ground_space_dim(lat, d)
+    lat.validate()
+    stars_identity, plaquettes_identity = toric.stabilizer_products_are_identity(lat, d)
     table = [
         [
             [
@@ -391,10 +411,10 @@ def _cmd_toric(args) -> dict:
         "ly": args.ly,
         "d": d,
         "n_edges": lat.n_edges,
-        "degeneracy": toric.ground_space_dim(lat, d),
-        "stabilizers_commute": bool(commute),
-        "product_of_stars_is_identity": prod_stars.is_identity(),
-        "product_of_plaquettes_is_identity": prod_plaqs.is_identity(),
+        "degeneracy": degeneracy,
+        "stabilizers_commute": toric.stabilizers_commute(lat, d),
+        "product_of_stars_is_identity": stars_identity,
+        "product_of_plaquettes_is_identity": plaquettes_identity,
         "braiding_phase_exponents": table,
         "braiding_phase_units": "pi/d, mod 2d",
         "correction_demo": demo,
@@ -495,11 +515,14 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Dispatch one invocation; never raises package errors."""
+    """Dispatch one invocation; never raises package errors.
+
+    A payload that is not strict JSON (a NaN or an infinity leaked into
+    it) is an invariant violation, exit 3, never printed.
+    """
     try:
         args = _build_parser().parse_args(argv)
-        payload = _HANDLERS[args.command](args)
-        return CommandResult(0, {"schema": SCHEMA, **payload})
+        payload = {"schema": SCHEMA, **_HANDLERS[args.command](args)}
     except ResourceError as exc:
         return CommandResult(2, error=str(exc))
     except InvariantViolation as exc:
@@ -509,12 +532,15 @@ def run(argv: list[str]) -> CommandResult:
     except (OSError, ValueError) as exc:
         # unreadable files, malformed JSON documents, bad numeric literals
         return CommandResult(1, error=str(exc))
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        return CommandResult(3, error=f"non-finite number in the output: {exc}")
+    return CommandResult(0, payload, text=text)
 
 
 def render(result: CommandResult) -> str:
-    if result.payload is None:
-        return ""
-    return json.dumps(result.payload, sort_keys=True)
+    return result.text
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -178,25 +178,24 @@ def commutation_phase(p: PauliString, q: PauliString) -> int:
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over the prime field Z_p."""
-    m = (np.asarray(matrix, dtype=np.int64) % p).copy()
+    """Rank of an integer matrix over the prime field Z_p.
+
+    Row echelon elimination; each pivot clears its column below in one
+    vectorised row update.
+    """
+    m = np.asarray(matrix, dtype=np.int64) % p
     rows, cols = m.shape
     rank = 0
     for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and m[r, col] % p:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
         if rank == rows:
             break
+        below = rank + np.flatnonzero(m[rank:, col])
+        if below.size == 0:
+            continue
+        pivot = below[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
+        below = below[1:]
+        m[below] = (m[below] - np.outer(m[below, col], m[rank])) % p
+        rank += 1
     return rank

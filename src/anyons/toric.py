@@ -29,6 +29,17 @@ degeneracy, statistics and correction behaviour.  This orientation is the
 one in which Z strings terminate on vertex defects, which is what the
 charge/flux naming above requires.)
 
+Check matrix
+------------
+The stabilizer layout is defined once, as two ``(lx*ly, 4)`` edge-index
+arrays (:attr:`TorusLattice.star_edges`, :attr:`TorusLattice.face_edges`)
+sharing the sign vector :data:`EDGE_SIGNS`.  With exactly four nonzeros
+per row they are the sparse check matrix ``H = [Hx | Hz]`` over Z_d.
+Syndromes, the commutation check and the stabilizer products are
+computed from them with O(n) memory, the rank from their dense blocks,
+and :func:`build_stabilizers` expands them into explicit Pauli strings
+for the dense backend.
+
 A dense state-vector backend (d = 2, up to 20 qubits) supports ground-state
 construction and the charge/flux interferometer protocol.
 """
@@ -38,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +58,29 @@ from .pauli import PauliString, commutation_phase, rank_mod_p
 
 #: Dense state-vector backend cap (qubits).
 DENSE_QUBIT_CAP = 20
+
+#: Memory budget (bytes) of the rank step in :func:`ground_space_dim`.  It
+#: holds the two dense ``(lx*ly) x (2*lx*ly)`` int64 blocks of ``H`` and one
+#: working copy, ``48 (lx*ly)^2`` bytes: 32x32 peaks at 48 MB and takes
+#: 0.2 s, 48x48 (the largest square lattice admitted) at 243 MB and 0.7 s
+#: (tracemalloc peak and wall time on a 2-core x86 host, numpy 2.4).
+RANK_MEMORY_CAP = 256 * 2**20
+
+#: Entries (``d^4``) of the dyon braiding table the ``toric`` subcommand
+#: builds, one :func:`dyon_braiding_phase` call each at about 0.11 ms on
+#: the same host: d = 13 (28,561 entries) takes about 3 s.
+BRAIDING_TABLE_CAP = 13 ** 4
+
+#: Exponent signs of the four edges in each row of ``star_edges`` (two
+#: incoming, then two outgoing) and ``face_edges`` (two counterclockwise,
+#: then two clockwise boundary edges).
+EDGE_SIGNS = np.array([1, 1, -1, -1], dtype=np.int64)
+
+
+def _frozen_rows(*columns: np.ndarray) -> np.ndarray:
+    rows = np.stack(columns, axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -110,23 +145,33 @@ class TorusLattice:
         x, y = e % self.lx, e // self.lx
         return self.face_index(x, y), self.face_index(x - 1, y)
 
+    @cached_property
+    def star_edges(self) -> np.ndarray:
+        """``(n_vertices, 4)`` edges of every star, in :data:`EDGE_SIGNS` order."""
+        x, y = self._grid()
+        return _frozen_rows(self.h_edge(x - 1, y), self.v_edge(x, y - 1),
+                            self.h_edge(x, y), self.v_edge(x, y))
+
+    @cached_property
+    def face_edges(self) -> np.ndarray:
+        """``(n_faces, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
+        x, y = self._grid()
+        return _frozen_rows(self.h_edge(x, y), self.v_edge(x + 1, y),
+                            self.h_edge(x, y + 1), self.v_edge(x, y))
+
+    def _grid(self):
+        index = np.arange(self.lx * self.ly)
+        return index % self.lx, index // self.lx
+
     def star_exponents(self, x: int, y: int) -> dict[int, int]:
         """Divergence signs at a vertex: incoming edges +1, outgoing -1."""
-        return {
-            self.h_edge(x - 1, y): +1,
-            self.v_edge(x, y - 1): +1,
-            self.h_edge(x, y): -1,
-            self.v_edge(x, y): -1,
-        }
+        edges = self.star_edges[self.vertex_index(x, y)]
+        return dict(zip(edges.tolist(), EDGE_SIGNS.tolist()))
 
     def face_boundary_exponents(self, x: int, y: int) -> dict[int, int]:
         """Counterclockwise circulation signs around a face."""
-        return {
-            self.h_edge(x, y): +1,
-            self.v_edge(x + 1, y): +1,
-            self.h_edge(x, y + 1): -1,
-            self.v_edge(x, y): -1,
-        }
+        edges = self.face_edges[self.face_index(x, y)]
+        return dict(zip(edges.tolist(), EDGE_SIGNS.tolist()))
 
     def to_json(self) -> str:
         return json.dumps({"lx": self.lx, "ly": self.ly}, sort_keys=True)
@@ -138,26 +183,12 @@ class TorusLattice:
 
     def validate(self):
         """Structural sanity: edge incidences and star/face overlaps."""
-        vertex_count = [0] * self.n_edges
-        face_count = [0] * self.n_edges
-        stars = []
-        faces = []
-        for y in range(self.ly):
-            for x in range(self.lx):
-                s = self.star_exponents(x, y)
-                f = self.face_boundary_exponents(x, y)
-                stars.append(set(s))
-                faces.append(set(f))
-                for e in s:
-                    vertex_count[e] += 1
-                for e in f:
-                    face_count[e] += 1
-        if any(c != 2 for c in vertex_count) or any(c != 2 for c in face_count):
-            raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
-        for s in stars:
-            for f in faces:
-                if len(s & f) not in (0, 2):
-                    raise InvariantViolation("a star and a face share 1 edge")
+        for edges in (self.star_edges, self.face_edges):
+            if np.any(np.bincount(edges.ravel(), minlength=self.n_edges) != 2):
+                raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
+        shared, _ = _star_face_overlaps(self, EDGE_SIGNS, EDGE_SIGNS)
+        if np.any(shared != 2):
+            raise InvariantViolation("a star and a face share 1 edge")
 
 
 @dataclass(frozen=True)
@@ -185,7 +216,18 @@ class Syndrome:
 
 
 # ---------------------------------------------------------------------------
-# stabilizers
+# stabilizers: the check matrix H = [Hx | Hz]
+
+
+def _check_blocks(lat: TorusLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(lx*ly, n_edges)`` blocks: star X exponents ``Hx`` and
+    plaquette Z exponents ``Hz``."""
+    blocks = []
+    for edges in (lat.star_edges, lat.face_edges):
+        block = np.zeros((len(edges), lat.n_edges), dtype=np.int64)
+        block[np.arange(len(edges))[:, None], edges] = EDGE_SIGNS
+        blocks.append(block)
+    return blocks[0], blocks[1]
 
 
 def build_stabilizers(
@@ -194,19 +236,61 @@ def build_stabilizers(
     """One X-type star per vertex and one Z-type plaquette per face."""
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
-    stars = []
-    plaqs = []
-    for y in range(lat.ly):
-        for x in range(lat.lx):
-            xs = np.zeros(lat.n_edges, dtype=np.int64)
-            for e, sign in lat.star_exponents(x, y).items():
-                xs[e] = sign
-            stars.append(PauliString(d, xs, np.zeros(lat.n_edges, dtype=np.int64)))
-            zs = np.zeros(lat.n_edges, dtype=np.int64)
-            for e, sign in lat.face_boundary_exponents(x, y).items():
-                zs[e] = sign
-            plaqs.append(PauliString(d, np.zeros(lat.n_edges, dtype=np.int64), zs))
+    hx, hz = _check_blocks(lat)
+    zeros = np.zeros(lat.n_edges, dtype=np.int64)
+    stars = [PauliString(d, row, zeros) for row in hx]
+    plaqs = [PauliString(d, zeros, row) for row in hz]
     return stars, plaqs
+
+
+def _star_face_overlaps(lat: TorusLattice, star_signs, face_signs):
+    """Shared-edge count and summed sign products ``sum_e s_e p_e`` of every
+    star/plaquette pair that shares an edge, as ``(n_vertices, 8)`` arrays:
+    one entry per (edge of the star, face of that edge) incidence.
+
+    Each edge lies in two faces, so a star's four edges meet eight face
+    incidences; entries naming the same face are summed by comparing the
+    eight entries of a row with each other.  Requires every edge in
+    exactly two faces (see :meth:`TorusLattice.validate`).
+    """
+    star_signs = np.broadcast_to(star_signs, lat.star_edges.shape)
+    face_signs = np.broadcast_to(face_signs, lat.face_edges.shape).ravel()
+    # flat positions in face_edges of the two occurrences of every edge
+    where = np.argsort(lat.face_edges.ravel(), kind="stable").reshape(lat.n_edges, 2)
+    faces = (where // 4)[lat.star_edges].reshape(-1, 8)
+    products = (star_signs[:, :, None] * face_signs[where][lat.star_edges]).reshape(-1, 8)
+    same = faces[:, :, None] == faces[:, None, :]
+    return same.sum(axis=2), (same * products[:, None, :]).sum(axis=2)
+
+
+def stabilizers_commute(lat: TorusLattice, d: int) -> bool:
+    """Whether every pair of stabilizers commutes over Z_d.
+
+    Stars are pure X and plaquettes pure Z, so two stars, two plaquettes,
+    or any pair with disjoint supports commute identically.  A star S and
+    a plaquette P that share edges have ``commutation_phase(S, P) =
+    -2 sum_e s_e p_e mod 2d`` over the shared edges, so the check is one
+    exact symplectic product per edge-sharing pair: O(n) memory, and
+    O(n log n) time for the sort that finds the faces of each edge.
+    """
+    if d < 2:
+        raise InputError("qudit dimension must be >= 2")
+    _, sums = _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
+    return not np.any(sums % d)
+
+
+def stabilizer_products_are_identity(lat: TorusLattice, d: int) -> tuple[bool, bool]:
+    """Whether the product of all stars, and of all plaquettes, is the identity.
+
+    Each product is pure X (pure Z) with phase 0, and its exponent on an
+    edge is the column sum of ``Hx`` (``Hz``) mod d.
+    """
+    out = []
+    for edges in (lat.star_edges, lat.face_edges):
+        column = np.zeros(lat.n_edges, dtype=np.int64)
+        np.add.at(column, edges, np.broadcast_to(EDGE_SIGNS, edges.shape))
+        out.append(not np.any(column % d))
+    return out[0], out[1]
 
 
 def _is_prime(d: int) -> bool:
@@ -223,13 +307,22 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
 
     Requires prime ``d`` so that Z_d is a field; equals ``d^2`` on the
     torus (two vertex/face dependencies: the product of all stars and the
-    product of all plaquettes are both the identity).
+    product of all plaquettes are both the identity).  ``H`` is block
+    diagonal (stars have no Z part, plaquettes no X part), so its rank is
+    ``rank(Hx) + rank(Hz)``.  A lattice whose rank step would need more
+    than :data:`RANK_MEMORY_CAP` bytes raises :class:`ResourceError`
+    before any allocation.
     """
     if not _is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
-    stars, plaqs = build_stabilizers(lat, d)
-    rows = [np.concatenate([p.x, p.z]) for p in stars + plaqs]
-    rank = rank_mod_p(np.array(rows), d)
+    needed = 48 * lat.n_faces ** 2
+    if needed > RANK_MEMORY_CAP:
+        raise ResourceError(
+            f"the rank of the {lat.lx}x{lat.ly} check matrix needs {needed >> 20} MB, "
+            f"over the cap of {RANK_MEMORY_CAP >> 20} MB"
+        )
+    hx, hz = _check_blocks(lat)
+    rank = rank_mod_p(hx, d) + rank_mod_p(hz, d)
     return d ** (lat.n_edges - rank)
 
 
@@ -315,28 +408,27 @@ def string_operator(
 
 
 def syndrome(lat: TorusLattice, error: PauliString) -> Syndrome:
-    """Defect exponents of every stabilizer on the errored state.
+    """Defect exponents of every stabilizer on the errored state: ``H e mod d``.
 
     A stabilizer ``S`` acquires eigenvalue ``omega^k`` with
-    ``k = commutation_phase(S, error) / 2 mod d``.
+    ``k = commutation_phase(S, error) / 2 mod d``.  Over the four edges
+    ``e_j`` of its row (signs ``s_j`` = :data:`EDGE_SIGNS`) that is
+    ``k = -sum_j s_j z_{e_j}`` for a star and ``k = sum_j s_j x_{e_j}`` for
+    a plaquette: one gather and one row sum per stabilizer type, O(n).
     """
     if error.n_sites != lat.n_edges:
         raise InputError("error operator does not match the lattice")
     d = error.d
-    stars, plaqs = build_stabilizers(lat, d)
-    vertex = {}
-    for v, s in enumerate(stars):
-        k = (commutation_phase(s, error) // 2) % d
-        if k:
-            vertex[v] = k
-    face = {}
-    for f, p in enumerate(plaqs):
-        k = (commutation_phase(p, error) // 2) % d
-        if k:
-            face[f] = k
-    syn = Syndrome(d, vertex, face)
+    vertex = -(error.z[lat.star_edges] @ EDGE_SIGNS) % d
+    face = (error.x[lat.face_edges] @ EDGE_SIGNS) % d
+    syn = Syndrome(d, _nonzero(vertex), _nonzero(face))
     syn.check_sum_rule()
     return syn
+
+
+def _nonzero(exponents: np.ndarray) -> dict[int, int]:
+    where = np.flatnonzero(exponents)
+    return dict(zip(where.tolist(), exponents[where].tolist()))
 
 
 def _torus_shortest_vertex_path(lat, start: tuple[int, int], goal: tuple[int, int]):
@@ -369,10 +461,17 @@ def correct(lat: TorusLattice, syn: Syndrome) -> PauliString:
     """
     syn.check_sum_rule()
     d = syn.d
-    total = PauliString.identity(d, lat.n_edges)
+    charge = np.zeros(lat.n_edges, dtype=np.int64)  # Z exponents of the correction
+    flux = np.zeros(lat.n_edges, dtype=np.int64)  # X exponents
 
-    for kind, defects in (("charge", dict(syn.vertex)), ("flux", dict(syn.face))):
+    for kind, defects, target in (
+        ("charge", dict(syn.vertex), charge), ("flux", dict(syn.face), flux)
+    ):
         path_builder = vertex_path_edges if kind == "charge" else dual_path_edges
+        # A unit string along a simple path has defects only at its ends:
+        # +1 at the start of a charge string, -1 at the start of a flux
+        # string, and the inverse at the other end.
+        k1 = 1 if kind == "charge" else d - 1
         while defects:
             v1 = min(defects)
             others = [v for v in defects if v != v1]
@@ -387,18 +486,15 @@ def correct(lat: TorusLattice, syn: Syndrome) -> PauliString:
 
             v2 = min(others, key=torus_dist)
             path = _torus_shortest_vertex_path(lat, c1, lat.vertex_coords(v2))
-            probe = string_operator(lat, path_builder(lat, path), kind, 1, d)
-            probe_syn = syndrome(lat, probe)
-            probe_defects = probe_syn.vertex if kind == "charge" else probe_syn.face
-            k1 = probe_defects.get(v1)
-            assert k1 is not None and math.gcd(k1, d) == 1
-            power = (-defects[v1] * pow(k1, -1, d)) % d
-            total = total * (probe ** power)
-            for v, k in probe_defects.items():
-                defects[v] = (defects.get(v, 0) + power * k) % d
-                if defects[v] == 0:
-                    del defects[v]
-    return total
+            power = (-defects.pop(v1) * k1) % d
+            for edge, direction in path_builder(lat, path):
+                target[edge] += direction * power
+            defects[v2] = (defects[v2] - power * k1) % d
+            if defects[v2] == 0:
+                del defects[v2]
+    # all charge strings, then all flux strings, as the greedy order applies them
+    zeros = np.zeros_like(charge)
+    return PauliString(d, zeros, charge) * PauliString(d, flux, zeros)
 
 
 def homology_class(
@@ -414,10 +510,11 @@ def homology_class(
     if not syndrome(lat, loop).is_empty():
         raise InputError("operator has a non-empty syndrome; not a closed loop")
     d = loop.d
-    charge_wx = sum(int(loop.z[lat.h_edge(lat.lx - 1, y)]) for y in range(lat.ly)) % d
-    charge_wy = sum(int(loop.z[lat.v_edge(x, lat.ly - 1)]) for x in range(lat.lx)) % d
-    flux_wx = (-sum(int(loop.x[lat.v_edge(0, y)]) for y in range(lat.ly))) % d
-    flux_wy = sum(int(loop.x[lat.h_edge(x, 0)]) for x in range(lat.lx)) % d
+    xs, ys = np.arange(lat.lx), np.arange(lat.ly)
+    charge_wx = int(loop.z[lat.h_edge(lat.lx - 1, ys)].sum()) % d
+    charge_wy = int(loop.z[lat.v_edge(xs, lat.ly - 1)].sum()) % d
+    flux_wx = -int(loop.x[lat.v_edge(0, ys)].sum()) % d
+    flux_wy = int(loop.x[lat.h_edge(xs, 0)].sum()) % d
     return {"charge": (charge_wx, charge_wy), "flux": (flux_wx, flux_wy)}
 
 
@@ -528,6 +625,8 @@ def interferometer_run(
     ``loop`` that does not pick up exactly a pi phase against the splitter
     string raises :class:`InputError` (protocol geometry).
     """
+    if not math.isfinite(beta):
+        raise InputError("the dwell phase beta must be finite")
     n = lat.n_edges
     if n > DENSE_QUBIT_CAP:
         raise ResourceError(f"{n} qubits exceed the dense cap {DENSE_QUBIT_CAP}")
@@ -610,4 +709,10 @@ def honeycomb_effective_coupling(jx: float, jy: float, jz: float) -> float:
     """Fourth-order effective plaquette coupling ``Jx^2 Jy^2 / (16 |Jz|^3)``."""
     if jz == 0:
         raise InputError("Jz must be non-zero")
-    return (jx ** 2) * (jy ** 2) / (16.0 * abs(jz) ** 3)
+    try:
+        j_eff = (jx ** 2) * (jy ** 2) / (16.0 * abs(jz) ** 3)
+    except (OverflowError, ZeroDivisionError):  # |jz|**3 over- or underflows
+        j_eff = math.inf
+    if not math.isfinite(j_eff):
+        raise InputError("the effective coupling is out of floating-point range")
+    return j_eff

@@ -7,15 +7,30 @@ Everything here deliberately avoids the code paths it checks:
   wire ids merged by union-find);
 * the tree-counting oracle is a direct recursion over fusion channels
   (the implementation is a dynamic program over label vectors);
-* the permutation oracle counts cycles of the braid permutation.
+* the permutation oracle counts cycles of the braid permutation;
+* the syndrome oracle builds every stabilizer as a dense Pauli string and
+  takes one ``commutation_phase`` per stabilizer (the implementation is
+  two gathers over the check matrix's edge-index arrays);
+* the correction oracle recomputes each probe string's full syndrome (the
+  implementation reads it off the path endpoints).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from anyons.braids import BraidWord
 from anyons.laurent import LaurentPoly
+from anyons.pauli import PauliString, commutation_phase
+from anyons.toric import (
+    Syndrome,
+    _torus_shortest_vertex_path,
+    build_stabilizers,
+    dual_path_edges,
+    string_operator,
+    vertex_path_edges,
+)
 
 
 def brute_force_tree_count(model, inputs, total) -> int:
@@ -118,3 +133,44 @@ def bracket_oracle(word: BraidWord) -> LaurentPoly:
 def jones_oracle(word: BraidWord) -> LaurentPoly:
     w = word.writhe()
     return LaurentPoly.monomial(3 * w, (-1) ** (w % 2)) * bracket_oracle(word)
+
+
+def syndrome_oracle(lat, error: PauliString) -> Syndrome:
+    """Per-stabilizer syndrome: ``k = commutation_phase(S, error) / 2 mod d``."""
+    d = error.d
+    stars, plaqs = build_stabilizers(lat, d)
+    vertex = {v: (commutation_phase(s, error) // 2) % d for v, s in enumerate(stars)}
+    face = {f: (commutation_phase(p, error) // 2) % d for f, p in enumerate(plaqs)}
+    return Syndrome(d, vertex, face)
+
+
+def correct_oracle(lat, syn: Syndrome) -> PauliString:
+    """Greedy nearest-pair correction, one full oracle syndrome per probe."""
+    d = syn.d
+    total = PauliString.identity(d, lat.n_edges)
+    for kind, defects in (("charge", dict(syn.vertex)), ("flux", dict(syn.face))):
+        path_builder = vertex_path_edges if kind == "charge" else dual_path_edges
+        while defects:
+            v1 = min(defects)
+            c1 = lat.vertex_coords(v1)
+
+            def torus_dist(v):
+                x, y = lat.vertex_coords(v)
+                dx = min((x - c1[0]) % lat.lx, (c1[0] - x) % lat.lx)
+                dy = min((y - c1[1]) % lat.ly, (c1[1] - y) % lat.ly)
+                return (dx + dy, v)
+
+            v2 = min((v for v in defects if v != v1), key=torus_dist)
+            path = _torus_shortest_vertex_path(lat, c1, lat.vertex_coords(v2))
+            probe = string_operator(lat, path_builder(lat, path), kind, 1, d)
+            probe_syn = syndrome_oracle(lat, probe)
+            probe_defects = probe_syn.vertex if kind == "charge" else probe_syn.face
+            k1 = probe_defects[v1]
+            assert math.gcd(k1, d) == 1
+            power = (-defects[v1] * pow(k1, -1, d)) % d
+            total = total * (probe ** power)
+            for v, k in probe_defects.items():
+                defects[v] = (defects.get(v, 0) + power * k) % d
+                if defects[v] == 0:
+                    del defects[v]
+    return total

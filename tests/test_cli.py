@@ -4,11 +4,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import anyons
-from anyons.cli import OPERATION_COVERAGE, render, run
+from anyons import cli, toric
+from anyons.cli import OPERATION_COVERAGE, main, render, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -79,6 +81,51 @@ class TestExitCodes:
     def test_bad_numeric_flag_is_input_error(self):
         res = run(["jones", "--braid", "B2: s1", "--t", "not-a-number"])
         assert res.status == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--model", "fibonacci", "--base", "1"],
+        ["entropy", "--model", "fibonacci", "--base", "0"],
+        ["entropy", "--model", "fibonacci", "--base", "-2"],
+        ["qdims", "--model", "fibonacci", "--tolerance", "nan"],
+        ["trace-est", "--braid", "B3: s1 s2", "--rep", "abelian", "--phi", "nan",
+         "--shots", "1000", "--seed", "1"],
+        ["braid-check", "--rep", "abelian", "--phi", "inf"],
+        ["braid-check", "--rep", "tl", "--t", "nan,0"],
+        ["jones", "--braid", "B2: s1", "--t", "0.5,inf"],
+        ["interferometer", "--lx", "3", "--ly", "3", "--beta", "nan", "--braid", "yes"],
+        ["honeycomb", "--jx", "nan", "--jy", "1", "--jz", "1"],
+        ["honeycomb", "--jx", "1", "--jy", "-inf", "--jz", "1"],
+        ["honeycomb", "--jx", "1e200", "--jy", "1", "--jz", "1"],
+        ["honeycomb", "--jx", "1e154", "--jy", "1e154", "--jz", "1"],
+        ["honeycomb", "--jx", "1", "--jy", "1", "--jz", "1e-200"],
+        ["toric", "--lx", "2", "--ly", "2", "--d", "15"],
+    ], ids=" ".join)
+    def test_non_finite_or_bad_float_is_refused(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_non_finite_output_is_an_invariant_violation(self, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "qdims", lambda args: {"x": float("nan")})
+        res = run(["qdims", "--model", "fibonacci"])
+        assert res.status == 3 and res.payload is None and render(res) == ""
+        assert "non-finite" in res.error
+
+    @pytest.mark.parametrize("argv", [
+        ["toric", "--lx", "2", "--ly", "2", "--d", "97"],
+        ["toric", "--lx", "400", "--ly", "400", "--d", "2"],
+        ["toric", "--lx", "2", "--ly", "2", "--d", str(2 ** 61 - 1)],  # a prime
+    ], ids=" ".join)
+    def test_toric_work_caps_refuse_before_working(self, argv):
+        start = time.perf_counter()
+        res = run(argv)
+        assert res.status == 2, res.error
+        assert time.perf_counter() - start < 1.0
+
+    def test_toric_caps_admit_the_baseline_sizes(self):
+        assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4
+        assert run(["toric", "--lx", "32", "--ly", "32", "--d", "2"]).status == 0
 
 
 class TestDeterminism:

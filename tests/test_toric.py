@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyons.errors import InputError, ResourceError
-from anyons.pauli import PauliString, commutation_phase
+from anyons.pauli import PauliString, commutation_phase, rank_mod_p
 from anyons.toric import (
+    EDGE_SIGNS,
+    RANK_MEMORY_CAP,
     Syndrome,
     TorusLattice,
+    _star_face_overlaps,
     build_stabilizers,
     correct,
     dual_path_edges,
@@ -22,10 +27,13 @@ from anyons.toric import (
     honeycomb_effective_coupling,
     honeycomb_phase,
     interferometer_run,
+    stabilizer_products_are_identity,
+    stabilizers_commute,
     string_operator,
     syndrome,
     vertex_path_edges,
 )
+from oracles import correct_oracle, syndrome_oracle
 
 
 def charge_string(lat, vertices, r=1, d=2):
@@ -76,6 +84,88 @@ class TestStabilizers:
         for p in plaqs:
             prod = prod * p
         assert prod.is_identity()
+
+
+class TestCheckMatrix:
+    """The edge-index arrays against explicit dense stabilizers."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 4), (5, 5)])
+    def test_block_rank_equals_stacked_rank(self, lx, ly, d):
+        lat = TorusLattice(lx, ly)
+        stars, plaqs = build_stabilizers(lat, d)
+        stacked = np.array([np.concatenate([p.x, p.z]) for p in stars + plaqs])
+        rank = rank_mod_p(stacked, d)
+        assert ground_space_dim(lat, d) == d ** (lat.n_edges - rank)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 2), (4, 5)])
+    def test_commutation_check_matches_all_pairs(self, lx, ly, d):
+        lat = TorusLattice(lx, ly)
+        stars, plaqs = build_stabilizers(lat, d)
+        ops = stars + plaqs
+        every_pair = all(commutation_phase(p, q) == 0 for p in ops for q in ops)
+        assert stabilizers_commute(lat, d) is every_pair is True
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("which", ["star", "face"])
+    def test_commutation_check_catches_one_flipped_sign(self, which, d):
+        lat = TorusLattice(4, 3)
+        signs = np.tile(EDGE_SIGNS, (lat.n_faces, 1))
+        signs[5, 2] = -signs[5, 2]
+        args = (signs, EDGE_SIGNS) if which == "star" else (EDGE_SIGNS, signs)
+        _, sums = _star_face_overlaps(lat, *args)
+        assert np.any(sums % d)
+        # qubits do not see a sign: -1 = +1 mod 2
+        assert not np.any(sums % 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 2), (4, 4)])
+    def test_products_match_explicit_products(self, lx, ly, d):
+        lat = TorusLattice(lx, ly)
+        stars, plaqs = build_stabilizers(lat, d)
+        explicit = []
+        for ops in (stars, plaqs):
+            prod = PauliString.identity(d, lat.n_edges)
+            for op in ops:
+                prod = prod * op
+            explicit.append(prod.is_identity())
+        assert stabilizer_products_are_identity(lat, d) == tuple(explicit) == (True, True)
+
+    def test_rows_are_the_exponent_maps(self):
+        lat = TorusLattice(3, 4)
+        stars, plaqs = build_stabilizers(lat, 3)
+        for y in range(lat.ly):
+            for x in range(lat.lx):
+                v = lat.vertex_index(x, y)
+                assert {e: int(stars[v].x[e]) for e in np.flatnonzero(stars[v].x)} == {
+                    e: s % 3 for e, s in lat.star_exponents(x, y).items()}
+                assert {e: int(plaqs[v].z[e]) for e in np.flatnonzero(plaqs[v].z)} == {
+                    e: s % 3 for e, s in lat.face_boundary_exponents(x, y).items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        lx=st.integers(2, 9),
+        ly=st.integers(2, 9),
+        seed=st.integers(0, 2 ** 32 - 1),
+        p=st.sampled_from([0.05, 0.2, 1.0]),
+    )
+    def test_syndrome_and_correction_match_oracles(self, d, lx, ly, seed, p):
+        lat = TorusLattice(lx, ly)
+        rng = np.random.default_rng(seed)
+        n = lat.n_edges
+        x = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+        z = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+        error = PauliString(d, x, z, int(rng.integers(0, 2 * d)))
+        syn = syndrome(lat, error)
+        assert syn == syndrome_oracle(lat, error)
+        assert correct(lat, syn) == correct_oracle(lat, syn)
+
+    def test_rank_memory_cap(self):
+        assert 48 * (32 * 32) ** 2 <= RANK_MEMORY_CAP  # the 32x32 baseline size
+        with pytest.raises(ResourceError):
+            ground_space_dim(TorusLattice(400, 400), 2)
 
 
 class TestGroundSpaceDim:
@@ -314,6 +404,10 @@ class TestInterferometer:
         both = stars[tail] * stars[head]
         with pytest.raises(InputError):
             interferometer_run(lat, braid=True, beta=0.5, loop=both)
+
+    def test_non_finite_beta_rejected(self):
+        with pytest.raises(InputError):
+            interferometer_run(TorusLattice(2, 2), braid=True, beta=float("nan"))
 
     def test_open_string_rejected_as_loop(self):
         lat = TorusLattice(3, 3)
