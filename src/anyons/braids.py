@@ -20,8 +20,12 @@ Three representations are provided:
   ``b_1 = R``, ``b_2 = F R F^(-1)`` acting on the total-charge-0 fusion
   space of four tau anyons (left-associated tree basis).
 
-:func:`compile_gate` searches words over the Fibonacci generators for the
-best projective approximation of a target single-qubit gate.
+:func:`compile_gate` finds the reduced word over the Fibonacci generators
+that best approximates a target single-qubit gate projectively.  It holds
+the words of up to half the length as arrays (int8 letters, SU(2) images
+as unit quaternions) and meets in the middle: every word is scored by
+blocked real dot products of prefix frames with suffix quaternions, and
+only the near-ties are rescored exactly.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ import numpy as np
 from .errors import BraidSyntaxError, InputError, ResourceError
 from .fsymbols import fibonacci_data
 
-#: Hard cap on compile_gate word length; exhaustive below MEET_IN_MIDDLE_ABOVE.
+#: Hard cap on compile_gate word length.
 COMPILE_CAP = 14
-MEET_IN_MIDDLE_ABOVE = 10
 
 #: Distances closer than this are ties, resolved by (length, letters).
 COMPILE_TIE_EPS = 1e-12
@@ -294,7 +297,7 @@ def relation_residual(rep: BraidRep, n_strands: int) -> float:
 # gate compilation
 
 
-def projective_distance(u: np.ndarray, v: np.ndarray) -> float:
+def projective_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """``min over unit phases c of the largest singular value of u - c v``.
 
     For 2x2 unitary inputs the minimiser is analytic: with the optimal
@@ -307,45 +310,114 @@ def projective_distance(u: np.ndarray, v: np.ndarray) -> float:
     Near-zero distances are recomputed from the eigenvalues directly: the
     square root would otherwise amplify machine rounding of ``2 - |trace|``
     to ~1e-8, and exact hits are expected to score below 1e-12.
+
+    ``v`` may also be a stack of shape ``(n, 2, 2)``; the result is then an
+    array of the ``n`` distances, each equal to the single-matrix value.
     """
-    w = v.conj().T @ u
-    tr = w[0, 0] + w[1, 1]
-    closed = math.sqrt(max(0.0, 2.0 - abs(tr)))
-    if closed > 1e-6:
-        return closed
-    eig = np.linalg.eigvals(w)
-    c = tr / abs(tr) if abs(tr) > 1e-300 else 1.0
-    return float(np.max(np.abs(eig - c)))
+    w = np.swapaxes(np.conj(v), -1, -2) @ u
+    stack = w.reshape(-1, 2, 2)
+    tr = stack[:, 0, 0] + stack[:, 1, 1]
+    size = np.hypot(tr.real, tr.imag)  # rounds as abs() of one complex does
+    dist = np.sqrt(np.maximum(0.0, 2.0 - size))
+    near = np.flatnonzero(dist <= 1e-6)
+    if len(near):
+        t, t_size = tr[near], size[near]
+        c = np.divide(t, t_size, out=np.ones_like(t), where=t_size > 1e-300)
+        eig = np.linalg.eigvals(stack[near])
+        dist[near] = np.max(np.abs(eig - c[:, None]), axis=1)
+    return float(dist[0]) if w.ndim == 2 else dist
 
 
-def _quaternion(m: np.ndarray) -> np.ndarray:
-    """Projective quaternion coordinates of a 2x2 unitary, sign-canonical.
+def _su2(m: np.ndarray) -> tuple[complex, complex]:
+    """``(a, b)`` with ``m / sqrt(det m) = [[a, b], [-conj(b), conj(a)]]``.
 
-    Euclidean distance between these coordinates (minimised over the +-
-    double cover) equals :func:`projective_distance` exactly, which is what
-    lets a KD-tree answer nearest-gate queries.
+    For a 2x2 unitary this is its SU(2) image up to sign, and the unit
+    quaternion ``(Re a, Im a, Re b, Im b)``; no projective quantity sees
+    the sign.
     """
-    det = np.linalg.det(m)
-    s = m / np.sqrt(det)
-    q = np.array([s[0, 0].real, s[0, 0].imag, s[0, 1].real, s[0, 1].imag])
-    for x in q:
-        if abs(x) > 1e-9:
-            return q if x > 0 else -q
-    return q
+    s = m / np.sqrt(np.linalg.det(m))
+    return complex(s[0, 0]), complex(s[0, 1])
 
 
-def _enumerate_levels(rep: BraidRep, alphabet: list[int], max_len: int):
-    """Level-by-level reduced words: list of (letters, matrix) per length."""
-    levels = [[((), rep.identity())]]
-    for _ in range(max_len):
-        nxt = []
-        for letters, mat in levels[-1]:
-            for g in alphabet:
-                if letters and letters[-1] == -g:
-                    continue  # adjacent inverse pair reduces to a shorter word
-                nxt.append((letters + (g,), mat @ rep.generator(g)))
-        levels.append(nxt)
-    return levels
+def _reduced_words(rep: BraidRep, alphabet: list[int], max_len: int):
+    """Every reduced word of length <= ``max_len``, by length then letters.
+
+    Returns ``(letters, lengths, a, b)``: ``letters`` is int8 of shape
+    ``(n, max_len)`` padded with 0, and ``(a, b)`` are the words' SU(2)
+    images (see :func:`_su2`).  Each level is one batched product of the
+    previous level with every letter that does not cancel a word's last
+    one; taken in (word, letter) order, the level stays sorted.
+    """
+    alpha = np.array(alphabet, dtype=np.int8)
+    gen_a, gen_b = map(np.array, zip(*(_su2(rep.generator(g)) for g in alphabet)))
+    letters = [np.zeros((1, max_len), dtype=np.int8)]
+    a, b = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
+    last = np.zeros(1, dtype=np.int8)
+    for n in range(max_len):
+        word, g = np.nonzero(last[:, None] != -alpha)
+        pa, pb = a[-1][word], b[-1][word]
+        a.append(pa * gen_a[g] - pb * gen_b[g].conj())
+        b.append(pa * gen_b[g] + pb * gen_a[g].conj())
+        last = alpha[g]
+        level = letters[-1][word]
+        level[:, n] = last
+        letters.append(level)
+    lengths = np.repeat(np.arange(max_len + 1), [len(level) for level in a])
+    return np.concatenate(letters), lengths, np.concatenate(a), np.concatenate(b)
+
+
+#: Entries per block of split scores (float64), which bounds the search's
+#: working memory at any max_len.
+_SCORE_BLOCK = 2 ** 20
+
+
+def _split_blocks(letters, lengths, half, max_len, alphabet):
+    """Every canonical (prefix, suffix) split, as blocks of index arrays.
+
+    Yields ``(prefixes, suffixes)``: each prefix in ``prefixes`` followed by
+    each suffix in ``suffixes`` is one word.  The empty suffix (index 0)
+    follows every prefix; a non-empty one follows only prefixes of ``half``
+    letters whose last letter it does not cancel.
+    """
+    everyone = np.arange(len(lengths))
+    yield everyone, everyone[:1]
+    n_suffix = int(np.count_nonzero(lengths <= max_len - half))
+    if n_suffix == 1:
+        return
+    full = everyone[lengths == half]
+    first = letters[1:n_suffix, 0]
+    for g in alphabet:
+        rows = full[letters[full, half - 1] == g]
+        cols = 1 + np.flatnonzero(first != -g)
+        step = max(1, _SCORE_BLOCK // len(cols))
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step], cols
+
+
+def _near(best: float) -> float:
+    """Lowest score that may still tie ``best`` once rescored exactly.
+
+    Scores are ``|f . s| = 1 - d**2 / 2``; a word is kept when its distance
+    is within 1e-9 of the best one's, with 1e-12 of slack in ``d**2`` on
+    either side for the rounding of the batched products (near ``d = 0``
+    that slack is far wider in ``d`` than the tie width).
+    """
+    reach = math.sqrt(max(0.0, 2.0 - 2.0 * best) + 1e-12) + 1e-9
+    return 1.0 - (reach * reach + 1e-12) / 2.0
+
+
+def _evaluate_words(rep: BraidRep, alphabet: list[int], letters, lengths):
+    """:func:`evaluate` of every row of ``letters``, as one stack.
+
+    Products run leftmost letter first with the same 2x2 matrix products
+    as :func:`evaluate`, so every matrix is the one it returns.
+    """
+    gens = np.array([rep.generator(g) for g in alphabet])
+    mats = np.broadcast_to(rep.identity(), (len(lengths), 2, 2)).copy()
+    for k in range(letters.shape[1]):
+        live = np.flatnonzero(lengths > k)
+        mats[live] = mats[live] @ gens[np.searchsorted(alphabet, letters[live, k])]
+    return mats
 
 
 def compile_gate(
@@ -356,14 +428,22 @@ def compile_gate(
     """Best braid word approximating ``target`` projectively.
 
     Searches all reduced words over ``{b_1^+-1, b_2^+-1}`` of length up to
-    ``max_len`` in the Fibonacci qubit representation (words containing an
-    adjacent inverse pair evaluate to a shorter word and are skipped).
-    Distances within ``COMPILE_TIE_EPS`` of each other count as ties,
-    broken by shorter then lexicographically smaller word (letters compared
-    as signed integers).  Above ``MEET_IN_MIDDLE_ABOVE`` letters the search
-    switches to a meet-in-the-middle split with an exact nearest-neighbour
-    index over projective quaternion coordinates; the result matches the
-    exhaustive ordering up to ties below the numerical noise level.
+    ``max_len`` in the Fibonacci qubit representation, or in ``rep`` when
+    given (any unitary two-dimensional one); words containing an adjacent
+    inverse pair evaluate to a shorter word and are skipped.  Distances
+    within ``COMPILE_TIE_EPS`` of each other count as ties, broken by
+    shorter then lexicographically smaller word (letters compared as
+    signed integers).
+
+    The search meets in the middle.  Each word splits one way into a
+    prefix ``P`` of at most ``half = ceil(max_len / 2)`` letters and a
+    suffix ``S``, non-empty only when ``P`` has ``half`` letters.  With
+    ``f`` the unit quaternion of ``P^dag target`` and ``s`` that of ``S``,
+    the word's projective distance is ``sqrt(2 - 2 |f . s|)``, so every
+    word is scored by blocked real matrix products of the prefix frames
+    with the suffix table.  The words within 1e-9 of the best score are
+    rescored exactly with :func:`projective_distance`, then ranked by the
+    tie rule.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -376,66 +456,36 @@ def compile_gate(
         raise ResourceError(f"max_len {max_len} exceeds cap {COMPILE_CAP}")
     if rep is None:
         rep = fib_qubit_rep()
-    alphabet = sorted([-2, -1, 1, 2])
+    if rep.dim != 2 or not rep.unitary:
+        raise InputError("compile_gate needs a unitary two-dimensional representation")
+    alphabet = [-2, -1, 1, 2]
+    half = (max_len + 1) // 2
 
-    if max_len <= MEET_IN_MIDDLE_ABOVE:
-        # levels are generated by length then lexicographically, so the
-        # first member of every tie class is the canonical winner
-        best: tuple[float, tuple[int, ...]] | None = None
-        for level in _enumerate_levels(rep, alphabet, max_len):
-            for letters, mat in level:
-                dist = projective_distance(target, mat)
-                if best is None or dist < best[0] - COMPILE_TIE_EPS:
-                    best = (dist, letters)
-        assert best is not None
-        return BraidWord(rep.strands or 3, best[1]), best[0]
+    letters, lengths, a, b = _reduced_words(rep, alphabet, half)
+    ta, tb = _su2(target)
+    fa = a.conj() * ta + b * tb.conjugate()  # P^dag target
+    fb = a.conj() * tb - b * ta.conjugate()
+    frames = np.stack([fa.real, fa.imag, fb.real, fb.imag], axis=1)
+    quats = np.stack([a.real, a.imag, b.real, b.imag])
 
-    return _compile_meet_in_middle(target, max_len, rep, alphabet)
+    best, found = 0.0, []
+    for prefixes, suffixes in _split_blocks(letters, lengths, half, max_len, alphabet):
+        scores = frames[prefixes] @ quats[:, suffixes]
+        top = max(scores.max(), -scores.min())
+        if top < _near(best):
+            continue
+        best = max(best, top)
+        i, j = np.nonzero(np.abs(scores, out=scores) >= _near(best))
+        found.append((scores[i, j], prefixes[i], suffixes[j]))
 
-
-def _compile_meet_in_middle(target, max_len, rep, alphabet):
-    from scipy.spatial import cKDTree
-
-    half_hi = (max_len + 1) // 2
-    half_lo = max_len // 2
-    prefix_levels = _enumerate_levels(rep, alphabet, half_hi)
-    suffixes = [entry for level in prefix_levels[: half_lo + 1] for entry in level]
-    suffix_pts = np.array([_quaternion(mat) for _, mat in suffixes])
-    tree = cKDTree(suffix_pts)
-
-    # Pass 1: nearest neighbour per prefix frame gives the global optimum
-    # distance (quaternion chord distance == projective distance).
-    best_dist = np.inf
-    prefixes = [entry for level in prefix_levels for entry in level]
-    frames = []
-    for letters, mat in prefixes:
-        framed = _quaternion(mat.conj().T @ target)
-        frames.append(framed)
-        for probe in (framed, -framed):
-            dd, _ = tree.query(probe)
-            best_dist = min(best_dist, dd)
-
-    # Pass 2: collect every word within numerical noise of the optimum and
-    # rank with the same tie rule as the exhaustive path.
-    radius = best_dist + 1e-9
-    candidates = []
-    for (pletters, pmat), framed in zip(prefixes, frames):
-        hits = set()
-        for probe in (framed, -framed):
-            hits.update(tree.query_ball_point(probe, radius))
-        for idx in hits:
-            sletters, smat = suffixes[idx]
-            letters = pletters + sletters
-            if len(letters) > max_len:
-                continue
-            if pletters and sletters and pletters[-1] == -sletters[0]:
-                continue  # reducible join; the reduced word is enumerated elsewhere
-            dist = projective_distance(target, pmat @ smat)
-            candidates.append((dist, len(letters), letters))
-    assert candidates
-    floor = min(c[0] for c in candidates)
-    winner = min(
-        (c for c in candidates if c[0] <= floor + COMPILE_TIE_EPS),
-        key=lambda c: (c[1], c[2]),
-    )
-    return BraidWord(rep.strands or 3, winner[2]), winner[0]
+    scores, prefixes, suffixes = map(np.concatenate, zip(*found))
+    keep = scores >= _near(best)
+    prefixes, suffixes = prefixes[keep], suffixes[keep]
+    words = np.concatenate([letters[prefixes], letters[suffixes, : max_len - half]], axis=1)
+    sizes = lengths[prefixes] + lengths[suffixes]
+    dists = projective_distance(target, _evaluate_words(rep, alphabet, words, sizes))
+    tied = np.flatnonzero(dists <= dists.min() + COMPILE_TIE_EPS)
+    # shortest, then lexicographically smallest: lexsort's last key leads
+    win = tied[np.lexsort((*words[tied].T[::-1], sizes[tied]))[0]]
+    word = tuple(int(g) for g in words[win, : sizes[win]])
+    return BraidWord(rep.strands or 3, word), float(dists[win])

@@ -13,6 +13,7 @@ violation (including numeric non-convergence).  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,6 +61,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
     return value
 
 
@@ -129,6 +137,7 @@ def _rep_for(args) -> braids.BraidRep:
     raise InputError(f"unknown representation {args.rep!r}")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="anyons", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -146,11 +155,11 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("qdims", help="quantum dimensions")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tolerance", type=_finite_float, default=fusion.QDIM_TOL)
+    sp.add_argument("--tolerance", type=_positive_float, default=fusion.QDIM_TOL)
 
     sp = sub.add_parser("entropy", help="total quantum dimension and entropy")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tolerance", type=_finite_float, default=fusion.QDIM_TOL)
+    sp.add_argument("--tolerance", type=_positive_float, default=fusion.QDIM_TOL)
     sp.add_argument("--base", type=_log_base, default=None,
                     help="logarithm base (natural log when omitted)")
 
@@ -172,7 +181,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--braid", default=None,
                     help="optional braid word to evaluate (round-trip check)")
 
-    sp = sub.add_parser("compile", help="brute-force gate compilation")
+    sp = sub.add_parser("compile", help="meet-in-the-middle braid-word gate compilation")
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", type=int, required=True)
 

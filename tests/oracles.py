@@ -12,7 +12,10 @@ Everything here deliberately avoids the code paths it checks:
   takes one ``commutation_phase`` per stabilizer (the implementation is
   two gathers over the check matrix's edge-index arrays);
 * the correction oracle recomputes each probe string's full syndrome (the
-  implementation reads it off the path endpoints).
+  implementation reads it off the path endpoints);
+* the compile oracle scores every reduced word one at a time by its own
+  matrix product (the implementation scores prefix/suffix splits by
+  blocked quaternion dot products and rescores only near-ties).
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from anyons.braids import BraidWord
+from anyons.braids import (
+    COMPILE_TIE_EPS,
+    BraidWord,
+    fib_qubit_rep,
+    projective_distance,
+)
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
 from anyons.toric import (
@@ -67,6 +75,33 @@ def braid_permutation_cycles(word: BraidWord) -> int:
             seen[j] = True
             j = perm[j]
     return cycles
+
+
+def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, float]:
+    """Exhaustive gate compilation: every reduced word over ``s1^+-1, s2^+-1``.
+
+    Words are scanned by length, then lexicographically (letters as signed
+    integers), and one replaces the best so far only when it beats it by
+    more than ``COMPILE_TIE_EPS``; so the first member of every tie class
+    wins, which is the shorter, then lexicographically smaller, word.
+    """
+    rep = fib_qubit_rep() if rep is None else rep
+    alphabet = (-2, -1, 1, 2)
+    best = None
+    level = [((), rep.identity())]
+    for length in range(max_len + 1):
+        for letters, mat in level:
+            dist = projective_distance(target, mat)
+            if best is None or dist < best[0] - COMPILE_TIE_EPS:
+                best = (dist, letters)
+        if length < max_len:
+            level = [
+                (letters + (g,), mat @ rep.generator(g))
+                for letters, mat in level
+                for g in alphabet
+                if not letters or letters[-1] != -g
+            ]
+    return BraidWord(rep.strands or 3, best[1]), best[0]
 
 
 def segment_graph_loops(word: BraidWord, choices: tuple[str, ...]) -> int:

@@ -19,6 +19,7 @@ from anyons.braids import (
     tl_b3_matrices,
     tl_b3_rep,
 )
+from anyons.cli import _NAMED_GATES
 from anyons.errors import BraidSyntaxError, InputError, ResourceError
 
 #: Unitarity arc of the Temperley-Lieb representation: t = exp(-i theta),
@@ -280,22 +281,64 @@ class TestCompileGate:
             compile_gate(np.eye(2), max_len=15)
 
     def test_meet_in_middle_matches_exhaustive(self):
-        # force the meet-in-the-middle path with a max_len above the cutoff
-        # and compare against an exhaustive scan with the same tie rule
-        from anyons.braids import (
-            COMPILE_TIE_EPS,
-            _enumerate_levels,
-            projective_distance,
-        )
+        # a max_len whose prefix and suffix halves differ in length, against
+        # the exhaustive scan with the same tie rule
+        from oracles import brute_force_compile
 
         target = np.array([[0, 1], [1, 0]], dtype=complex)
         word_mitm, dist_mitm = compile_gate(target, max_len=11)
-        exhaustive_best = None
-        rep = fib_qubit_rep()
-        for level in _enumerate_levels(rep, [-2, -1, 1, 2], 11):
-            for letters, mat in level:
-                d = projective_distance(target, mat)
-                if exhaustive_best is None or d < exhaustive_best[0] - COMPILE_TIE_EPS:
-                    exhaustive_best = (d, letters)
-        assert dist_mitm == pytest.approx(exhaustive_best[0], abs=1e-12)
-        assert word_mitm.letters == exhaustive_best[1]
+        exhaustive_word, exhaustive_dist = brute_force_compile(target, 11)
+        assert dist_mitm == pytest.approx(exhaustive_dist, abs=1e-12)
+        assert word_mitm.letters == exhaustive_word.letters
+
+    @pytest.mark.parametrize("max_len", range(9))
+    @settings(max_examples=12)
+    @given(
+        st.one_of(
+            st.tuples(
+                st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+                    lambda q: np.linalg.norm(q) > 0.1
+                ),
+                st.floats(0, 2 * np.pi),
+            ).map(lambda qp: _su2_matrix(*qp)),
+            st.sampled_from(sorted(_NAMED_GATES)).map(_NAMED_GATES.get),
+            st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=8).map(
+                lambda w: evaluate(fib_qubit_rep(), BraidWord(3, tuple(w)))
+            ),
+        ),
+    )
+    def test_matches_exhaustive_oracle(self, max_len, target):
+        from oracles import brute_force_compile
+
+        word, dist = compile_gate(target, max_len)
+        oracle_word, oracle_dist = brute_force_compile(target, max_len)
+        assert word.letters == oracle_word.letters
+        assert dist == pytest.approx(oracle_dist, abs=1e-12)
+
+    def test_search_memory_is_bounded(self):
+        import tracemalloc
+
+        from anyons.braids import COMPILE_CAP
+
+        target = _NAMED_GATES["H"]
+        compile_gate(target, 2)  # first-call caches are not the search's
+        tracemalloc.start()
+        try:
+            compile_gate(target, COMPILE_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_non_unitary_representation_rejected(self):
+        with pytest.raises(InputError):
+            compile_gate(np.eye(2), 2, rep=tl_b3_rep(2.0))
+        with pytest.raises(InputError):
+            compile_gate(np.eye(2), 2, rep=abelian_rep(0.5))
+
+
+def _su2_matrix(q, phase):
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    norm = math.hypot(abs(a), abs(b))
+    a, b = a / norm, b / norm
+    return np.exp(1j * phase) * np.array([[a, b], [-b.conjugate(), a.conjugate()]])

@@ -87,6 +87,10 @@ class TestExitCodes:
         ["entropy", "--model", "fibonacci", "--base", "0"],
         ["entropy", "--model", "fibonacci", "--base", "-2"],
         ["qdims", "--model", "fibonacci", "--tolerance", "nan"],
+        ["qdims", "--model", "fibonacci", "--tolerance", "0"],
+        ["qdims", "--model", "fibonacci", "--tolerance", "-1"],
+        ["entropy", "--model", "fibonacci", "--tolerance", "0"],
+        ["entropy", "--model", "fibonacci", "--tolerance", "-1"],
         ["trace-est", "--braid", "B3: s1 s2", "--rep", "abelian", "--phi", "nan",
          "--shots", "1000", "--seed", "1"],
         ["braid-check", "--rep", "abelian", "--phi", "inf"],
@@ -105,6 +109,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_cached_parser_matches_a_fresh_one(self, monkeypatch):
+        sequence = [
+            ["compile", "--target", "H", "--max-len", "4"],
+            ["qdims", "--model", "fibonacci", "--tolerance", "-1"],  # argparse error
+            ["su2k", "--j1", "1", "--j2", "1", "--j", "2", "--k", "4"],
+        ]
+        assert cli._build_parser() is cli._build_parser()
+        cached = [run(argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(argv) for argv in sequence]
+        assert [r.status for r in cached] == [0, 1, 0]
+        assert cached == fresh
 
     def test_non_finite_output_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "qdims", lambda args: {"x": float("nan")})
