@@ -6,7 +6,7 @@ fusion            fusion rings, fusion trees, quantum dimensions, entropy
 fsymbols          F/R symbol tables, pentagon/hexagon/unitarity residuals
 braids            braid words and grammar, unitary representations, gate search
 laurent           exact integer Laurent polynomials in quarter powers of t
-knots             Kauffman bracket state sums and Jones polynomials
+knots             Kauffman brackets (Temperley-Lieb transfer) and Jones polynomials
 trace_estimation  Hadamard-test simulation of normalised traces
 pauli             qudit Pauli strings with exact phase bookkeeping
 toric             toric-code stabilizer engine and interferometer protocol
@@ -64,12 +64,10 @@ from .fusion import (
 )
 from .knots import (
     LinkDiagram,
-    SmoothingState,
     bracket_tl_b3,
     closure,
     jones,
     kauffman_bracket,
-    smoothing_loops,
     writhe,
 )
 from .laurent import LaurentPoly

@@ -159,7 +159,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("entropy", help="total quantum dimension and entropy")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tolerance", type=_positive_float, default=fusion.QDIM_TOL)
     sp.add_argument("--base", type=_log_base, default=None,
                     help="logarithm base (natural log when omitted)")
 
@@ -193,7 +192,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--cap", type=int, default=knots.CROSSING_CAP)
         if name == "bracket":
             sp.add_argument("--method", choices=("statesum", "tl"),
-                            default="statesum")
+                            default="statesum",
+                            help="statesum: the exact Laurent bracket (by a "
+                                 "Temperley-Lieb transfer); tl: the B_3 trace "
+                                 "formula evaluated at --t")
 
     sp = sub.add_parser("trace-est", help="Hadamard-test trace estimate")
     sp.add_argument("--braid", required=True)

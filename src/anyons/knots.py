@@ -1,8 +1,8 @@
 """Kauffman bracket and Jones polynomial of braid closures.
 
 A braid word on ``n`` strands closes into a link by joining the top of
-strand ``i`` to its bottom (Markov closure).  The bracket is computed as
-the exact state sum
+strand ``i`` to its bottom (Markov closure).  The bracket is the Markov
+trace of the word's image in the Temperley-Lieb algebra,
 
     <K>(t) = sum over smoothing states S of  <K|S> d^(L(S) - 1)
 
@@ -28,10 +28,12 @@ Conventions (pinned by the Markov-invariance and oracle tests):
   ``t^(-1/2)`` instead of the unknot value 1, so invariance under Markov
   stabilisation forces the exponent ``-3 w``.
 
-Loop counting per state walks the diagram once with a union-find over wire
-segments (O(N alpha(N)) per state); states are enumerated in binary
-reflected Gray-code order so exactly one crossing's plumbing changes
-between consecutive states.
+The sum is not enumerated state by state: it is a transfer over
+Temperley-Lieb diagrams (Kauffman, Topology 26, 1987).  A diagram pairs the
+``2n`` boundary points of the braid read so far, and the states that reach
+the same diagram are merged into one exact value.  A crossing costs O(n)
+per live diagram, so the bracket costs O(N * S * n) for ``N`` crossings,
+with ``S <= min(Catalan(n), 2^N)`` live diagrams.
 """
 
 from __future__ import annotations
@@ -44,8 +46,14 @@ from .braids import BraidWord, evaluate, tl_b3_matrices, tl_b3_rep
 from .errors import InputError, ResourceError
 from .laurent import LaurentPoly
 
-#: Default cap on crossing count for the 2^N state sum.
+#: Default cap on crossing count of the bracket.
 CROSSING_CAP = 24
+
+#: Cap on the live transfer's tuple entries (diagrams x 2n boundary
+#: points), checked before each crossing's layer is built.  Commuting
+#: crossings on many strands keep all 2^N diagrams distinct; the largest
+#: such word under this cap (B29, 14 crossings) peaks at 16 MB.
+TRANSFER_ENTRY_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,17 +69,6 @@ class LinkDiagram:
                 raise InputError(f"bad crossing {(pos, sign)}")
 
 
-@dataclass(frozen=True)
-class SmoothingState:
-    """One A/B choice per crossing; 'A' always carries weight t^(-1/4)."""
-
-    choices: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(c not in ("A", "B") for c in self.choices):
-            raise InputError("smoothing choices must be 'A' or 'B'")
-
-
 def closure(word: BraidWord) -> LinkDiagram:
     """The link diagram obtained by Markov-closing ``word``."""
     return LinkDiagram(
@@ -85,92 +82,69 @@ def writhe(word: BraidWord) -> int:
     return word.writhe()
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def components(self) -> int:
-        return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
-
-
-def _pattern_is_cap_cup(sign: int, choice: str) -> bool:
-    # A-smoothing of a positive crossing keeps the strands parallel; the
-    # mirror image swaps the two patterns.
-    return (sign > 0) == (choice == "B")
-
-
-def smoothing_loops(diagram: LinkDiagram, state: SmoothingState) -> int:
-    """Loop count ``L(S)`` of the fully smoothed, Markov-closed diagram."""
-    if len(state.choices) != len(diagram.crossings):
-        raise InputError("state length must equal crossing count")
-    n = diagram.n_strands
-    uf = _UnionFind(n)
-    wire = list(range(n))
-    for (pos, sign), choice in zip(diagram.crossings, state.choices):
-        if _pattern_is_cap_cup(sign, choice):
-            i = pos - 1
-            uf.union(wire[i], wire[i + 1])  # cap joins the incoming wires
-            a, b = uf.add(), uf.add()  # cup starts two fresh, joined wires
-            uf.union(a, b)
-            wire[i], wire[i + 1] = a, b
-    for j in range(n):
-        uf.union(wire[j], j)  # Markov closure: top of strand j meets its bottom
-    return uf.components()
-
-
-def _state_weight_exponent(state: SmoothingState) -> int:
-    """Quarter-unit exponent of the product of per-crossing weights.
-
-    The weight depends on the A/B choice alone; the crossing sign only
-    decides which planar pattern the choice produces.
-    """
-    return sum(-1 if choice == "A" else 1 for choice in state.choices)
+def _closure_loops(pairing: tuple[int, ...], n: int) -> int:
+    """Loops left when the Markov closure joins top ``n + j`` to bottom ``j``."""
+    seen = [False] * (2 * n)
+    loops = 0
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        loops += 1
+        x = start
+        while not seen[x]:
+            y = pairing[x]
+            seen[x] = seen[y] = True
+            x = y + n if y < n else y - n
+    return loops
 
 
 def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
     """Exact Kauffman bracket of the Markov closure of ``word``.
 
-    Enumerates all ``2^N`` smoothing states (Gray-code order) and
-    accumulates ``weight * d^(L(S)-1)`` exactly.  Raises
-    :class:`ResourceError` when the crossing count exceeds ``cap``.
+    Transfers exact values over Temperley-Lieb diagrams, one crossing at a
+    time, then Markov-closes each diagram.  Raises :class:`ResourceError`
+    when the crossing count exceeds ``cap`` or a layer of diagrams could
+    exceed :data:`TRANSFER_ENTRY_CAP`.
     """
     diagram = closure(word)
     n_cross = len(diagram.crossings)
     if n_cross > cap:
-        raise ResourceError(f"{n_cross} crossings exceed the state-sum cap {cap}")
+        raise ResourceError(f"{n_cross} crossings exceed the bracket cap {cap}")
+    n = diagram.n_strands
     d = LaurentPoly.loop_value()
-    max_loops = diagram.n_strands + n_cross + 1
-    d_powers = [LaurentPoly.one()]
-    for _ in range(max_loops):
-        d_powers.append(d_powers[-1] * d)
+    # point j < n is the bottom of strand j, point n + j its current top;
+    # pairing[x] is the point that x is joined to
+    layer = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.one()}
+    for pos, sign in diagram.crossings:
+        if 2 * len(layer) * 2 * n > TRANSFER_ENTRY_CAP:
+            raise ResourceError(
+                f"a layer of up to {2 * len(layer)} Temperley-Lieb diagrams on "
+                f"{n} strands exceeds the transfer cap of {TRANSFER_ENTRY_CAP} "
+                "entries"
+            )
+        a, b = n + pos - 1, n + pos
+        keep = LaurentPoly.monomial(-sign)  # identity pattern
+        turn = LaurentPoly.monomial(sign)  # cap-cup pattern
+        turn_loop = turn * d
+        nxt: dict[tuple[int, ...], LaurentPoly] = {}
+        for pairing, value in layer.items():
+            p = list(pairing)
+            if p[a] == b:  # the cap closes a loop
+                turned = value * turn_loop
+            else:  # the cap joins the partners of the two top points
+                turned = value * turn
+                p[p[a]], p[p[b]] = p[b], p[a]
+            p[a], p[b] = b, a  # the cup pairs the two new top points
+            for key, term in ((pairing, value * keep), (tuple(p), turned)):
+                nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    by_loops: dict[int, LaurentPoly] = {}
+    for pairing, value in layer.items():
+        loops = _closure_loops(pairing, n)
+        by_loops[loops] = by_loops[loops] + value if loops in by_loops else value
     total = LaurentPoly.zero()
-    for s in range(1 << n_cross):
-        gray = s ^ (s >> 1)
-        choices = tuple(
-            "B" if (gray >> c) & 1 else "A" for c in range(n_cross)
-        )
-        state = SmoothingState(choices)
-        loops = smoothing_loops(diagram, state)
-        wexp = _state_weight_exponent(state)
-        total = total + LaurentPoly.monomial(wexp) * d_powers[loops - 1]
+    for loops, value in by_loops.items():
+        total = total + value * d ** (loops - 1)
     return total
 
 
@@ -198,7 +172,7 @@ def bracket_tl_b3(word: BraidWord, t: complex) -> complex:
     each positive letter contributes ``t^(-1/4)`` to it and each inverse
     letter ``t^(+1/4)``, and the ``d^2 - 2`` gap is the difference between
     the Markov trace of the identity (three closed loops, ``d^2``) and the
-    matrix trace of the 2x2 identity.  Agrees with the state-sum bracket
+    matrix trace of the 2x2 identity.  Agrees with :func:`kauffman_bracket`
     evaluated at ``t`` for mixed-sign words as well.
     """
     if word.strands != 3:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it checks:
 
-* the bracket oracle builds an explicit segment graph per smoothing state
-  and counts loops by depth-first search (the implementation uses dynamic
-  wire ids merged by union-find);
+* the bracket oracle enumerates all 2^N smoothing states, builds an
+  explicit segment graph per state and counts loops by depth-first search
+  (the implementation enumerates no states: it carries merged exact values
+  over Temperley-Lieb diagrams, crossing by crossing);
 * the tree-counting oracle is a direct recursion over fusion channels
   (the implementation is a dynamic program over label vectors);
 * the permutation oracle counts cycles of the braid permutation;

@@ -1,5 +1,7 @@
 """CLI dispatch, JSON stability, exit codes, operation coverage."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anyons
 from anyons import cli, toric
@@ -91,6 +95,7 @@ class TestExitCodes:
         ["qdims", "--model", "fibonacci", "--tolerance", "-1"],
         ["entropy", "--model", "fibonacci", "--tolerance", "0"],
         ["entropy", "--model", "fibonacci", "--tolerance", "-1"],
+        ["entropy", "--model", "fibonacci", "--tolerance", "0.5"],  # no such flag
         ["trace-est", "--braid", "B3: s1 s2", "--rep", "abelian", "--phi", "nan",
          "--shots", "1000", "--seed", "1"],
         ["braid-check", "--rep", "abelian", "--phi", "inf"],
@@ -143,6 +148,48 @@ class TestExitCodes:
     def test_toric_caps_admit_the_baseline_sizes(self):
         assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4
         assert run(["toric", "--lx", "32", "--ly", "32", "--d", "2"]).status == 0
+
+
+_BAD_TOKENS = st.sampled_from(["s0", "s", "s1^2", "s1^-", "x", "B3:", "s-1", "s99"])
+_T_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1", "1,nan", "0.5,inf", "a,b", "1,2,3"]),
+    st.tuples(st.floats(-4, 4), st.floats(-4, 4)).map(lambda z: f"{z[0]},{z[1]}"),
+)
+
+
+@st.composite
+def _knot_argv(draw):
+    """A jones/bracket argv: mostly valid words on 1-60 strands, some malformed."""
+    n = draw(st.integers(1, 60))
+    token = st.tuples(st.integers(1, max(n - 1, 1)), st.booleans()).map(
+        lambda kv: f"s{kv[0]}^-1" if kv[1] else f"s{kv[0]}")
+    tokens = draw(st.lists(token, max_size=30))
+    if draw(st.integers(0, 3)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_BAD_TOKENS))
+    header = f"B{n}:" if draw(st.integers(0, 5)) else draw(st.sampled_from(["B0:", "b3:", ""]))
+    argv = [draw(st.sampled_from(["jones", "bracket"])), "--braid", " ".join([header, *tokens])]
+    if draw(st.booleans()):
+        argv.append("--t=" + draw(_T_VALUES))
+    if argv[0] == "bracket" and draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["statesum", "tl"]))]
+    if draw(st.booleans()):
+        argv.append(f"--cap={draw(st.integers(-1, 30))}")
+    return argv
+
+
+class TestKnotCommandFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_knot_argv())
+    def test_exit_code_and_strict_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2, 3)
+        if status == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
 
 
 class TestDeterminism:

@@ -1,21 +1,22 @@
 """Kauffman bracket, Jones polynomial, Temperley-Lieb trace formula."""
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyons.braids import BraidWord, parse_braid
+from anyons.braids import BraidWord, format_braid, parse_braid
+from anyons.cli import main
 from anyons.errors import InputError, ResourceError
 from anyons.knots import (
-    SmoothingState,
     bracket_tl_b3,
     closure,
     jones,
     kauffman_bracket,
-    smoothing_loops,
     writhe,
 )
 from anyons.laurent import LaurentPoly
@@ -24,7 +25,6 @@ from oracles import (
     bracket_oracle,
     braid_permutation_cycles,
     jones_oracle,
-    segment_graph_loops,
 )
 
 ARC_T = [
@@ -64,27 +64,48 @@ class TestClosureWrithe:
         assert writhe(parse_braid("B3: s1 s2^-1")) == 0
 
 
-class TestLoopCounting:
-    def test_all_identity_smoothing_matches_permutation_oracle(self):
-        # all-A smoothing of a positive word keeps every strand parallel
-        for word in (parse_braid("B3: s1 s2 s1"), parse_braid("B4: s1 s3 s2")):
-            state = SmoothingState(("A",) * len(word.letters))
-            assert smoothing_loops(closure(word), state) == word.strands
-            assert word.strands == braid_permutation_cycles(BraidWord(word.strands))
+# mixed-sign braid words on 1-6 strands with up to 9 crossings
+MIXED_WORDS = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.sampled_from([g for k in range(1, n) for g in (k, -k)] or [0]),
+                       max_size=9 if n > 1 else 0)
+    .map(lambda letters: BraidWord(n, tuple(letters)))
+)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from([1, 2, -1, -2]), max_size=7).flatmap(
-        lambda letters: st.tuples(
-            st.just(letters),
-            st.lists(st.sampled_from("AB"), min_size=len(letters),
-                     max_size=len(letters)),
-        )
-    ))
-    def test_union_find_matches_segment_graph(self, letters_state):
-        letters, state_choices = letters_state
-        word = BraidWord(3, tuple(letters))
-        state = SmoothingState(tuple(state_choices))
-        assert smoothing_loops(closure(word), state) == segment_graph_loops(word, tuple(state_choices))
+
+class TestTransfer:
+    @settings(max_examples=80, deadline=None)
+    @given(MIXED_WORDS)
+    def test_matches_state_sum_oracle(self, word):
+        assert kauffman_bracket(word) == bracket_oracle(word)
+
+    def test_long_b3_words_match_trace_formula(self):
+        # 16-24 crossings: out of the oracle's reach, not of the transfer's
+        rng = np.random.default_rng(5)
+        for length in range(16, 25, 2):
+            word = BraidWord(3, tuple(int(g) for g in rng.choice([1, 2, -1, -2], length)))
+            poly = kauffman_bracket(word)
+            for t in ARC_T:
+                assert abs(bracket_tl_b3(word, t) - poly.evaluate(t)) < 1e-9
+
+    def test_commuting_crossings_hit_the_transfer_cap(self, capsys):
+        # 24 commuting crossings keep all 2^24 diagrams distinct; the cap
+        # refuses the word after a few thousand, in bounded time and memory
+        word = BraidWord(49, tuple(range(1, 48, 2)))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceError, match="transfer cap"):
+                kauffman_bracket(word)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 64 * 2 ** 20
+        assert main(["jones", "--braid", format_braid(word)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "transfer cap" in err
 
 
 class TestBracketValues:
