@@ -297,12 +297,17 @@ def _cmd_entropy(args) -> dict:
     return {"D": D, "S": S, "log_base": args.base if args.base else "natural"}
 
 
+def _load_table(path: str, table_type):
+    with open(path, encoding="utf-8") as fh:
+        return table_type.from_json(fh.read())
+
+
 def _cmd_pentagon(args) -> dict:
-    model, f, _ = _fr_data_for(args.model)
     if args.f_json:
-        with open(args.f_json, encoding="utf-8") as fh:
-            f = fsymbols.FSymbolTable.from_json(fh.read())
+        f = _load_table(args.f_json, fsymbols.FSymbolTable)
         model = f.model
+    else:
+        model, f, _ = _fr_data_for(args.model)
     return {
         "model": args.model if not args.f_json else "from file",
         "residual": fsymbols.pentagon_residual(model, f),
@@ -311,17 +316,15 @@ def _cmd_pentagon(args) -> dict:
 
 
 def _cmd_hexagon(args) -> dict:
-    model, f, r = _fr_data_for(args.model)
+    if not (args.f_json and args.r_json):
+        _, f, r = _fr_data_for(args.model)
     if args.f_json:
-        with open(args.f_json, encoding="utf-8") as fh:
-            f = fsymbols.FSymbolTable.from_json(fh.read())
-        model = f.model
+        f = _load_table(args.f_json, fsymbols.FSymbolTable)
     if args.r_json:
-        with open(args.r_json, encoding="utf-8") as fh:
-            r = fsymbols.RSymbolTable.from_json(fh.read())
+        r = _load_table(args.r_json, fsymbols.RSymbolTable)
     return {
         "model": args.model if not args.f_json else "from file",
-        "residual": fsymbols.hexagon_residual(model, f, r),
+        "residual": fsymbols.hexagon_residual(f.model, f, r),
     }
 
 

@@ -20,18 +20,23 @@ unitary.
 An R symbol ``R(a,b -> c)`` is the phase acquired when ``a`` and ``b`` are
 exchanged counterclockwise in fusion channel ``c``.
 
-The pentagon and hexagon scans evaluate the consistency equations over the
-full label product and report the worst absolute deviation.  The equations
-are stated in the tree-oriented form, which is what makes them hold
-verbatim for non-self-dual models (abelian Z_d with d > 2); for self-dual
-models such as the Fibonacci theory the oriented and unordered readings
-have identical admissible sets and values.  The scans are plain tensor
-contractions, so results never depend on evaluation order.
+Every check runs over the admissible tuples only.  Each check enumerates
+them as an ``(m, 6)`` array of label indices, by joining the allowed fusion
+vertices of the two trees above.  Each side of the pentagon
+and hexagon equations is a join of those rows on their shared labels, with
+the contracted label summed over int64 tuple codes, and the residual is the
+worst absolute deviation over the union of the two sides' supports:
+outside it both sides vanish, so this is the maximum over the full label
+product.  Every join counts its output before allocating it and refuses
+more than :data:`PENTAGON_TUPLE_CAP` tuples.  The equations are stated in
+the tree-oriented form, which is what makes them hold verbatim for
+non-self-dual models (abelian Z_d with d > 2); for self-dual models such as
+the Fibonacci theory the oriented and unordered readings have identical
+admissible sets and values.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,10 +44,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CompletenessError, InputError, InvariantViolation
+from .errors import CompletenessError, InputError, InvariantViolation, ResourceError
 from .fusion import AnyonModel, Label, fibonacci_model
 
 PHI = (1 + math.sqrt(5)) / 2
+
+#: Most index tuples one join of the F/R checks may produce: the F-tuple
+#: enumeration, a side of the pentagon or hexagon, the unitarity Gram pairs.
+#: Each join counts its output before allocating it.  The largest Z_d
+#: pentagon within the cap is z_d:22 (22^4 tuples per side, about 0.3 s and
+#: a 75 MB peak); the largest table it lets a model enumerate is that of
+#: z_d:64 (64^3 tuples).
+PENTAGON_TUPLE_CAP = 2**18
+
+_CODE_SPAN = 2**62
 
 
 def f_admissible(model: AnyonModel, a, b, c, d, i, j) -> bool:
@@ -73,19 +88,7 @@ class FSymbolTable:
             raise CompletenessError(f"F table missing admissible entry {key}") from None
 
     def check_complete(self):
-        for key in itertools.product(self.model.labels, repeat=6):
-            if f_admissible(self.model, *key) and key not in self.entries:
-                raise CompletenessError(f"F table missing admissible entry {key}")
-
-    def dense(self) -> np.ndarray:
-        """Values as a 6-index complex tensor over label indices."""
-        self.check_complete()
-        k = len(self.model.labels)
-        out = np.zeros((k,) * 6, dtype=complex)
-        idx = {a: i for i, a in enumerate(self.model.labels)}
-        for key, val in self.entries.items():
-            out[tuple(idx[x] for x in key)] = val
-        return out
+        _f_values(self, _admissible_tuples(self.model)[0])
 
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
         """The matrix ``F(abcd)^i_j`` with its admissible row/column labels."""
@@ -110,12 +113,9 @@ class FSymbolTable:
 
     @classmethod
     def from_json(cls, text: str) -> "FSymbolTable":
-        doc = json.loads(text)
-        model = AnyonModel.from_json(json.dumps(doc["model"]))
-        entries = {
-            tuple(k): complex(re, im) for k, (re, im) in doc["entries"]
-        }
-        return cls(model, entries)
+        """Parse a :meth:`to_json` document; every entry must sit at an
+        admissible key of the model and hold a finite ``[re, im]`` pair."""
+        return cls(*_table_from_json(text, "F"))
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,7 @@ class RSymbolTable:
             raise CompletenessError(f"R table missing allowed entry {key}") from None
 
     def check_complete(self):
-        for key in itertools.product(self.model.labels, repeat=3):
-            if self.model.n(*key) and key not in self.entries:
-                raise CompletenessError(f"R table missing allowed entry {key}")
-
-    def dense(self) -> np.ndarray:
-        self.check_complete()
-        k = len(self.model.labels)
-        out = np.zeros((k,) * 3, dtype=complex)
-        idx = {a: i for i, a in enumerate(self.model.labels)}
-        for key, val in self.entries.items():
-            out[tuple(idx[x] for x in key)] = val
-        return out
+        _r_data(self)
 
     def to_json(self) -> str:
         doc = {
@@ -160,10 +149,181 @@ class RSymbolTable:
 
     @classmethod
     def from_json(cls, text: str) -> "RSymbolTable":
-        doc = json.loads(text)
-        model = AnyonModel.from_json(json.dumps(doc["model"]))
-        entries = {tuple(k): complex(re, im) for k, (re, im) in doc["entries"]}
-        return cls(model, entries)
+        """Parse a :meth:`to_json` document; every entry must sit at an
+        allowed fusion triple of the model and hold a finite ``[re, im]``."""
+        return cls(*_table_from_json(text, "R"))
+
+
+def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and "model" in doc and isinstance(doc.get("entries"), list)):
+        raise InputError(f"{what} table JSON needs a 'model' and an 'entries' list")
+    model = AnyonModel.from_json(json.dumps(doc["model"]))
+    arity = 6 if what == "F" else 3
+    canonical = {label: label for label in model.labels}  # 1.0 names label 1
+    entries = {}
+    for row in doc["entries"]:
+        if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)):
+            raise InputError(f"{what} entry {row!r} is not a [key, [re, im]] pair")
+        raw, value = row
+        if len(raw) != arity:
+            raise InputError(f"{what} key {raw!r} does not have {arity} labels")
+        try:
+            key = tuple(canonical[x] for x in raw)
+        except (KeyError, TypeError):
+            raise InputError(
+                f"{what} key {raw!r} has a label outside {list(model.labels)}"
+            ) from None
+        if not (f_admissible(model, *key) if what == "F" else model.n(*key)):
+            raise InputError(f"{what} entry at {key}, which the fusion rules do not allow")
+        if key in entries:
+            raise InputError(f"{what} table lists {key} twice")
+        entries[key] = _finite_complex(value, f"{what} entry {key}")
+    return model, entries
+
+
+def _finite_complex(value, where: str) -> complex:
+    try:
+        re, im = value
+        if type(re) in (int, float) and type(im) in (int, float):
+            z = complex(float(re), float(im))
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{where}: value {value!r} is not a finite [re, im] pair")
+
+
+# ---------------------------------------------------------------------------
+# admissible tuples as index arrays
+
+
+def _codes(k: int, columns) -> np.ndarray:
+    """One int64 code per row of equal-length label-index columns; two rows
+    get the same code exactly when they are equal, and codes keep the
+    lexicographic order of the rows.
+
+    Mixed radix ``k``; when the codes could overflow, the partial codes are
+    replaced by their ranks before each further digit.
+    """
+    code = np.asarray(columns[0], dtype=np.int64)
+    span = k
+    for col in columns[1:]:
+        if span > _CODE_SPAN // k:
+            code = np.unique(code, return_inverse=True)[1]
+            span = len(code)
+        code = code * k + col
+        span *= k
+    return code
+
+
+def _shared_codes(k: int, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of two sets of columns in one code space."""
+    codes = _codes(k, [np.concatenate(pair) for pair in zip(left, right)])
+    return codes[: len(left[0])], codes[len(left[0]):]
+
+
+def _join(left: np.ndarray, right: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(p, q)`` with ``left[p] == right[q]``, ordered by ``p``
+    and then ``q``.
+
+    The pair count is read off the sorted codes before any pair array is
+    allocated; above :data:`PENTAGON_TUPLE_CAP` it raises ResourceError.
+    """
+    order = right.argsort(kind="stable")
+    keys = right[order]
+    lo = keys.searchsorted(left, side="left")
+    n = keys.searchsorted(left, side="right") - lo
+    total = int(n.sum())
+    if total > PENTAGON_TUPLE_CAP:
+        raise ResourceError(
+            f"{what} needs {total} index tuples, over the cap of {PENTAGON_TUPLE_CAP}"
+        )
+    p = np.arange(len(left)).repeat(n)
+    q = order[(lo - n.cumsum() + n).repeat(n) + np.arange(total)]
+    return p, q
+
+
+def _vertices(model: AnyonModel) -> np.ndarray:
+    """The allowed fusion vertices ``(x, y -> z)`` as sorted rows of label indices."""
+    index = {label: i for i, label in enumerate(model.labels)}
+    rows = sorted(
+        (index[a], index[b], index[c]) for (a, b, c), m in model.fusion.items() if m
+    )
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _admissible_tuples(model: AnyonModel) -> tuple[np.ndarray, str]:
+    """The admissible ``(a, b, c, d, i, j)`` as sorted rows of label indices,
+    and a message naming the first non-square block (empty if there is none).
+
+    One join of the allowed vertices gives every chain ``(x, y -> z),
+    (z, y' -> z')``.  Fusion is commutative, so each chain reads both as a
+    left tree ``(a, b -> i), (i, c -> d)`` and as a right tree
+    ``(b, c -> j), (j, a -> d)``; the admissible tuples join the two
+    readings on ``(a, b, c, d)``.  A block's rows are its left trees and its
+    columns its right trees.
+    """
+    k = len(model.labels)
+    x, y, z = _vertices(model).T
+    p, q = _join(*_shared_codes(k, [z], [x]), "the F enumeration")
+    x, y, z, y2, z2 = x[p], y[p], z[p], y[q], z[q]
+    readings = ([x, y, y2, z2], [y2, x, y, z2])  # (a, b, c, d) of each reading
+    lc, rc = _shared_codes(k, *readings)
+    non_square = ""
+    if not np.array_equal(np.sort(lc), np.sort(rc)):  # a block code per row / column
+        blocks, at = np.unique(np.concatenate([lc, rc]), return_inverse=True)
+        rows = np.bincount(at[: len(lc)], minlength=len(blocks))
+        cols = np.bincount(at[len(lc):], minlength=len(blocks))
+        bad = np.flatnonzero(rows != cols)[0]
+        first = int(np.argmax(at == bad))
+        reading = readings[first // len(lc)]
+        abcd = tuple(model.labels[int(col[first % len(lc)])] for col in reading)
+        non_square = f"F block {abcd} is not square ({rows[bad]} x {cols[bad]})"
+    p, q = _join(lc, rc, "the F enumeration")
+    tuples = np.array([x[p], y[p], y2[p], z2[p], z[p], z[q]])
+    return tuples.T[np.lexsort(tuples[::-1])], non_square
+
+
+def _label_rows(model: AnyonModel, rows: np.ndarray) -> list[tuple]:
+    """Rows of label indices as tuples of labels."""
+    labels = np.fromiter(model.labels, dtype=object, count=len(model.labels))
+    return list(zip(*labels[rows.T].tolist()))
+
+
+def _values(entries: dict, keys: list[tuple], missing: str) -> np.ndarray:
+    try:
+        return np.array([entries[key] for key in keys], dtype=complex)
+    except KeyError as exc:
+        raise CompletenessError(f"{missing} {exc.args[0]}") from None
+
+
+def _f_values(f: FSymbolTable, rows: np.ndarray) -> np.ndarray:
+    """The values of ``f`` at admissible rows; missing ones raise CompletenessError."""
+    return _values(f.entries, _label_rows(f.model, rows), "F table missing admissible entry")
+
+
+def _r_data(r: RSymbolTable) -> tuple[np.ndarray, np.ndarray]:
+    """Allowed vertices of ``r``'s model and their values."""
+    vertices = _vertices(r.model)
+    keys = _label_rows(r.model, vertices)
+    return vertices, _values(r.entries, keys, "R table missing allowed entry")
+
+
+def _max_deviation(k: int, lhs_key, lhs: np.ndarray, rhs_key, rhs: np.ndarray) -> float:
+    """``max |lhs - rhs|`` over the union of both supports.
+
+    ``lhs_key``/``rhs_key`` are label-index columns, one row per value; the
+    ``lhs`` rows have distinct keys, and ``rhs`` values with equal keys (the
+    terms of the contracted label) are summed in row order.
+    """
+    keys, at = np.unique(np.concatenate(_shared_codes(k, lhs_key, rhs_key)),
+                         return_inverse=True)
+    left = np.zeros(len(keys), dtype=complex)
+    left[at[: len(lhs)]] = lhs
+    right = np.zeros(len(keys), dtype=complex)
+    np.add.at(right, at[len(lhs):], rhs)
+    return float(np.max(np.abs(left - right), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +346,10 @@ def fibonacci_data() -> tuple[AnyonModel, FSymbolTable, RSymbolTable]:
     f2 = np.array(
         [[1 / PHI, 1 / math.sqrt(PHI)], [1 / math.sqrt(PHI), -1 / PHI]]
     )
-    entries: dict[tuple, complex] = {}
-    for key in itertools.product(model.labels, repeat=6):
-        if not f_admissible(model, *key):
-            continue
-        a, b, c, d, i, j = key
-        if (a, b, c, d) == (1, 1, 1, 1):
-            entries[key] = complex(f2[i, j])
-        else:
-            entries[key] = 1.0 + 0.0j
+    entries = dict.fromkeys(_label_rows(model, _admissible_tuples(model)[0]), 1.0 + 0.0j)
+    for i in (0, 1):
+        for j in (0, 1):
+            entries[(1, 1, 1, 1, i, j)] = complex(f2[i, j])
     r_entries = {
         (0, 0, 0): 1.0 + 0.0j,
         (0, 1, 1): 1.0 + 0.0j,
@@ -211,17 +366,12 @@ def trivial_data(model: AnyonModel) -> tuple[FSymbolTable, RSymbolTable]:
     A consistent (pentagon- and hexagon-exact) solution for any abelian
     group model where all fusion multiplicities are one.
     """
-    f_entries = {
-        key: 1.0 + 0.0j
-        for key in itertools.product(model.labels, repeat=6)
-        if f_admissible(model, *key)
-    }
-    r_entries = {
-        key: 1.0 + 0.0j
-        for key in itertools.product(model.labels, repeat=3)
-        if model.n(*key)
-    }
-    return FSymbolTable(model, f_entries), RSymbolTable(model, r_entries)
+    f_keys = _label_rows(model, _admissible_tuples(model)[0])
+    r_keys = _label_rows(model, _vertices(model))
+    return (
+        FSymbolTable(model, dict.fromkeys(f_keys, 1.0 + 0.0j)),
+        RSymbolTable(model, dict.fromkeys(r_keys, 1.0 + 0.0j)),
+    )
 
 
 def gauge_transform(
@@ -255,6 +405,10 @@ def gauge_transform(
 
 # ---------------------------------------------------------------------------
 # residual checks
+#
+# In each kernel the columns ``A, B, C, D, I, J`` of the admissible rows are
+# the table slots ``(a, b, c, d, i, j)`` of ``F(abcd)^i_j``; a comment names
+# the labels each row stands for in the equation.
 
 
 def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
@@ -270,10 +424,25 @@ def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    fv = f.dense()
-    lhs = np.einsum("fcdegl,ablefk->abcdefgkl", fv, fv)
-    rhs = np.einsum("abcgfh,ahdegk,bcdkhl->abcdefgkl", fv, fv, fv)
-    return float(np.max(np.abs(lhs - rhs)))
+    rows, _ = _admissible_tuples(model)
+    k = len(model.labels)
+    A, B, C, D, I, J = rows.T
+    # left side: row p is (f,c,d,e,g,l), row q is (a,b,l,e,f,k); shared f, l, e
+    lp, lq = _join(*_shared_codes(k, [A, J, D], [I, C, D]), "the pentagon")
+    lhs_key = [A[lq], B[lq], B[lp], C[lp], D[lp], A[lp], I[lp], J[lq], J[lp]]
+    # right side: row p is (a,b,c,g,f,h), row q is (a,h,d,e,g,k); shared a, g, h
+    p, q = _join(*_shared_codes(k, [A, D, J], [A, I, B]), "the pentagon")
+    # and row s is (b,c,d,k,h,l); shared b, c, d, k, h
+    pq, s = _join(
+        *_shared_codes(k, [B[p], C[p], C[q], J[q], J[p]], [A, B, C, D, I]), "the pentagon"
+    )
+    p, q = p[pq], q[pq]
+    rhs_key = [A[p], B[p], C[p], C[q], D[q], I[p], D[p], J[q], J[s]]
+    # the joins above hold the caps; the values are read only now
+    v = _f_values(f, rows)
+    lhs = v[lp] * v[lq]
+    rhs = v[p] * v[q] * v[s]
+    return _max_deviation(k, lhs_key, lhs, rhs_key, rhs)
 
 
 def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> float:
@@ -286,30 +455,49 @@ def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> flo
     """
     if f.model != model or r.model != model:
         raise InputError("symbol tables belong to a different model")
-    fv = f.dense()
-    rv = r.dense()
-    lhs = np.einsum("mkr,lmkjqr,mlq->mkljqr", rv, fv, rv)
-    rhs = np.einsum("lkmjpr,mpj,mlkjqp->mkljqr", fv, rv, fv)
-    return float(np.max(np.abs(lhs - rhs)))
+    rows, _ = _admissible_tuples(model)
+    k = len(model.labels)
+    A, B, C, D, I, J = rows.T
+    # right side: row p is (l,k,m,j,p,r), row q is (m,l,k,j,q,p); shared l, k, m, j, p
+    p, q = _join(*_shared_codes(k, [A, B, C, D, I], [B, C, A, D, J]), "the hexagon")
+    v = _f_values(f, rows)
+    vertices, rv = _r_data(r)
+    # Fusion is commutative, so R(m,k,r), R(m,l,q) and R(m,p,j) of a row
+    # (l,m,k,j,q,r) or (l,k,m,j,p,r) sit at allowed vertices, and every
+    # right-side term's (l,m,k,j,q,r) is an admissible row: the left side's
+    # rows carry the union of both supports.
+    known, asked = _shared_codes(
+        k, list(vertices.T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
+    )
+    r_mkr, r_mlq, r_mpj = rv[known.searchsorted(asked)].reshape(3, len(rows))
+    lhs = r_mkr * v * r_mlq
+    known, asked = _shared_codes(k, [A, B, C, D, I, J], [A[p], C[p], B[p], D[p], I[q], J[p]])
+    rhs = np.zeros(len(rows), dtype=complex)
+    np.add.at(rhs, known.searchsorted(asked), v[p] * r_mpj[p] * v[q])
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def f_unitarity_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """``max over (a,b,c,d) of max-entry norm of F(abcd) F(abcd)^dag - 1``."""
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    f.check_complete()
-    worst = 0.0
-    for abcd in itertools.product(model.labels, repeat=4):
-        rows, cols, mat = f.block(*abcd)
-        if not rows and not cols:
-            continue
-        if len(rows) != len(cols):
-            raise InvariantViolation(
-                f"F block {abcd} is not square ({len(rows)} x {len(cols)})"
-            )
-        gram = mat @ mat.conj().T - np.eye(len(rows))
-        worst = max(worst, float(np.max(np.abs(gram))))
-    return worst
+    rows, non_square = _admissible_tuples(model)
+    if non_square:
+        raise InvariantViolation(non_square)
+    k = len(model.labels)
+    A, B, C, D, I, J = rows.T
+    # (F F^dag)^i_i' sums over pairs of entries sharing (a, b, c, d, j)
+    abcdj = _codes(k, [A, B, C, D, J])
+    p, q = _join(abcdj, abcdj, "the unitarity check")
+    v = _f_values(f, rows)
+    # the identity: one 1 per row label i of each block
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:, :5] != rows[:-1, :5], axis=1)
+    diagonal = [A[first], B[first], C[first], D[first], I[first], I[first]]
+    gram_key = [A[p], B[p], C[p], D[p], I[p], I[q]]
+    return _max_deviation(
+        k, diagonal, np.ones(int(first.sum()), dtype=complex), gram_key, v[p] * v[q].conj()
+    )
 
 
 # ---------------------------------------------------------------------------

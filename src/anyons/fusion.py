@@ -36,6 +36,11 @@ QDIM_MAX_ITER = 100_000
 #: Default cap on the number of trees :func:`enumerate_fusion_trees` will list.
 TREE_CAP = 200_000
 
+#: Largest ``d`` that :func:`named_model` builds for ``z_d:<d>``.  Building a
+#: model checks O(d^3) fusion identities and the quantum dimensions take
+#: O(d^3) more (z_d:64 builds in about 0.05 s; z_d:200 would take 2 s).
+Z_D_CAP = 64
+
 
 @dataclass(frozen=True)
 class AnyonModel:
@@ -58,14 +63,22 @@ class AnyonModel:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        try:
+            distinct = len(set(self.labels)) == len(self.labels)
+        except TypeError:
+            raise InputError(f"labels {list(self.labels)} are not all hashable") from None
+        if not distinct:
+            raise InputError(f"labels {list(self.labels)} repeat")
         if self.vacuum not in self.labels:
             raise InputError(f"vacuum {self.vacuum!r} not among labels")
         for a, b in self.dual.items():
             if a not in self.labels or b not in self.labels:
                 raise InputError(f"dual map mentions unknown label {a!r} or {b!r}")
+        if len(self.dual) != len(self.labels):
+            raise InputError("dual map must give every label a dual")
         for (a, b, c), m in self.fusion.items():
-            if m < 0:
-                raise InputError(f"negative multiplicity at {(a, b, c)}")
+            if not isinstance(m, (int, np.integer)) or m < 0:
+                raise InputError(f"multiplicity at {(a, b, c)} is not a non-negative integer")
             for x in (a, b, c):
                 if x not in self.labels:
                     raise InputError(f"fusion tensor mentions unknown label {x!r}")
@@ -118,14 +131,17 @@ class AnyonModel:
     @classmethod
     def from_json(cls, text: str) -> "AnyonModel":
         doc = json.loads(text)
-        labels = tuple(doc["labels"])
-        return cls(
-            labels=labels,
-            vacuum=doc["vacuum"],
-            dual={a: b for a, b in doc["dual"]},
-            fusion={(a, b, c): m for a, b, c, m in doc["fusion"]},
-            name=doc.get("name", ""),
-        )
+        try:
+            fields = dict(
+                labels=tuple(doc["labels"]),
+                vacuum=doc["vacuum"],
+                dual={a: b for a, b in doc["dual"]},
+                fusion={(a, b, c): m for a, b, c, m in doc["fusion"]},
+                name=doc.get("name", ""),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed model document ({type(exc).__name__}: {exc})") from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -196,6 +212,8 @@ def named_model(name: str) -> AnyonModel:
             d = int(name.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad z_d model name {name!r}") from None
+        if d > Z_D_CAP:
+            raise ResourceError(f"z_d:{d} exceeds the cap d <= {Z_D_CAP}")
         return zd_model(d)
     raise InputError(f"unknown model {name!r} (try fibonacci, z_d:<d>, toric)")
 

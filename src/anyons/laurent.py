@@ -10,9 +10,12 @@ consumer of an evaluated polynomial agrees on the branch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,23 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def evaluate(self, t: complex) -> complex:
-        """Evaluate at ``t`` using the principal quarter root of ``t``."""
-        q = np.power(complex(t), 0.25)
-        return complex(sum(c * q ** e for e, c in self.coeffs.items()))
+        """Evaluate at ``t`` using the principal quarter root of ``t``.
+
+        A pole (``t = 0`` with a negative exponent) or a value too large for
+        a float raises :class:`InputError`.
+        """
+        t = complex(t)
+        if t == 0 and any(e < 0 for e in self.coeffs):
+            raise InputError("the polynomial has a pole at t = 0")
+        with np.errstate(all="ignore"):
+            q = np.power(t, 0.25)
+            try:
+                value = complex(sum(c * q ** e for e, c in self.coeffs.items()))
+            except OverflowError:  # a coefficient beyond the float range
+                value = complex(math.inf)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise InputError(f"the polynomial's value at t = {t} overflows")
+        return value
 
     def to_json_dict(self) -> dict[str, int]:
         """Map of quarter-unit exponent (as string) to coefficient."""

@@ -16,7 +16,11 @@ Everything here deliberately avoids the code paths it checks:
   implementation reads it off the path endpoints);
 * the compile oracle scores every reduced word one at a time by its own
   matrix product (the implementation scores prefix/suffix splits by
-  blocked quaternion dot products and rescores only near-ties).
+  blocked quaternion dot products and rescores only near-ties);
+* the pentagon and hexagon oracles scatter the tables into dense k^6 and
+  k^3 tensors and contract them with ``np.einsum`` over the full label
+  product, and the unitarity oracle multiplies every ``FSymbolTable.block``
+  (the implementation joins index arrays of admissible tuples only).
 """
 
 from __future__ import annotations
@@ -24,12 +28,15 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from anyons.braids import (
     COMPILE_TIE_EPS,
     BraidWord,
     fib_qubit_rep,
     projective_distance,
 )
+from anyons.errors import InvariantViolation
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
 from anyons.toric import (
@@ -210,3 +217,47 @@ def correct_oracle(lat, syn: Syndrome) -> PauliString:
                 if defects[v] == 0:
                     del defects[v]
     return total
+
+
+def _dense(model, entries, rank: int) -> np.ndarray:
+    """Table entries scattered into a ``k^rank`` complex tensor over label indices."""
+    out = np.zeros((len(model.labels),) * rank, dtype=complex)
+    index = {a: i for i, a in enumerate(model.labels)}
+    for key, val in entries.items():
+        out[tuple(index[x] for x in key)] = val
+    return out
+
+
+def pentagon_oracle(model, f) -> float:
+    """Dense pentagon residual: two k^9 einsum outputs over the label product."""
+    f.check_complete()
+    fv = _dense(model, f.entries, 6)
+    lhs = np.einsum("fcdegl,ablefk->abcdefgkl", fv, fv)
+    rhs = np.einsum("abcgfh,ahdegk,bcdkhl->abcdefgkl", fv, fv, fv)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def hexagon_oracle(model, f, r) -> float:
+    """Dense hexagon residual: two k^6 einsum outputs over the label product."""
+    f.check_complete()
+    r.check_complete()
+    fv = _dense(model, f.entries, 6)
+    rv = _dense(model, r.entries, 3)
+    lhs = np.einsum("mkr,lmkjqr,mlq->mkljqr", rv, fv, rv)
+    rhs = np.einsum("lkmjpr,mpj,mlkjqp->mkljqr", fv, rv, fv)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def f_unitarity_oracle(model, f) -> float:
+    """``max |F F^dag - 1|`` block by block over every ``(a, b, c, d)``."""
+    f.check_complete()
+    worst = 0.0
+    for abcd in itertools.product(model.labels, repeat=4):
+        rows, cols, mat = f.block(*abcd)
+        if not rows and not cols:
+            continue
+        if len(rows) != len(cols):
+            raise InvariantViolation(f"F block {abcd} is not square")
+        gram = mat @ mat.conj().T - np.eye(len(rows))
+        worst = max(worst, float(np.max(np.abs(gram))))
+    return worst

@@ -145,6 +145,31 @@ class TestExitCodes:
         assert res.status == 2, res.error
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["pentagon", "--model", "z_d:40"],  # 40^4 tuples per pentagon side
+        ["pentagon", "--model", "z_d:64"],  # the largest z_d model
+        ["pentagon", "--model", "z_d:100000"],  # over the z_d cap, never built
+        ["hexagon", "--model", "z_d:" + "9" * 40],
+        ["fusion-dim", "--model", "z_d:65", "--inputs", "1", "--total", "1"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_fr_caps_refuse_before_working(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_hexagon_cap_refuses_a_large_model_file(self, tmp_path, capsys):
+        from anyons.fusion import zd_model
+
+        path = tmp_path / "z70.json"
+        path.write_text(zd_model(70).to_json())  # 70^3 admissible F tuples
+        start = time.perf_counter()
+        assert main(["hexagon", "--model", f"@{path}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "F enumeration" in err
+
     def test_toric_caps_admit_the_baseline_sizes(self):
         assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4
         assert run(["toric", "--lx", "32", "--ly", "32", "--d", "2"]).status == 0
@@ -190,6 +215,87 @@ class TestKnotCommandFuzz:
         else:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
+
+
+def _table_text(draw, kind: str) -> str:
+    """An F or R table file: valid, or broken in one of the ways a user's can be."""
+    from anyons.fsymbols import fibonacci_data, trivial_data
+    from anyons.fusion import toric_model, zd_model
+
+    model = draw(st.sampled_from(["fibonacci", "toric", "z_d:3"]))
+    if model == "fibonacci":
+        _, f, r = fibonacci_data()
+    else:
+        f, r = trivial_data(toric_model() if model == "toric" else zd_model(3))
+    doc = json.loads((f if kind == "F" else r).to_json())
+    entries = doc["entries"]
+    arity = len(entries[0][0])
+    labels = doc["model"]["labels"]
+    flaw = draw(st.sampled_from(["none", "truncated", "unknown label", "stray key",
+                                 "missing", "arity", "value", "shape", "model"]))
+    if flaw == "truncated":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if flaw == "unknown label":
+        entries[0][0][draw(st.integers(0, arity - 1))] = draw(
+            st.sampled_from([7, -1, "x", None, [0], 1.5]))
+    elif flaw == "stray key":
+        entries.append([[draw(st.sampled_from(labels)) for _ in range(arity)], [1.0, 0.0]])
+    elif flaw == "missing":
+        del entries[draw(st.integers(0, len(entries) - 1))]
+    elif flaw == "arity":
+        entries[0][0] = entries[0][0][: draw(st.integers(0, arity - 1))]
+    elif flaw == "value":
+        entries[0][1] = draw(st.sampled_from(["1", [1.0], [True, 0], None, [1, 2, 3]]))
+    elif flaw == "shape":
+        doc = draw(st.sampled_from([[], 3, {"entries": []}, {"model": doc["model"]}]))
+    elif flaw == "model":
+        del doc["model"][draw(st.sampled_from(["labels", "vacuum", "dual", "fusion"]))]
+    return json.dumps(doc)
+
+
+_MODEL_NAMES = st.one_of(
+    st.sampled_from(["fibonacci", "toric", "z_d:", "z_d:x", "z_d:1.5", "su3", "",
+                     "@/no/such/model.json"]),
+    st.integers(-3, 8).map(lambda d: f"z_d:{d}"),
+    st.sampled_from([65, 10 ** 6, 10 ** 30]).map(lambda d: f"z_d:{d}"),
+)
+
+
+class TestConsistencyCommandFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_strict_json(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("tables")
+        command = data.draw(st.sampled_from(["pentagon", "hexagon"]))
+        argv = [command]
+        if data.draw(st.booleans()):
+            argv += ["--model", data.draw(_MODEL_NAMES)]
+        for kind, flag in (("F", "--f-json"), ("R", "--r-json")):
+            if (kind == "F" or command == "hexagon") and data.draw(st.booleans()):
+                path = folder / f"{kind}.json"
+                path.write_text(_table_text(data.draw, kind))
+                argv += [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2, 3)
+        if status == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+
+    def test_stray_key_file_is_an_input_error(self, tmp_path, capsys):
+        from anyons.fsymbols import fibonacci_data
+
+        doc = json.loads(fibonacci_data()[1].to_json())
+        doc["entries"].append([[0, 0, 0, 1, 0, 0], [20.0, 0.0]])
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pentagon", "--f-json", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "(0, 0, 0, 1, 0, 0)" in err
 
 
 class TestDeterminism:

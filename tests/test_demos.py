@@ -1,4 +1,4 @@
-"""The toric-code demos run end to end against the current API."""
+"""The consistency and toric-code demos run end to end against the current API."""
 
 import os
 import pathlib
@@ -10,7 +10,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["06_toric_code.py", "07_anyon_interferometer.py"])
+@pytest.mark.parametrize("name", ["02_consistency_equations.py", "06_toric_code.py",
+                                  "07_anyon_interferometer.py"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,13 +1,19 @@
 """F/R symbol data, consistency residuals, admissibility."""
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyons.errors import CompletenessError, InputError
+from anyons import fsymbols
+from anyons.errors import CompletenessError, InputError, InvariantViolation, ResourceError
 from anyons.fsymbols import (
+    PENTAGON_TUPLE_CAP,
     FSymbolTable,
     RSymbolTable,
     f_admissible,
@@ -20,8 +26,69 @@ from anyons.fsymbols import (
     trivial_data,
 )
 from anyons.fusion import AnyonModel, fibonacci_model, toric_model, zd_model
+from oracles import f_unitarity_oracle, hexagon_oracle, pentagon_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def su2k_model(k: int) -> AnyonModel:
+    """SU(2)_k fusion rules; label ``n`` is twice the spin."""
+    labels = tuple(range(k + 1))
+    fusion = {
+        (a, b, c): 1
+        for a, b, c in itertools.product(labels, repeat=3)
+        if su2k_admissible(a / 2, b / 2, c / 2, k)
+    }
+    return AnyonModel(labels, 0, {a: a for a in labels}, fusion, name=f"su2_{k}")
+
+
+def ising_model() -> AnyonModel:
+    """Ising fusion rules: sigma x sigma = 1 + psi, sigma x psi = sigma, psi x psi = 1."""
+    labels = ("1", "sigma", "psi")
+    products = {("sigma", "sigma"): ("1", "psi"), ("sigma", "psi"): ("sigma",),
+                ("psi", "psi"): ("1",)}
+    fusion = {}
+    for x in labels:
+        fusion[("1", x, x)] = fusion[(x, "1", x)] = 1
+    for (x, y), outcomes in products.items():
+        for z in outcomes:
+            fusion[(x, y, z)] = fusion[(y, x, z)] = 1
+    return AnyonModel(labels, "1", {x: x for x in labels}, fusion, name="ising")
+
+
+ORACLE_MODELS = [fibonacci_model(), toric_model(), *(zd_model(d) for d in range(1, 7)),
+                 ising_model(), *(su2k_model(k) for k in (2, 3, 4))]
+
+
+def product_scan(model):
+    """Admissible F keys and allowed R keys by scanning the full label product."""
+    f_keys = [t for t in itertools.product(model.labels, repeat=6) if f_admissible(model, *t)]
+    r_keys = [t for t in itertools.product(model.labels, repeat=3) if model.n(*t)]
+    return f_keys, r_keys
+
+
+def random_tables(model, seed: int, scale: float = 1.0):
+    """Random complex values on every admissible F entry and allowed R entry."""
+    f_keys, r_keys = product_scan(model)
+    z = scale * np.random.default_rng(seed).standard_normal((len(f_keys) + len(r_keys), 2))
+    values = (z @ [1, 1j]).tolist()
+    return (FSymbolTable(model, dict(zip(f_keys, values))),
+            RSymbolTable(model, dict(zip(r_keys, values[len(f_keys):]))))
+
+
+def outcome(fn, *args):
+    """A residual, or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return type(exc)
+
+
+def assert_matches(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, want), (got, want)
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +290,197 @@ class TestSerialization:
         doc = json.loads(r.to_json())
         for _, value in doc["entries"]:
             assert isinstance(value, list) and len(value) == 2
+
+
+class TestAgainstDenseOracles:
+    """Random complex tables catch an index mix-up that all-ones Z_d tables
+    and the two-label Fibonacci theory cannot."""
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.name)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_residuals_equal_dense_einsums(self, model, seed, scale):
+        f, r = random_tables(model, seed, scale)
+        assert_matches(pentagon_residual(model, f), pentagon_oracle(model, f))
+        assert_matches(hexagon_residual(model, f, r), hexagon_oracle(model, f, r))
+        assert_matches(f_unitarity_residual(model, f), f_unitarity_oracle(model, f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_fusion_rules(self, data):
+        # commutative, self-dual rules, mostly not associative: blocks may be
+        # non-square, and the right side of the pentagon may leave its left
+        # side's support
+        k = data.draw(st.integers(1, 3))
+        fusion = {}
+        for a in range(k):
+            fusion[(0, a, a)] = fusion[(a, 0, a)] = 1
+        for a, b in itertools.combinations_with_replacement(range(1, k), 2):
+            outcomes = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+            for c in outcomes | ({0} if a == b else set()):
+                fusion[(a, b, c)] = fusion[(b, a, c)] = 1
+        model = AnyonModel(tuple(range(k)), 0, {a: a for a in range(k)}, fusion)
+        f, r = random_tables(model, data.draw(st.integers(0, 2**32 - 1)))
+        assert_matches(pentagon_residual(model, f), pentagon_oracle(model, f))
+        assert_matches(hexagon_residual(model, f, r), hexagon_oracle(model, f, r))
+        assert_matches(outcome(f_unitarity_residual, model, f),
+                       outcome(f_unitarity_oracle, model, f))
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.name)
+    def test_enumeration_equals_the_product_scan(self, model):
+        f, r = trivial_data(model)
+        f_keys, r_keys = product_scan(model)
+        assert list(f.entries) == f_keys  # same keys, in label-product order
+        assert list(r.entries) == r_keys
+
+    def test_first_missing_entry_in_label_order(self, fib_data):
+        model, f, _ = fib_data
+        entries = dict(f.entries)
+        del entries[(1, 1, 1, 1, 1, 0)]
+        del entries[(0, 1, 1, 1, 1, 1)]
+        with pytest.raises(CompletenessError, match=r"\(0, 1, 1, 1, 1, 1\)"):
+            FSymbolTable(model, entries).check_complete()
+
+    def test_non_square_block_is_an_invariant_violation(self):
+        # 1 x 1 = 0 + 2 but 1 x 2 = 2: (1 x 1) x 2 holds 0 and 1 x (1 x 2)
+        # does not, so F(1120) has one row (i = 2) and no column
+        fusion = {(0, a, a): 1 for a in range(3)} | {(a, 0, a): 1 for a in range(3)}
+        fusion |= {(1, 1, 0): 1, (1, 1, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 0): 1}
+        model = AnyonModel((0, 1, 2), 0, {0: 0, 1: 1, 2: 2}, fusion)
+        f, _ = trivial_data(model)
+        with pytest.raises(InvariantViolation, match="not square"):
+            f_unitarity_oracle(model, f)
+        with pytest.raises(InvariantViolation, match=r"\(1, 1, 2, 0\) is not square \(1 x 0\)"):
+            f_unitarity_residual(model, f)
+
+
+class TestTupleCodes:
+    @pytest.mark.parametrize("k", [2, 7, 2**13, 2**40])  # the last two need rank steps
+    def test_codes_equal_exactly_for_equal_rows_and_keep_their_order(self, k):
+        rng = np.random.default_rng(k)
+        width = 9
+        pool = rng.integers(0, k, size=(40, width))
+        left = pool[rng.integers(0, 40, size=300)]
+        right = pool[rng.integers(0, 40, size=200)]
+        lc, rc = fsymbols._shared_codes(k, list(left.T), list(right.T))
+        rows = np.concatenate([left, right])
+        codes = np.concatenate([lc, rc])
+        same_rows = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+        assert np.array_equal(codes[:, None] == codes[None, :], same_rows)
+        assert np.array_equal(np.argsort(codes, kind="stable"),
+                              np.lexsort(rows.T[::-1]))
+
+
+class TestTableValidation:
+    @pytest.fixture
+    def fib_doc(self, fib_data):
+        return json.loads(fib_data[1].to_json())
+
+    @pytest.mark.parametrize("entry, match", [
+        ([[0, 1, 1, 1, 1, 7], [1.0, 0.0]], "label outside"),  # unknown label
+        ([[0, 1, 1, 1, 1, "1"], [1.0, 0.0]], "label outside"),
+        ([[0, 1, 1, 1, 1, [1]], [1.0, 0.0]], "label outside"),  # unhashable
+        ([[0, 0, 0, 1, 0, 0], [1.0, 0.0]], "do not allow"),  # non-admissible
+        ([[1, 1, 1, 1, 0, 0], [1.0, 0.0]], "twice"),
+        ([[0, 1, 1, 1, 1], [1.0, 0.0]], "6 labels"),
+        ([[0, 0, 0, 0, 0, 0], "1"], "finite"),
+        ([[0, 0, 0, 0, 0, 0], [1.0]], "finite"),
+        ([[0, 0, 0, 0, 0, 0], [True, 0]], "finite"),
+        ([[0, 0, 0, 0, 0, 0], [None, 0]], "finite"),
+        ([[0, 0, 0, 0, 0, 0], [10 ** 400, 0]], "finite"),
+        ([[0, 0, 0, 0, 0, 0], [float("nan"), 0]], "finite"),
+        ([[0, 0, 0, 0, 0, 0]], "pair"),
+        ("junk", "pair"),
+    ])
+    def test_bad_f_entry_refused(self, fib_doc, entry, match):
+        if entry[0] != [0, 0, 0, 0, 0, 0] or match == "pair":
+            fib_doc["entries"].append(entry)
+        else:  # replace the existing value
+            fib_doc["entries"] = [e for e in fib_doc["entries"] if e[0] != entry[0]] + [entry]
+        with pytest.raises(InputError, match=match):
+            FSymbolTable.from_json(json.dumps(fib_doc))
+
+    def test_stray_entry_no_longer_moves_the_residual(self, fib_data, fib_doc):
+        model, f, _ = fib_data
+        fib_doc["entries"].append([[0, 0, 0, 1, 0, 0], [20.0, 0.0]])
+        with pytest.raises(InputError):
+            FSymbolTable.from_json(json.dumps(fib_doc))
+        # built by hand, the stray entry is ignored, as value() ignores it
+        stray = FSymbolTable(model, {**f.entries, (0, 0, 0, 1, 0, 0): 20.0})
+        assert pentagon_residual(model, stray) == pentagon_residual(model, f)
+
+    @pytest.mark.parametrize("text", [
+        "[]", "3", '{"entries": []}', '{"model": 1, "entries": []}',
+        '{"model": {"labels": [0]}, "entries": []}',
+        '{"model": {"labels": [[0]], "vacuum": 0, "dual": [], "fusion": []}, "entries": []}',
+        '{"model": {"labels": [0, 1], "vacuum": 0, "dual": [[0, 0]], "fusion": []},'
+        ' "entries": []}',
+    ])
+    def test_malformed_documents_refused(self, text):
+        with pytest.raises(InputError):
+            FSymbolTable.from_json(text)
+        with pytest.raises(InputError):
+            RSymbolTable.from_json(text)
+
+    @pytest.mark.parametrize("entry, match", [
+        ([[1, 1, 2], [1.0, 0.0]], "label outside"),
+        ([[0, 0, 1], [1.0, 0.0]], "do not allow"),
+        ([[1, 1], [1.0, 0.0]], "3 labels"),
+        ([[1, 1, 0], "phase"], "finite"),
+    ])
+    def test_bad_r_entry_refused(self, fib_data, entry, match):
+        doc = json.loads(fib_data[2].to_json())
+        doc["entries"] = [e for e in doc["entries"] if e[0] != entry[0]] + [entry]
+        with pytest.raises(InputError, match=match):
+            RSymbolTable.from_json(json.dumps(doc))
+
+    def test_labels_are_canonical(self, fib_data, fib_doc):
+        _, f, _ = fib_data
+        for entry in fib_doc["entries"]:
+            entry[0] = [float(x) for x in entry[0]]  # 1.0 names label 1
+        loaded = FSymbolTable.from_json(json.dumps(fib_doc))
+        assert loaded.entries == f.entries
+        assert all(type(x) is int for key in loaded.entries for x in key)
+
+
+class TestCaps:
+    def test_pentagon_cap_refuses_before_the_join(self, monkeypatch):
+        model = zd_model(4)  # 4^4 = 256 tuples per pentagon side
+        f, r = trivial_data(model)
+        monkeypatch.setattr(fsymbols, "PENTAGON_TUPLE_CAP", 255)
+        with pytest.raises(ResourceError, match="the pentagon needs 256 index tuples"):
+            pentagon_residual(model, f)
+        with pytest.raises(ResourceError, match="F enumeration"):
+            trivial_data(zd_model(7))  # 7^3 = 343 admissible tuples
+        monkeypatch.setattr(fsymbols, "PENTAGON_TUPLE_CAP", 256)
+        assert pentagon_residual(model, f) == 0.0
+        assert hexagon_residual(model, f, r) == 0.0
+
+    def test_cap_admits_z_d_22_pentagon_and_z_d_64_tables(self):
+        assert 22 ** 4 <= PENTAGON_TUPLE_CAP < 23 ** 4
+        assert 64 ** 3 <= PENTAGON_TUPLE_CAP < 65 ** 3
+
+    def test_refusal_allocates_little(self):
+        model = zd_model(30)  # 30^4 > cap
+        f, _ = trivial_data(model)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                pentagon_residual(model, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_z_d_6_pentagon_memory(self):
+        # the dense einsums peaked at 539 MB here; the window also holds the
+        # admissible-tuple enumeration, which every check builds per call
+        model = zd_model(6)
+        f, _ = trivial_data(model)
+        tracemalloc.start()
+        try:
+            assert pentagon_residual(model, f) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -3,6 +3,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,27 @@ class TestLaurentPoly:
         for t in ARC_T[::3]:
             q = np.power(t, 0.25)
             assert LaurentPoly.loop_value().evaluate(t) == pytest.approx(-q**2 - q**-2)
+
+    def test_pole_and_overflow_are_input_errors(self):
+        d = LaurentPoly.loop_value()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="pole"):
+                d.evaluate(0)
+            with pytest.raises(InputError, match="overflows"):
+                LaurentPoly.monomial(12).evaluate(1e308)
+            with pytest.raises(InputError, match="overflows"):
+                LaurentPoly.monomial(0, 10 ** 400).evaluate(1)
+            assert LaurentPoly.monomial(4).evaluate(0) == 0
+            assert LaurentPoly.one().evaluate(0) == 1
+
+    @pytest.mark.parametrize("t", ["0", "1e308", "0,0"])
+    def test_bracket_at_a_pole_or_overflow_exits_1_without_warning(self, t, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bracket", "--braid", "B3: s1 s1 s2^-1", "--t", t]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_json_round_trip(self):
         p = LaurentPoly({-3: 2, 0: -1, 5: 7})
