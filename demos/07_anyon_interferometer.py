@@ -18,7 +18,7 @@ import math
 from anyons import TorusLattice, interferometer_run
 from anyons.toric import extract_mutual_statistics
 
-lat = TorusLattice(3, 3)  # 18 qubits, dense state-vector backend
+lat = TorusLattice(3, 3)  # 18 qubits, read off stabilizer expectations
 
 print("beta            no braid     braid        sin(beta)   sin(beta+pi)")
 for beta in (0.0, math.pi / 6, math.pi / 4, 1.0, 2.0):

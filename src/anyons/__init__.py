@@ -82,7 +82,6 @@ from .toric import (
     dyon_braiding_phase,
     extract_mutual_statistics,
     ground_space_dim,
-    ground_state,
     homology_class,
     honeycomb_effective_coupling,
     honeycomb_phase,

@@ -48,6 +48,10 @@ COMPILE_TIE_EPS = 1e-12
 
 UNITARY_TOL = 1e-12
 
+#: Cap on the ``(n-1)(n-2)/2`` relations :func:`relation_residual` checks on
+#: n strands: B317 (49,770) takes about 0.5 s in process on a 2-core x86 host.
+RELATION_CAP = 50_000
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -276,10 +280,16 @@ def relation_residual(rep: BraidRep, n_strands: int) -> float:
 
     Checks every far-commutation pair ``b_i b_j = b_j b_i`` (``|i-j| >= 2``)
     and every Yang-Baxter triple ``b_i b_{i+1} b_i = b_{i+1} b_i b_{i+1}``,
-    in the max-entry norm.
+    in the max-entry norm.  Raises :class:`ResourceError` before building
+    any generator when there are more than :data:`RELATION_CAP` relations.
     """
+    if n_strands < 1:
+        raise InputError(f"a braid needs at least 1 strand, got {n_strands}")
     if rep.strands is not None and n_strands != rep.strands:
         raise InputError(f"representation is defined for {rep.strands} strands")
+    relations = (n_strands - 1) * (n_strands - 2) // 2
+    if relations > RELATION_CAP:
+        raise ResourceError(f"{relations} braid relations exceed the cap {RELATION_CAP}")
     worst = 0.0
     gens = {i: rep.generator(i) for i in range(1, n_strands)}
     for i, j in itertools.combinations(sorted(gens), 2):

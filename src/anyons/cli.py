@@ -259,7 +259,9 @@ OPERATION_COVERAGE = {
         "commutation_phase", "string_operator", "syndrome", "correct",
         "homology_class",
     ],
-    "interferometer": ["ground_state", "interferometer_run", "build_stabilizers"],
+    "interferometer": [
+        "interferometer_run", "build_stabilizers", "syndrome", "homology_class",
+    ],
     "stringnet-check": ["vertex_projector", "face_operator", "face_term_checks"],
     "honeycomb": ["honeycomb_phase", "honeycomb_effective_coupling"],
     "cf-statistics": ["composite_fermion_statistics"],
@@ -498,7 +500,10 @@ def _cmd_su2k(args) -> dict:
     from fractions import Fraction
 
     def half(tok):
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError as exc:
+            raise InputError(f"{tok!r} has a zero denominator") from exc
 
     return {
         "admissible": fsymbols.su2k_admissible(

@@ -49,6 +49,11 @@ from .laurent import LaurentPoly
 #: Default cap on crossing count of the bracket.
 CROSSING_CAP = 24
 
+#: Cap on the strand count, set by the output size: n unlinked circles have
+#: bracket ``d^(n-1)``, about ``0.23 n^2`` bytes of JSON, so B1000 prints
+#: 227 KB (0.5 s in process on a 2-core x86 host) and B2000 888 KB (2.9 s).
+STRAND_CAP = 1000
+
 #: Cap on the live transfer's tuple entries (diagrams x 2n boundary
 #: points), checked before each crossing's layer is built.  Commuting
 #: crossings on many strands keep all 2^N diagrams distinct; the largest
@@ -103,14 +108,17 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
 
     Transfers exact values over Temperley-Lieb diagrams, one crossing at a
     time, then Markov-closes each diagram.  Raises :class:`ResourceError`
-    when the crossing count exceeds ``cap`` or a layer of diagrams could
-    exceed :data:`TRANSFER_ENTRY_CAP`.
+    when the crossing count exceeds ``cap``, the strand count exceeds
+    :data:`STRAND_CAP` or a layer of diagrams could exceed
+    :data:`TRANSFER_ENTRY_CAP`.
     """
     diagram = closure(word)
     n_cross = len(diagram.crossings)
     if n_cross > cap:
         raise ResourceError(f"{n_cross} crossings exceed the bracket cap {cap}")
     n = diagram.n_strands
+    if n > STRAND_CAP:
+        raise ResourceError(f"{n} strands exceed the bracket strand cap {STRAND_CAP}")
     d = LaurentPoly.loop_value()
     # point j < n is the bottom of strand j, point n + j its current top;
     # pairing[x] is the point that x is joined to

@@ -95,50 +95,6 @@ class PauliString:
         if self.d != other.d or self.n_sites != other.n_sites:
             raise InputError("Pauli strings live on different spaces")
 
-    # -- dense backends ----------------------------------------------------
-
-    def dense(self) -> np.ndarray:
-        """Explicit matrix over the d^n-dimensional space (small n only).
-
-        Site 0 indexes the least significant digit of the basis index,
-        matching :meth:`apply_to_state`.
-        """
-        d, n = self.d, self.n_sites
-        omega = np.exp(2j * np.pi / d)
-        shift = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            shift[(k + 1) % d, k] = 1.0
-        clock = np.diag([omega ** k for k in range(d)])
-        out = np.array([[np.exp(1j * np.pi * self.phase / d)]], dtype=complex)
-        for e in reversed(range(n)):
-            site = np.linalg.matrix_power(shift, int(self.x[e])) @ \
-                np.linalg.matrix_power(clock, int(self.z[e]))
-            out = np.kron(out, site)
-        return out
-
-    def apply_to_state(self, psi: np.ndarray) -> np.ndarray:
-        """Apply to a dense qubit state vector (d = 2 only).
-
-        Sites map to bits of the basis index with site 0 as the least
-        significant bit.
-        """
-        if self.d != 2:
-            raise InputError("dense state backend supports d = 2 only")
-        n = self.n_sites
-        if psi.shape != (2 ** n,):
-            raise InputError("state vector has the wrong dimension")
-        idx = np.arange(2 ** n)
-        zmask = int(sum(1 << e for e in range(n) if self.z[e]))
-        xmask = int(sum(1 << e for e in range(n) if self.x[e]))
-        signs = 1 - 2 * (_popcount_array(idx & zmask) & 1)
-        out = np.zeros_like(psi, dtype=complex)
-        out[idx ^ xmask] = (1j ** self.phase) * signs * psi
-        return out
-
-    def expectation(self, psi: np.ndarray) -> complex:
-        """``<psi|P|psi>`` on the dense qubit backend."""
-        return complex(np.vdot(psi, self.apply_to_state(psi)))
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
@@ -159,15 +115,6 @@ class PauliString:
             np.array(doc["z"], dtype=np.int64),
             doc["phase"],
         )
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
 
 
 def commutation_phase(p: PauliString, q: PauliString) -> int:

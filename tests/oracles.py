@@ -20,7 +20,11 @@ Everything here deliberately avoids the code paths it checks:
 * the pentagon and hexagon oracles scatter the tables into dense k^6 and
   k^3 tensors and contract them with ``np.einsum`` over the full label
   product, and the unitarity oracle multiplies every ``FSymbolTable.block``
-  (the implementation joins index arrays of admissible tuples only).
+  (the implementation joins index arrays of admissible tuples only);
+* the interferometer oracle projects a dense 2^n qubit state vector onto
+  the code space and applies the protocol's operators to it one by one
+  (the implementation expands the circuit into Pauli strings and reads
+  each one's code-state expectation off its syndrome and flux winding).
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from anyons.braids import (
     fib_qubit_rep,
     projective_distance,
 )
-from anyons.errors import InvariantViolation
+from anyons.errors import InputError, InvariantViolation, ResourceError
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
 from anyons.toric import (
     Syndrome,
     _torus_shortest_vertex_path,
+    _vertex_far_from,
     build_stabilizers,
     dual_path_edges,
     string_operator,
@@ -261,3 +266,119 @@ def f_unitarity_oracle(model, f) -> float:
         gram = mat @ mat.conj().T - np.eye(len(rows))
         worst = max(worst, float(np.max(np.abs(gram))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# dense qubit backend
+
+#: Dense state-vector cap (qubits).
+DENSE_QUBIT_CAP = 20
+
+
+def pauli_dense(p: PauliString) -> np.ndarray:
+    """Explicit matrix over the d^n-dimensional space (small n only).
+
+    Site 0 indexes the least significant digit of the basis index,
+    matching :func:`apply_to_state`.
+    """
+    d, n = p.d, p.n_sites
+    omega = np.exp(2j * np.pi / d)
+    shift = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        shift[(k + 1) % d, k] = 1.0
+    clock = np.diag([omega ** k for k in range(d)])
+    out = np.array([[np.exp(1j * np.pi * p.phase / d)]], dtype=complex)
+    for e in reversed(range(n)):
+        site = np.linalg.matrix_power(shift, int(p.x[e])) @ \
+            np.linalg.matrix_power(clock, int(p.z[e]))
+        out = np.kron(out, site)
+    return out
+
+
+def _popcount_array(values: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(values)
+    v = values.copy()
+    while v.any():
+        out += v & 1
+        v >>= 1
+    return out
+
+
+def apply_to_state(p: PauliString, psi: np.ndarray) -> np.ndarray:
+    """Apply to a dense qubit state vector (d = 2 only).
+
+    Sites map to bits of the basis index with site 0 as the least
+    significant bit.  Only the nonzero amplitudes are moved, which keeps
+    the code states of up to 20 qubits quick.
+    """
+    if p.d != 2:
+        raise InputError("dense state backend supports d = 2 only")
+    n = p.n_sites
+    if psi.shape != (2 ** n,):
+        raise InputError("state vector has the wrong dimension")
+    idx = np.flatnonzero(psi)
+    zmask = int(sum(1 << e for e in range(n) if p.z[e]))
+    xmask = int(sum(1 << e for e in range(n) if p.x[e]))
+    signs = 1 - 2 * (_popcount_array(idx & zmask) & 1)
+    out = np.zeros_like(psi, dtype=complex)
+    out[idx ^ xmask] = (1j ** p.phase) * signs * psi[idx]
+    return out
+
+
+def expectation(p: PauliString, psi: np.ndarray) -> complex:
+    """``<psi|P|psi>`` on the dense qubit backend."""
+    return complex(np.vdot(psi, apply_to_state(p, psi)))
+
+
+def ground_state(lat, d: int = 2, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    """A toric-code ground state as a dense vector (d = 2 only).
+
+    Projects the all-zeros product state (already a +1 eigenstate of every
+    Z-type plaquette) with ``(1 + A_v)/2`` for every star, then normalises
+    and verifies all stabilizer expectations are +1.
+    """
+    if d != 2:
+        raise InputError("the dense backend supports d = 2 only")
+    n = lat.n_edges
+    if n > cap:
+        raise ResourceError(f"{n} qubits exceed the dense cap {cap}")
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    stars, plaqs = build_stabilizers(lat, 2)
+    for star in stars:
+        psi = (psi + apply_to_state(star, psi)) / 2.0
+    psi /= np.linalg.norm(psi)
+    for op in stars + plaqs:
+        if abs(expectation(op, psi) - 1.0) > 1e-10:
+            raise InvariantViolation("projected state is not stabilized")
+    return psi
+
+
+def interferometer_oracle(lat, braid: bool, beta: float, splitter_edge=None,
+                          loop=None, psi=None) -> float:
+    """``<Z_l>`` of the interferometer protocol on the dense ground state.
+
+    Takes the same loop defaults as ``interferometer_run`` and checks no
+    geometry; ``psi`` may pass in a precomputed :func:`ground_state`.
+    """
+    n = lat.n_edges
+    if splitter_edge is None:
+        splitter_edge = lat.h_edge(0, 0)
+    zvec = np.zeros(n, dtype=np.int64)
+    zvec[splitter_edge] = 1
+    z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
+    tail, head = lat.edge_endpoints(splitter_edge)
+    stars, _ = build_stabilizers(lat, 2)
+    if loop is None:
+        loop = stars[head] if braid else stars[_vertex_far_from(lat, tail, head)]
+    psi = ground_state(lat) if psi is None else psi
+    c = math.cos(math.pi / 4)
+    s = math.sin(math.pi / 4)
+    psi = c * psi - 1j * s * apply_to_state(z_l, psi)  # splitter
+    probe = apply_to_state(stars[head], psi)  # dwell: phase the defect branch
+    psi = (psi + probe) / 2.0 + np.exp(1j * beta) * (psi - probe) / 2.0
+    psi = apply_to_state(loop, psi)  # braid (or its trivial translate)
+    psi = c * psi + 1j * s * apply_to_state(z_l, psi)  # inverse splitter
+    expect = expectation(z_l, psi)
+    assert abs(expect.imag) < 1e-12
+    return float(expect.real)

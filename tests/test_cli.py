@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anyons
@@ -69,6 +70,15 @@ class TestExitCodes:
         assert res.status == 2
         res = run(["compile", "--target", "identity", "--max-len", "20"])
         assert res.status == 2
+        for argv in (
+            ["braid-check", "--rep", "abelian", "--strands", "100000000"],
+            ["braid-check", "--rep", "abelian", "--strands", "318"],  # 50,086 relations
+            ["jones", "--braid", "B4000:"],
+            ["bracket", "--braid", "B100000000: s1"],
+        ):
+            start = time.perf_counter()
+            assert run(argv).status == 2, argv
+            assert time.perf_counter() - start < 1.0
 
     def test_error_message_on_stderr_not_payload(self):
         res = run(["jones", "--braid", "garbage"])
@@ -108,6 +118,9 @@ class TestExitCodes:
         ["honeycomb", "--jx", "1e154", "--jy", "1e154", "--jz", "1"],
         ["honeycomb", "--jx", "1", "--jy", "1", "--jz", "1e-200"],
         ["toric", "--lx", "2", "--ly", "2", "--d", "15"],
+        ["braid-check", "--rep", "abelian", "--strands", "-5"],
+        ["braid-check", "--rep", "abelian", "--strands", "0"],
+        ["su2k", "--j1", "1/0", "--j2", "1", "--j", "1", "--k", "2"],
     ], ids=" ".join)
     def test_non_finite_or_bad_float_is_refused(self, argv, capsys):
         assert main(argv) == 1
@@ -138,6 +151,9 @@ class TestExitCodes:
         ["toric", "--lx", "2", "--ly", "2", "--d", "97"],
         ["toric", "--lx", "400", "--ly", "400", "--d", "2"],
         ["toric", "--lx", "2", "--ly", "2", "--d", str(2 ** 61 - 1)],  # a prime
+        ["interferometer", "--lx", "129", "--ly", "128", "--beta", "0.5", "--braid", "yes"],
+        ["interferometer", "--lx", str(10 ** 12), "--ly", "2", "--beta", "0.5",
+         "--braid", "no"],
     ], ids=" ".join)
     def test_toric_work_caps_refuse_before_working(self, argv):
         start = time.perf_counter()
@@ -173,6 +189,11 @@ class TestExitCodes:
     def test_toric_caps_admit_the_baseline_sizes(self):
         assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4
         assert run(["toric", "--lx", "32", "--ly", "32", "--d", "2"]).status == 0
+        res = run(["interferometer", "--lx", "32", "--ly", "32", "--beta", "0.785398",
+                   "--braid", "yes"])
+        assert res.status == 0
+        assert abs(res.payload["braid_expectation"] + math.sin(0.785398)) < 1e-12
+        assert abs(res.payload["no_braid_expectation"] - math.sin(0.785398)) < 1e-12
 
 
 _BAD_TOKENS = st.sampled_from(["s0", "s", "s1^2", "s1^-", "x", "B3:", "s-1", "s99"])
@@ -298,6 +319,137 @@ class TestConsistencyCommandFuzz:
         assert out == "" and "(0, 0, 0, 1, 0, 0)" in err
 
 
+def _value(valid, odd=()):
+    """A flag value: three times in four from ``valid``, else an edge value or junk."""
+    odd_values = st.sampled_from([*map(str, odd), "", "x", "1.5", "nan", "-1", "1e400"])
+    return st.integers(0, 3).flatmap(lambda k: valid.map(str) if k else odd_values)
+
+
+_MODELS = _value(st.sampled_from(["fibonacci", "toric", "z_d:3", "z_d:5"]),
+                 ["su3", "z_d:0", "z_d:65"])
+_LABELS = _value(st.sampled_from(["0", "1"]), [2, 7])
+_WORDS = _value(
+    st.lists(st.sampled_from(["s1", "s2", "s1^-1", "s2^-1"]), max_size=8).map(
+        lambda t: " ".join(["B3:", *t])),
+    ["B2: s1", "B5: s1 s4^-1", "B3: s3", "B0:", "B100000000: s1"],
+)
+_FLOATS = _value(st.floats(-1e3, 1e3), ["inf", "-inf", "0", "1e200", "1e-200"])
+_T = _value(st.sampled_from(["1,0", "0.5,0.5", "0.3,-0.9"]), ["0,0", "1e300,0", "1,inf"])
+_SPINS = _value(st.sampled_from(["0", "1/2", "1", "3/2", "2"]), ["1/0", "-1/2", "1e400"])
+
+
+def _fusion_flags(draw):
+    inputs = draw(st.lists(st.sampled_from(["0", "1"]), min_size=1, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        inputs.insert(draw(st.integers(0, len(inputs))), draw(_LABELS))
+    return ["--model", draw(_MODELS), "--inputs", ",".join(inputs),
+            "--total", draw(_LABELS)]
+
+
+def _optional(draw, flag, values):
+    return [flag, draw(values)] if draw(st.booleans()) else []
+
+
+_SUBCOMMAND_FLAGS = {
+    "fusion-dim": _fusion_flags,
+    "fusion-trees": lambda draw: _fusion_flags(draw) + _optional(
+        draw, "--cap", _value(st.integers(1, 10 ** 4), [0, -1])),
+    "qdims": lambda draw: ["--model", draw(_MODELS)] + _optional(
+        draw, "--tolerance", _value(st.sampled_from(["1e-9", "1e-6", "0.1"]),
+                                    [0, -1, "1e-300"])),
+    "entropy": lambda draw: ["--model", draw(_MODELS)] + _optional(
+        draw, "--base", _value(st.sampled_from(["2", "10", "0.5"]),
+                               [1, 0, -2, "1e-320", "inf"])),
+    "braid-check": lambda draw: [
+        "--rep", draw(_value(st.sampled_from(["abelian", "tl", "fib"]), ["ising"])),
+        *_optional(draw, "--strands", _value(
+            st.integers(1, 12), [-5, 0, 318, 10 ** 8, 10 ** 30])),
+        *_optional(draw, "--phi", _FLOATS),
+        *_optional(draw, "--t", _T),
+        *_optional(draw, "--braid", _WORDS),
+    ],
+    "compile": lambda draw: [
+        "--target", draw(_value(
+            st.sampled_from(["H", "T", "identity", "[[[0,0],[1,0]],[[1,0],[0,0]]]"]),
+            ["Q", "[[1,2]]", "[[[1,0],[0,0]],[[0,0],[2,0]]]",
+             "[[[NaN,0],[0,0]],[[0,0],[1,0]]]"])),
+        "--max-len", draw(_value(st.integers(0, 5), [-2, 15, 10 ** 6])),
+    ],
+    "trace-est": lambda draw: [
+        "--braid", draw(_WORDS),
+        *_optional(draw, "--rep", _value(st.sampled_from(["fib", "tl", "abelian"]),
+                                         ["ising"])),
+        *_optional(draw, "--t", _T),
+        *_optional(draw, "--phi", _FLOATS),
+        # --shots stays at most 10^5: that flag has no cap yet
+        "--shots", draw(_value(st.integers(1, 2000), [0, -1, 10 ** 5])),
+        "--seed", draw(_value(st.integers(0, 2 ** 64), [-2])),
+    ],
+    "toric": lambda draw: [
+        "--lx", draw(_value(st.integers(2, 6), [0, 1, 400, 10 ** 12])),
+        "--ly", draw(_value(st.integers(2, 6), [0, 1])),
+        "--d", draw(_value(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                           [4, 15, 17, 97, 2 ** 61 - 1])),
+    ],
+    "interferometer": lambda draw: [
+        "--lx", draw(_value(st.integers(2, 6), [-1, 1, 129, 10 ** 6, 10 ** 12])),
+        "--ly", draw(_value(st.integers(2, 6), [128, 10 ** 12])),
+        "--beta", draw(_FLOATS),
+        "--braid", draw(_value(st.sampled_from(["yes", "no"]), ["maybe"])),
+    ],
+    "stringnet-check": lambda draw: draw(st.sampled_from([[], [], ["--bogus"], ["1"]])),
+    "honeycomb": lambda draw: [
+        flag for name in ("--jx", "--jy", "--jz") for flag in (name, draw(_FLOATS))],
+    "cf-statistics": lambda draw: [
+        "--j", draw(_value(st.integers(0, 10), [-3, 10 ** 30])),
+        "--p", draw(_value(st.integers(1, 10), [0, -3, 10 ** 30])),
+    ],
+    "su2k": lambda draw: [
+        "--j1", draw(_SPINS), "--j2", draw(_SPINS), "--j", draw(_SPINS),
+        "--k", draw(_value(st.integers(1, 6), [0, -1, 10 ** 30])),
+    ],
+}
+
+
+@st.composite
+def _other_argv(draw):
+    """An argv of a subcommand in :data:`_SUBCOMMAND_FLAGS`, sometimes cut short."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command, *_SUBCOMMAND_FLAGS[command](draw)]
+    if draw(st.integers(0, 7)) == 0:  # a missing flag or value
+        argv = argv[: draw(st.integers(1, len(argv)))]
+    elif draw(st.integers(0, 7)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+class TestEveryOtherCommandFuzz:
+    """Every subcommand that the knot and consistency fuzzes do not reach."""
+
+    def test_covers_every_other_subcommand(self):
+        fuzzed = set(_SUBCOMMAND_FLAGS) | {"jones", "bracket", "pentagon", "hexagon"}
+        assert fuzzed == set(OPERATION_COVERAGE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_other_argv())
+    @example(["interferometer", "--lx", "129", "--ly", "128", "--beta", "0.5", "--braid", "no"])
+    @example(["interferometer", "--lx", str(10 ** 12), "--ly", "3", "--beta", "1", "--braid",
+              "yes"])
+    @example(["braid-check", "--rep", "abelian", "--strands", "-5"])
+    @example(["braid-check", "--rep", "abelian", "--strands", str(10 ** 8)])
+    @example(["su2k", "--j1", "1/0", "--j2", "1", "--j", "1", "--k", "2"])
+    def test_exit_code_and_strict_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2, 3)
+        if status == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+
+
 class TestDeterminism:
     def test_trace_est_seeded(self):
         argv = [
@@ -339,7 +491,7 @@ class TestCoverage:
             # toric
             "build_stabilizers", "commutation_phase", "ground_space_dim",
             "string_operator", "syndrome", "correct", "homology_class",
-            "dyon_braiding_phase", "ground_state", "interferometer_run",
+            "dyon_braiding_phase", "interferometer_run",
             "honeycomb_phase", "honeycomb_effective_coupling",
             # string net
             "vertex_projector", "face_operator", "face_term_checks",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anyons.errors import InputError
 from anyons.pauli import PauliString, commutation_phase, rank_mod_p
+from oracles import apply_to_state, expectation, pauli_dense
 
 
 def random_pauli(rng, d, n):
@@ -25,7 +26,9 @@ class TestAlgebraAgainstDense:
         for _ in range(15):
             p = random_pauli(rng, d, n)
             q = random_pauli(rng, d, n)
-            assert np.allclose((p * q).dense(), p.dense() @ q.dense(), atol=1e-10)
+            assert np.allclose(
+                pauli_dense(p * q), pauli_dense(p) @ pauli_dense(q), atol=1e-10
+            )
 
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (5, 1)])
     def test_inverse(self, d, n):
@@ -34,7 +37,7 @@ class TestAlgebraAgainstDense:
             p = random_pauli(rng, d, n)
             assert (p * p.inverse()).is_identity()
             assert np.allclose(
-                p.inverse().dense(), np.linalg.inv(p.dense()), atol=1e-10
+                pauli_dense(p.inverse()), np.linalg.inv(pauli_dense(p)), atol=1e-10
             )
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -50,8 +53,8 @@ class TestAlgebraAgainstDense:
             p = random_pauli(rng, d, n)
             q = random_pauli(rng, d, n)
             phi = commutation_phase(p, q)
-            lhs = (p * q).dense()
-            rhs = np.exp(1j * np.pi * phi / d) * (q * p).dense()
+            lhs = pauli_dense(p * q)
+            rhs = np.exp(1j * np.pi * phi / d) * pauli_dense(q * p)
             assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_single_edge_examples(self):
@@ -68,7 +71,7 @@ class TestAlgebraAgainstDense:
     def test_qubit_y_is_exact(self):
         # phase exponent 1 (= pi/2) times XZ is the qubit Y
         y = PauliString(2, [1], [1], phase=1)
-        assert np.allclose(y.dense(), np.array([[0, -1j], [1j, 0]]), atol=1e-12)
+        assert np.allclose(pauli_dense(y), np.array([[0, -1j], [1j, 0]]), atol=1e-12)
 
     def test_incompatible(self):
         with pytest.raises(InputError):
@@ -92,19 +95,19 @@ class TestDenseStateBackend:
         for _ in range(10):
             p = random_pauli(rng, 2, 3)
             psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-            via_state = p.apply_to_state(psi)
-            via_matrix = p.dense() @ psi
+            via_state = apply_to_state(p, psi)
+            via_matrix = pauli_dense(p) @ psi
             assert np.allclose(via_state, via_matrix, atol=1e-10)
 
     def test_expectation(self):
         z0 = PauliString(2, [0, 0], [1, 0])
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
-        assert z0.expectation(psi) == pytest.approx(1.0)
+        assert expectation(z0, psi) == pytest.approx(1.0)
 
     def test_d3_rejected(self):
         with pytest.raises(InputError):
-            PauliString(3, [1], [0]).apply_to_state(np.ones(3, dtype=complex))
+            apply_to_state(PauliString(3, [1], [0]), np.ones(3, dtype=complex))
 
 
 class TestSerialization:

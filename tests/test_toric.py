@@ -1,5 +1,6 @@
 """Toric-code engine: stabilizers, strings, correction, braiding, protocol."""
 
+import functools
 import itertools
 import math
 
@@ -12,9 +13,11 @@ from anyons.errors import InputError, ResourceError
 from anyons.pauli import PauliString, commutation_phase, rank_mod_p
 from anyons.toric import (
     EDGE_SIGNS,
+    INTERFEROMETER_EDGE_CAP,
     RANK_MEMORY_CAP,
     Syndrome,
     TorusLattice,
+    _code_state_expectation,
     _star_face_overlaps,
     build_stabilizers,
     correct,
@@ -22,7 +25,6 @@ from anyons.toric import (
     dyon_braiding_phase,
     extract_mutual_statistics,
     ground_space_dim,
-    ground_state,
     homology_class,
     honeycomb_effective_coupling,
     honeycomb_phase,
@@ -33,7 +35,14 @@ from anyons.toric import (
     syndrome,
     vertex_path_edges,
 )
-from oracles import correct_oracle, syndrome_oracle
+from oracles import (
+    correct_oracle,
+    expectation,
+    ground_state,
+    interferometer_oracle,
+    pauli_dense,
+    syndrome_oracle,
+)
 
 
 def charge_string(lat, vertices, r=1, d=2):
@@ -71,6 +80,15 @@ class TestStabilizers:
         lat = TorusLattice(2, 2)
         stars, plaqs = build_stabilizers(lat, 2)
         assert len(stars) == 4 and len(plaqs) == 4
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_selected_rows_match_the_full_build(self, d):
+        lat = TorusLattice(4, 3)
+        stars, plaqs = build_stabilizers(lat, d)
+        some_stars, no_plaqs = build_stabilizers(lat, d, vertices=[7, 0, 7], faces=())
+        assert some_stars == [stars[7], stars[0], stars[7]] and no_plaqs == []
+        no_stars, some_plaqs = build_stabilizers(lat, d, vertices=(), faces=[11, 2])
+        assert no_stars == [] and some_plaqs == [plaqs[11], plaqs[2]]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_products_are_identity(self, d):
@@ -346,21 +364,21 @@ class TestGroundState:
         assert psi.shape == (256,)
         stars, plaqs = build_stabilizers(lat, 2)
         for op in stars + plaqs:
-            assert op.expectation(psi) == pytest.approx(1.0, abs=1e-12)
+            assert expectation(op, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_contractible_loops_act_trivially(self):
         lat = TorusLattice(3, 3)
         psi = ground_state(lat)
         x_loop = flux_string(lat, [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)])
         z_loop = charge_string(lat, [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)])
-        assert x_loop.expectation(psi) == pytest.approx(1.0, abs=1e-12)
-        assert z_loop.expectation(psi) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(x_loop, psi) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(z_loop, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_noncontractible_loop_expectation_in_range(self):
         lat = TorusLattice(3, 3)
         psi = ground_state(lat)
         loop = flux_string(lat, [(x, 0) for x in range(3)] + [(0, 0)])
-        value = loop.expectation(psi).real
+        value = expectation(loop, psi).real
         assert -1.0 <= value <= 1.0
 
     def test_cap(self):
@@ -414,6 +432,105 @@ class TestInterferometer:
         open_string = flux_string(lat, [(0, 0), (1, 0)])
         with pytest.raises(InputError):
             interferometer_run(lat, braid=True, beta=0.5, loop=open_string)
+
+    def test_edge_cap_refuses_before_building(self):
+        big = TorusLattice(10 ** 6, 10 ** 6)
+        with pytest.raises(ResourceError):
+            interferometer_run(big, braid=True, beta=0.5)
+        assert "star_edges" not in vars(big)  # the cached index arrays were never built
+        assert TorusLattice(128, 128).n_edges == INTERFEROMETER_EDGE_CAP
+
+
+class TestCodeStateExpectation:
+    def test_matches_dense_expectation(self):
+        lat = TorusLattice(3, 3)
+        n = lat.n_edges
+        psi = ground_state(lat)
+        stars, plaqs = build_stabilizers(lat, 2)
+        around_x = [(x, 0) for x in range(3)] + [(0, 0)]
+        around_y = [(0, y) for y in range(3)] + [(0, 0)]
+        charge_loops = [charge_string(lat, around_x), charge_string(lat, around_y)]
+        flux_loops = [flux_string(lat, around_x), flux_string(lat, around_y)]
+        rng = np.random.default_rng(6)
+        values = []
+        for _ in range(320):
+            op = PauliString(2, _zeros(lat), _zeros(lat), int(rng.integers(4)))
+            for g in stars + plaqs + charge_loops:
+                if rng.random() < 0.5:
+                    op = op * g
+            for g in flux_loops:
+                if rng.random() < 0.2:
+                    op = op * g
+            if rng.random() < 0.4:  # noise on one or two edges
+                edges = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+                x, z = _zeros(lat), _zeros(lat)
+                x[edges] = rng.integers(0, 2, len(edges))
+                z[edges] = rng.integers(0, 2, len(edges))
+                op = op * PauliString(2, x, z)
+            value = _code_state_expectation(lat, op)
+            assert abs(value - expectation(op, psi)) < 1e-12
+            values.append(value)
+        assert sum(v != 0 for v in values) >= 100
+        assert sum(v == 0 for v in values) >= 100
+        assert {v for v in values if v} == {1, -1, 1j, -1j}
+
+
+SMALL_LATTICES = [(lx, ly) for lx in range(2, 6) for ly in range(2, 6) if 2 * lx * ly <= 20]
+
+
+@functools.cache
+def _dense_ground_state(lx, ly):
+    return ground_state(TorusLattice(lx, ly))
+
+
+@st.composite
+def _protocol_loops(draw, lat):
+    """The default loop (None); a translated product of stars, with plaquettes,
+    a non-contractible string and a phase thrown in; or an open string."""
+    kind = draw(st.sampled_from(["default", "stars", "stars", "stars", "open"]))
+    if kind == "default":
+        return None
+    fx, fy = draw(st.integers(0, lat.lx - 1)), draw(st.integers(0, lat.ly - 1))
+    if kind == "open":
+        return flux_string(lat, [(fx, fy), (fx + 1, fy)])
+    stars, plaqs = build_stabilizers(lat, 2)
+    loop = PauliString.identity(2, lat.n_edges)
+    shape = draw(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1))
+    for ox, oy in shape:
+        loop = loop * stars[lat.vertex_index(fx + ox, fy + oy)]
+    for f in draw(st.sets(st.integers(0, lat.n_faces - 1), max_size=2)):
+        loop = loop * plaqs[f]
+    if draw(st.integers(0, 3)) == 0:
+        around = [(x, fy) for x in range(lat.lx)] + [(0, fy)]
+        loop = loop * draw(st.sampled_from([flux_string(lat, around),
+                                            charge_string(lat, around)]))
+    return PauliString(2, loop.x, loop.z, draw(st.integers(0, 3)))
+
+
+class TestInterferometerAgainstOracle:
+    @pytest.mark.parametrize("lx,ly", SMALL_LATTICES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, lx, ly, data):
+        lat = TorusLattice(lx, ly)
+        beta = data.draw(st.floats(-math.pi, math.pi))
+        braid = data.draw(st.booleans())
+        splitter = data.draw(st.none() | st.integers(0, lat.n_edges - 1))
+        loop = data.draw(_protocol_loops(lat))
+        if loop is not None:
+            edge = lat.h_edge(0, 0) if splitter is None else splitter
+            # Z_l anticommutes with the loop exactly when the loop flips edge l
+            closed = syndrome_oracle(lat, loop).is_empty()
+            if not closed or bool(loop.x[edge] % 2) != braid:
+                with pytest.raises(InputError):
+                    interferometer_run(lat, braid, beta, splitter, loop)
+                return
+        value = interferometer_run(lat, braid, beta, splitter, loop)
+        dense = interferometer_oracle(lat, braid, beta, splitter, loop,
+                                      psi=_dense_ground_state(lx, ly))
+        assert abs(value - dense) < 1e-12
+        if loop is None:
+            assert abs(value - math.sin(beta + math.pi * braid)) < 1e-12
 
 
 class TestHoneycomb:
@@ -483,12 +600,12 @@ class TestWenModelEquivalence:
         n_h = lat.lx * lat.ly
         factors = [u_h] * n_h + [u_v] * n_h
         big_u = np.eye(1, dtype=complex)
-        for f in reversed(factors):  # site 0 least significant, as in dense()
+        for f in reversed(factors):  # site 0 least significant, as in pauli_dense()
             big_u = np.kron(big_u, f)
 
         for wen, target in zip(wen_vertex + wen_face, stars + plaqs):
-            mapped = big_u @ wen.dense() @ big_u.conj().T
-            assert np.allclose(mapped, target.dense(), atol=1e-10)
+            mapped = big_u @ pauli_dense(wen) @ big_u.conj().T
+            assert np.allclose(mapped, pauli_dense(target), atol=1e-10)
 
 
 def _zeros(lat):
