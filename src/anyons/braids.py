@@ -48,6 +48,11 @@ COMPILE_TIE_EPS = 1e-12
 
 UNITARY_TOL = 1e-12
 
+#: Largest generator entry modulus :func:`tl_b3_rep` accepts.  Products of
+#: three 2x2 generators (the braid relations) stay finite below about 1e102;
+#: ``|t|`` far from 1 (``1e300`` or ``1e-300``) gives entries past it.
+TL_ENTRY_CAP = 1e100
+
 #: Cap on the ``(n-1)(n-2)/2`` relations :func:`relation_residual` checks on
 #: n strands: B317 (49,770) takes about 0.5 s in process on a 2-core x86 host.
 RELATION_CAP = 50_000
@@ -240,6 +245,12 @@ def tl_b3_rep(t: complex) -> BraidRep:
     eye = np.eye(2, dtype=complex)
     gens = {1: eye / q + q * v1, 2: eye / q + q * v2}
     invs = {1: q * eye + v1 / q, 2: q * eye + v2 / q}
+    largest = max(float(np.max(np.abs(m))) for m in (*gens.values(), *invs.values()))
+    if largest > TL_ENTRY_CAP:
+        raise InputError(
+            f"t = {t} gives generator entries of modulus {largest:.3g}, over "
+            f"{TL_ENTRY_CAP:g}; their products would overflow"
+        )
     unitary = all(
         np.max(np.abs(m @ m.conj().T - eye)) < UNITARY_TOL for m in gens.values()
     )
@@ -270,8 +281,11 @@ def evaluate(rep: BraidRep, word: BraidWord) -> np.ndarray:
             f"word on {word.strands} strands fed to a {rep.strands}-strand rep"
         )
     out = rep.identity()
-    for g in word.letters:
-        out = out @ rep.generator(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for g in word.letters:
+            out = out @ rep.generator(g)
+    if not np.all(np.isfinite(out)):
+        raise InputError(f"the product of {rep.name!r} generators overflows on this word")
     return out
 
 
@@ -458,7 +472,10 @@ def compile_gate(
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise InputError("target must be a 2x2 matrix")
-    if np.max(np.abs(target @ target.conj().T - np.eye(2))) > 1e-10:
+    # a unitary's entries have modulus at most 1; refusing larger (or
+    # non-finite) ones first keeps the product from overflowing
+    if (not np.all(np.isfinite(target)) or np.max(np.abs(target)) > 1.0 + 1e-10
+            or np.max(np.abs(target @ target.conj().T - np.eye(2))) > 1e-10):
         raise InputError("target must be unitary within 1e-10")
     if max_len < 0:
         raise InputError("max_len must be non-negative")

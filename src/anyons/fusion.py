@@ -33,7 +33,8 @@ Label = Hashable
 QDIM_TOL = 1e-12
 QDIM_MAX_ITER = 100_000
 
-#: Default cap on the number of trees :func:`enumerate_fusion_trees` will list.
+#: Cap on the number of trees :func:`enumerate_fusion_trees` will list; its
+#: ``cap`` argument can lower it, not raise it.
 TREE_CAP = 200_000
 
 #: Largest ``d`` that :func:`named_model` builds for ``z_d:<d>``.  Building a
@@ -263,8 +264,11 @@ def enumerate_fusion_trees(
     This is the brute-force counterpart of :func:`fusion_space_dim`; the two
     must agree on every input.  A multiplicity ``m > 1`` contributes ``m``
     identical-label branch copies.  Raises :class:`ResourceError` when the
-    tree count would exceed ``cap``.
+    tree count would exceed ``cap``, or when ``cap`` itself exceeds
+    :data:`TREE_CAP`: a caller may lower the bound on the work, not lift it.
     """
+    if cap > TREE_CAP:
+        raise ResourceError(f"cap {cap} exceeds the tree cap {TREE_CAP}")
     dim = fusion_space_dim(model, inputs, total)  # validates labels
     if dim > cap:
         raise ResourceError(f"{dim} trees exceed cap {cap}")

@@ -24,7 +24,12 @@ Everything here deliberately avoids the code paths it checks:
 * the interferometer oracle projects a dense 2^n qubit state vector onto
   the code space and applies the protocol's operators to it one by one
   (the implementation expands the circuit into Pauli strings and reads
-  each one's code-state expectation off its syndrome and flux winding).
+  each one's code-state expectation off its syndrome and flux winding);
+* the string-net face-check oracle tests every (external, boundary,
+  vertex) triple with ``branching_allowed`` and checks the face term one
+  sector and one vertex projector at a time (the implementation builds
+  one branching mask by bit arithmetic and checks all sectors in batched
+  array operations).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from anyons.braids import (
 from anyons.errors import InputError, InvariantViolation, ResourceError
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
+from anyons.stringnet import branching_allowed, face_term
 from anyons.toric import (
     Syndrome,
     _torus_shortest_vertex_path,
@@ -382,3 +388,48 @@ def interferometer_oracle(lat, braid: bool, beta: float, splitter_edge=None,
     expect = expectation(z_l, psi)
     assert abs(expect.imag) < 1e-12
     return float(expect.real)
+
+
+# ---------------------------------------------------------------------------
+# string-net face term
+
+
+def vertex_triples(ext: int, bnd: int) -> list[tuple[int, int, int]]:
+    """The six (external, previous-boundary, next-boundary) triples."""
+    a = [(ext >> (5 - q)) & 1 for q in range(6)]
+    g = [(bnd >> (5 - q)) & 1 for q in range(6)]
+    # vertex q joins external edge q with boundary edges (q-1 mod 6) and q:
+    # (a, l, g), (b, g, h), (c, h, i), (d, i, j), (e, j, k), (f, k, l)
+    return [(a[q], g[(q - 1) % 6], g[q]) for q in range(6)]
+
+
+def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:
+    """``face_term_checks`` one sector, one vertex and one triple at a time,
+    on the face term or on the ``(64, 64, 64)`` blocks ``h`` given."""
+    h = face_term() if h is None else h
+    herm = 0.0
+    proj = 0.0
+    comm = 0.0
+    for ext in range(64):
+        block = h[ext]
+        allowed = [
+            bnd
+            for bnd in range(64)
+            if all(branching_allowed(*t) for t in vertex_triples(ext, bnd))
+        ]
+        if allowed:
+            sub = block[np.ix_(allowed, allowed)]
+            herm = max(herm, float(np.max(np.abs(sub - sub.conj().T))))
+            proj = max(proj, float(np.max(np.abs(sub @ sub - sub))))
+        for vertex in range(6):
+            dv = np.array([
+                1.0 if branching_allowed(*vertex_triples(ext, bnd)[vertex]) else 0.0
+                for bnd in range(64)
+            ])
+            commutator = block * dv[np.newaxis, :] - dv[:, np.newaxis] * block
+            comm = max(comm, float(np.max(np.abs(commutator))))
+    return {
+        "hermiticity": herm,
+        "projector": proj,
+        "vertex_commutation": comm,
+    }

@@ -155,6 +155,19 @@ class TestTemperleyLieb:
         with pytest.raises(InputError):
             tl_b3_rep(0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e300, 1e-300, -1e200j])
+    def test_t_whose_products_overflow_is_refused(self, t):
+        with pytest.raises(InputError, match="overflow"):
+            tl_b3_rep(t)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_word_is_refused(self):
+        rep = tl_b3_rep(1e100)  # entries near 1e75: one relation product is finite
+        assert np.isfinite(relation_residual(rep, 3))
+        with pytest.raises(InputError, match="overflow"):
+            evaluate(rep, parse_braid("B3: s1 s1 s1 s1 s1"))
+
 
 class TestFibonacciRep:
     def test_b1_diagonal(self):
@@ -329,6 +342,13 @@ class TestCompileGate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1e308 + 1e308j, np.inf, np.nan, 1.5])
+    def test_large_or_non_finite_target_refused_before_the_product(self, entry):
+        target = np.array([[entry, 0], [0, 1]], dtype=complex)
+        with pytest.raises(InputError, match="unitary"):
+            compile_gate(target, 3)
 
     def test_non_unitary_representation_rejected(self):
         with pytest.raises(InputError):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anyons
-from anyons import cli, toric
+from anyons import cli, fusion, toric
 from anyons.cli import OPERATION_COVERAGE, main, render, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -121,12 +121,31 @@ class TestExitCodes:
         ["braid-check", "--rep", "abelian", "--strands", "-5"],
         ["braid-check", "--rep", "abelian", "--strands", "0"],
         ["su2k", "--j1", "1/0", "--j2", "1", "--j", "1", "--k", "2"],
+        # entries whose products overflow: refused before any product
+        ["compile", "--target", "[[[1e308,1e308],[0,0]],[[0,0],[1,0]]]", "--max-len", "3"],
+        ["braid-check", "--rep", "tl", "--t", "1e300,0"],
+        ["braid-check", "--rep", "tl", "--t", "1e-300,0"],
+        ["braid-check", "--rep", "tl", "--t", "1e100,0", "--braid", "B3: s1 s1 s1 s1 s1"],
     ], ids=" ".join)
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_or_bad_float_is_refused(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_tree_cap_can_only_be_lowered(self, capsys):
+        def argv(inputs, cap):
+            return ["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(inputs),
+                    "--total", "1", "--cap", str(cap)]
+
+        start = time.perf_counter()
+        assert main(argv(["1"] * 30, 10 ** 8)) == 2  # 832,040 trees
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "tree cap" in err
+        assert run(argv(["1"] * 3, fusion.TREE_CAP)).status == 0
+        assert run(argv(["1"] * 3, fusion.TREE_CAP + 1)).status == 2
 
     def test_cached_parser_matches_a_fresh_one(self, monkeypatch):
         sequence = [
@@ -438,6 +457,11 @@ class TestEveryOtherCommandFuzz:
     @example(["braid-check", "--rep", "abelian", "--strands", "-5"])
     @example(["braid-check", "--rep", "abelian", "--strands", str(10 ** 8)])
     @example(["su2k", "--j1", "1/0", "--j2", "1", "--j", "1", "--k", "2"])
+    @example(["compile", "--target", "[[[1e308,1e308],[0,0]],[[0,0],[1,0]]]",
+              "--max-len", "3"])
+    @example(["braid-check", "--rep", "tl", "--t", "1e300,0"])
+    @example(["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(["1"] * 30),
+              "--total", "1", "--cap", "100000000"])
     def test_exit_code_and_strict_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

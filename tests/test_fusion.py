@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anyons.errors import InputError, ResourceError
 from anyons.fusion import (
+    TREE_CAP,
     AnyonModel,
     composite_fermion_statistics,
     enumerate_fusion_trees,
@@ -120,6 +121,11 @@ class TestEnumerateTrees:
     def test_cap(self):
         with pytest.raises(ResourceError):
             enumerate_fusion_trees(FIB, [1] * 25, 1, cap=100)
+
+    def test_cap_cannot_be_raised(self):
+        with pytest.raises(ResourceError, match="tree cap"):
+            enumerate_fusion_trees(FIB, [1] * 3, 1, cap=TREE_CAP + 1)
+        assert len(enumerate_fusion_trees(FIB, [1] * 3, 1, cap=TREE_CAP)) == 2
 
     def test_multiplicity_counted_as_branch_copies(self):
         # no built-in model has N > 1; a synthetic tensor exercises the rule

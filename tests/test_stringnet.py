@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anyons import stringnet
 from anyons.errors import InputError
 from anyons.stringnet import (
+    _branching_mask,
     branching_allowed,
     constrained_configs,
     face_operator,
@@ -16,6 +18,7 @@ from anyons.stringnet import (
     vertex_diagonal,
     vertex_projector,
 )
+from oracles import face_term_checks_oracle, vertex_triples
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -153,3 +156,50 @@ class TestFaceTerm:
         assert dv[0] == 1.0
         with pytest.raises(InputError):
             vertex_diagonal(0, 6)
+        for ext in (-1, 64):
+            with pytest.raises(InputError):
+                vertex_diagonal(ext, 0)
+            with pytest.raises(InputError):
+                constrained_configs(ext)
+
+    def test_residuals_match_the_oracle(self):
+        checks = face_term_checks()
+        oracle = face_term_checks_oracle()
+        assert checks["hermiticity"] == oracle["hermiticity"]
+        assert checks["vertex_commutation"] == oracle["vertex_commutation"]
+        # the zero-padded batched product may add its zero terms in another order
+        assert checks["projector"] == pytest.approx(oracle["projector"], abs=1e-15)
+
+    def test_residuals_match_the_oracle_off_the_model(self, monkeypatch):
+        # the face term's residuals are ~0; random blocks make every check
+        # report a worst case, so the batched reductions are tested too
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(64, 64, 64)) + 1j * rng.normal(size=(64, 64, 64))
+        monkeypatch.setattr(stringnet, "face_term", lambda: h)
+        checks = face_term_checks()
+        oracle = face_term_checks_oracle(h)
+        assert min(oracle.values()) > 1.0
+        assert checks["hermiticity"] == oracle["hermiticity"]
+        assert checks["vertex_commutation"] == oracle["vertex_commutation"]
+        assert checks["projector"] == pytest.approx(oracle["projector"], rel=1e-12)
+
+
+class TestBranchingMask:
+    def test_mask_matches_every_triple(self):
+        mask = _branching_mask()
+        assert mask.shape == (64, 6, 64) and mask.dtype == bool
+        expected = np.array([
+            [[branching_allowed(*vertex_triples(ext, bnd)[q]) for bnd in range(64)]
+             for q in range(6)]
+            for ext in range(64)
+        ])
+        assert np.array_equal(mask, expected)
+
+    def test_views_match_every_triple(self):
+        for ext in range(64):
+            triples = [vertex_triples(ext, bnd) for bnd in range(64)]
+            assert constrained_configs(ext) == [
+                bnd for bnd in range(64) if all(branching_allowed(*t) for t in triples[bnd])]
+            for q in range(6):
+                expected = [float(branching_allowed(*t[q])) for t in triples]
+                assert vertex_diagonal(ext, q).tolist() == expected
