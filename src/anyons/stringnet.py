@@ -103,10 +103,11 @@ class FaceOperatorMatrix:
 
     def dense(self) -> np.ndarray:
         """Full 4096x4096 matrix (external qubits are the high bits)."""
-        out = np.zeros((64, 64, 64, 64), dtype=complex)  # [ext, t, ext', s]
-        ext = np.arange(64)
-        out[ext, :, ext, :] = self.blocks
-        return out.reshape(4096, 4096)
+        out = np.zeros((4096, 4096), dtype=complex)
+        for ext in range(64):
+            sl = slice(ext * 64, (ext + 1) * 64)
+            out[sl, sl] = self.blocks[ext]
+        return out
 
 
 def _f_tensor() -> np.ndarray:
@@ -139,19 +140,14 @@ def face_operator(s: int) -> FaceOperatorMatrix:
     return FaceOperatorMatrix(1, blocks)
 
 
-def face_term(b0: FaceOperatorMatrix | None = None,
-              b1: FaceOperatorMatrix | None = None) -> np.ndarray:
+def face_term() -> np.ndarray:
     """``H_f`` blocks, shape (64, 64, 64): ``(B^0 + phi B^1) / (1 + phi^2)``.
 
-    Without ``b0``, ``B^0`` enters as the 1 it adds to every block diagonal.
+    ``B^0`` enters as the 1 it adds to every block diagonal.
     """
-    b1 = face_operator(1) if b1 is None else b1
-    h = PHI * b1.blocks
-    if b0 is None:
-        diag = np.arange(64)
-        h[:, diag, diag] += 1.0
-    else:
-        h += b0.blocks
+    h = PHI * face_operator(1).blocks
+    diag = np.arange(64)
+    h[:, diag, diag] += 1.0
     return h / (1.0 + PHI ** 2)
 
 
