@@ -7,11 +7,18 @@ means estimate the real and imaginary parts of ``Tr[prod_j U_j] / D``.
 
 The simulation here reproduces the protocol's outcome statistics without
 building the controlled circuit: per shot it draws a uniformly random basis
-state ``|s>`` (the mixed register), computes the exact biases
-``Re <s|U|s>`` and ``Im <s|U|s>``, and then samples the two +-1 outcomes.
+state ``|s>`` (the mixed register) and one uniform number for each of the
+two outcomes, which is +1 when the uniform lies below the exact bias
+``(1 + Re <s|U|s>) / 2`` (x basis) or ``(1 + Im <s|U|s>) / 2`` (y basis).
 That is equivalent in distribution to state-vector simulation of the
 circuit.  Passing ``basis_state`` replaces the mixed register with the pure
 state ``|s>`` and estimates the unnormalised diagonal element ``<s|U|s>``.
+
+The draws are made in fixed blocks and reduced at once to the two counts of
++1 outcomes; the mean and standard error of each +-1 stream are closed forms
+of its count.  Memory is two bytes per shot (the register states, which must
+all be drawn before the first outcome to keep the seeded stream) plus one
+block, and ``shots`` is capped at :data:`SHOTS_CAP`.
 """
 
 from __future__ import annotations
@@ -26,13 +33,23 @@ from .errors import InputError, ResourceError
 #: Cap on the product dimension accepted by the sampled estimator.
 DIM_CAP = 2 ** 10
 
+#: Cap on the shot count: at the cap the register states take 200 MB.
+SHOTS_CAP = 10 ** 8
+
+# Shots drawn and counted per numpy call.
+_BLOCK = 2 ** 16
+
 
 @dataclass(frozen=True)
 class TraceEstimate:
     """A sampled estimate of a normalised trace.
 
-    ``stderr_re``/``stderr_im`` are the sample standard deviations of the
-    +-1 outcome streams divided by sqrt(shots); both lie in [0, 1].
+    With ``k`` of the ``shots`` x-basis outcomes equal to +1, ``value.real``
+    is their mean ``(2k - shots) / shots`` and ``stderr_re`` their sample
+    standard deviation over sqrt(shots),
+    ``sqrt(4 k (shots - k) / (shots (shots - 1))) / sqrt(shots)`` (0 for a
+    single shot); likewise ``value.imag`` and ``stderr_im`` for the y basis.
+    Both errors lie in [0, 1].
     """
 
     value: complex
@@ -66,11 +83,16 @@ def hadamard_test_trace(
 
     Per shot, one x-basis and one y-basis outcome are drawn (two independent
     Bernoullis with the exact biases for that shot's register state); the
-    estimate is ``mean(x) + i mean(y)``.  Reproducible for a fixed ``seed``;
-    the real and imaginary parts always lie in [-1, 1].
+    estimate is ``mean(x) + i mean(y)``, computed from the counts of +1
+    outcomes.  Reproducible for a fixed ``seed``; the real and imaginary
+    parts always lie in [-1, 1].  ``shots`` above :data:`SHOTS_CAP` and
+    dimensions above :data:`DIM_CAP` raise ``ResourceError`` before any
+    work.
     """
     if shots < 1:
         raise InputError("shots must be >= 1")
+    if shots > SHOTS_CAP:
+        raise ResourceError(f"shots {shots} exceed cap {SHOTS_CAP}")
     if not matrices:
         raise InputError("need at least one matrix")
     dim = matrices[0].shape[0]
@@ -79,8 +101,8 @@ def hadamard_test_trace(
     for m in matrices:
         if m.shape != (dim, dim):
             raise InputError("matrices must be square and of equal dimension")
-    prod = np.eye(dim, dtype=complex)
-    for m in matrices:
+    prod = np.asarray(matrices[0], dtype=complex)
+    for m in matrices[1:]:
         prod = prod @ m
     diag = np.diagonal(prod)
     if np.max(np.abs(diag)) > 1.0 + 1e-9:
@@ -91,20 +113,34 @@ def hadamard_test_trace(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     if basis_state is None:
-        states = rng.integers(0, dim, size=shots)
+        # int64 draws stored as uint16 (dim <= DIM_CAP): drawing uint16
+        # directly would consume the stream differently
+        states = np.empty(shots, dtype=np.uint16)
+        for lo in range(0, shots, _BLOCK):
+            states[lo:lo + _BLOCK] = rng.integers(0, dim, size=min(_BLOCK, shots - lo))
     else:
         if not (0 <= basis_state < dim):
             raise InputError(f"basis state {basis_state} out of range")
-        states = np.full(shots, basis_state)
-    bias_re = np.real(diag[states])
-    bias_im = np.imag(diag[states])
-    x_out = np.where(rng.random(shots) < (1.0 + bias_re) / 2.0, 1.0, -1.0)
-    y_out = np.where(rng.random(shots) < (1.0 + bias_im) / 2.0, 1.0, -1.0)
+        states = np.full(shots, basis_state, dtype=np.uint16)
+    kx = _plus_count(rng, (1.0 + diag.real) / 2.0, states)
+    ky = _plus_count(rng, (1.0 + diag.imag) / 2.0, states)
 
-    value = complex(x_out.mean(), y_out.mean())
-    if shots > 1:
-        stderr_re = float(x_out.std(ddof=1) / math.sqrt(shots))
-        stderr_im = float(y_out.std(ddof=1) / math.sqrt(shots))
-    else:
-        stderr_re = stderr_im = 0.0
-    return TraceEstimate(value, stderr_re, stderr_im, shots, seed)
+    value = complex((2 * kx - shots) / shots, (2 * ky - shots) / shots)
+    return TraceEstimate(value, _stderr(kx, shots), _stderr(ky, shots), shots, seed)
+
+
+def _plus_count(rng, bias: np.ndarray, states: np.ndarray) -> int:
+    """How many of the next ``len(states)`` uniforms lie below their shot's bias."""
+    count = 0
+    for lo in range(0, len(states), _BLOCK):
+        block = states[lo:lo + _BLOCK]
+        count += int(np.count_nonzero(rng.random(len(block)) < bias[block]))
+    return count
+
+
+def _stderr(plus: int, shots: int) -> float:
+    """Sample standard deviation over sqrt(shots) of ``plus`` +1s among ±1s."""
+    if shots == 1:
+        return 0.0
+    variance = 4 * plus * (shots - plus) / (shots * (shots - 1))
+    return math.sqrt(variance) / math.sqrt(shots)

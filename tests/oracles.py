@@ -29,7 +29,11 @@ Everything here deliberately avoids the code paths it checks:
   vertex) triple with ``branching_allowed`` and checks the face term one
   sector and one vertex projector at a time (the implementation builds
   one branching mask by bit arithmetic and checks all sectors in batched
-  array operations).
+  array operations);
+* the Hadamard-test oracle keeps every shot's two +-1 outcomes as floats
+  and takes numpy's mean and standard deviation (the implementation draws
+  the same random stream block by block and keeps only the two counts of
+  +1 outcomes).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from anyons.toric import (
     string_operator,
     vertex_path_edges,
 )
+from anyons.trace_estimation import DIM_CAP, TraceEstimate
 
 
 def brute_force_tree_count(model, inputs, total) -> int:
@@ -433,3 +438,56 @@ def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:
         "projector": proj,
         "vertex_commutation": comm,
     }
+
+
+def hadamard_test_trace_oracle(
+    matrices: list[np.ndarray],
+    shots: int,
+    seed: int,
+    basis_state: int | None = None,
+) -> TraceEstimate:
+    """The per-shot +-1 sampler that ``hadamard_test_trace`` reduces to counts.
+
+    It draws the same Philox stream (all register states, then the x
+    uniforms, then the y uniforms) but keeps every outcome as a float and
+    takes numpy's mean and ``std(ddof=1)``; memory grows with ``shots``.
+    """
+    if shots < 1:
+        raise InputError("shots must be >= 1")
+    if not matrices:
+        raise InputError("need at least one matrix")
+    dim = matrices[0].shape[0]
+    if dim > DIM_CAP:
+        raise ResourceError(f"dimension {dim} exceeds cap {DIM_CAP}")
+    for m in matrices:
+        if m.shape != (dim, dim):
+            raise InputError("matrices must be square and of equal dimension")
+    prod = np.eye(dim, dtype=complex)
+    for m in matrices:
+        prod = prod @ m
+    diag = np.diagonal(prod)
+    if np.max(np.abs(diag)) > 1.0 + 1e-9:
+        raise InputError(
+            "matrix elements exceed unit modulus; the Hadamard test needs "
+            "a unitary product"
+        )
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if basis_state is None:
+        states = rng.integers(0, dim, size=shots)
+    else:
+        if not (0 <= basis_state < dim):
+            raise InputError(f"basis state {basis_state} out of range")
+        states = np.full(shots, basis_state)
+    bias_re = np.real(diag[states])
+    bias_im = np.imag(diag[states])
+    x_out = np.where(rng.random(shots) < (1.0 + bias_re) / 2.0, 1.0, -1.0)
+    y_out = np.where(rng.random(shots) < (1.0 + bias_im) / 2.0, 1.0, -1.0)
+
+    value = complex(x_out.mean(), y_out.mean())
+    if shots > 1:
+        stderr_re = float(x_out.std(ddof=1) / math.sqrt(shots))
+        stderr_im = float(y_out.std(ddof=1) / math.sqrt(shots))
+    else:
+        stderr_re = stderr_im = 0.0
+    return TraceEstimate(value, stderr_re, stderr_im, shots, seed)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import anyons
 from anyons import cli, fusion, toric
 from anyons.cli import OPERATION_COVERAGE, main, render, run
+from anyons.trace_estimation import SHOTS_CAP
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -146,6 +147,15 @@ class TestExitCodes:
         assert out == "" and "tree cap" in err
         assert run(argv(["1"] * 3, fusion.TREE_CAP)).status == 0
         assert run(argv(["1"] * 3, fusion.TREE_CAP + 1)).status == 2
+
+    @pytest.mark.parametrize("shots", [SHOTS_CAP + 1, 10 ** 12, 10 ** 14])
+    def test_shot_cap_refuses_before_drawing(self, shots, capsys):
+        start = time.perf_counter()
+        assert main(["trace-est", "--braid", "B3: s1 s2", "--rep", "fib",
+                     "--shots", str(shots), "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "cap" in err
 
     def test_cached_parser_matches_a_fresh_one(self, monkeypatch):
         sequence = [
@@ -400,8 +410,9 @@ _SUBCOMMAND_FLAGS = {
                                          ["ising"])),
         *_optional(draw, "--t", _T),
         *_optional(draw, "--phi", _FLOATS),
-        # --shots stays at most 10^5: that flag has no cap yet
-        "--shots", draw(_value(st.integers(1, 2000), [0, -1, 10 ** 5])),
+        # values over SHOTS_CAP are refused with exit 2 before any draw
+        "--shots", draw(_value(st.integers(1, 2000),
+                               [0, -1, 10 ** 5, SHOTS_CAP + 1, 10 ** 14])),
         "--seed", draw(_value(st.integers(0, 2 ** 64), [-2])),
     ],
     "toric": lambda draw: [
@@ -460,6 +471,8 @@ class TestEveryOtherCommandFuzz:
     @example(["compile", "--target", "[[[1e308,1e308],[0,0]],[[0,0],[1,0]]]",
               "--max-len", "3"])
     @example(["braid-check", "--rep", "tl", "--t", "1e300,0"])
+    @example(["trace-est", "--braid", "B3: s1 s2", "--rep", "fib", "--shots", str(10 ** 14),
+              "--seed", "1"])
     @example(["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(["1"] * 30),
               "--total", "1", "--cap", "100000000"])
     def test_exit_code_and_strict_json(self, argv):

@@ -1,5 +1,7 @@
 """Hadamard-test trace estimation against the exact normalised trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from anyons.trace_estimation import (
     exact_normalized_trace,
     hadamard_test_trace,
 )
+from oracles import hadamard_test_trace_oracle
 
 
 def fib_matrices(letters):
@@ -126,3 +129,39 @@ class TestHadamardTest:
             hadamard_test_trace([np.eye(2)], shots=1, seed=0, basis_state=5)
         with pytest.raises(InputError):
             hadamard_test_trace([], shots=1, seed=0)
+
+
+def _diagonal_product(dim: int) -> np.ndarray:
+    """A diagonal matrix with moduli in [0, 1] and generic phases."""
+    rng = np.random.default_rng(dim)
+    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return np.diag(z / np.abs(z) * rng.uniform(0.0, 1.0, size=dim))
+
+
+class TestOutcomeCounts:
+    """The counting sampler against the per-shot sampler it replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 1000])
+    def test_same_draws_as_the_per_shot_oracle(self, dim):
+        # shot counts on both sides of the 2^16 draw block, at dims whose
+        # register draws take Lemire rejections
+        mats = [_diagonal_product(dim)]
+        for shots in (1, 2, 7, 65535, 65536, 65537, 100_000, 300_001):
+            for basis_state in (None, dim - 1):
+                got = hadamard_test_trace(mats, shots, shots + dim, basis_state)
+                want = hadamard_test_trace_oracle(mats, shots, shots + dim, basis_state)
+                assert got.value == want.value
+                assert got.stderr_re == pytest.approx(want.stderr_re, rel=1e-12, abs=0)
+                assert got.stderr_im == pytest.approx(want.stderr_im, rel=1e-12, abs=0)
+                assert (got.shots, got.seed) == (want.shots, want.seed)
+
+    def test_memory_peak_at_ten_million_shots(self):
+        # 20 MB of uint16 register states plus one block of draws
+        mats = fib_matrices([1, 2, 1])
+        tracemalloc.start()
+        try:
+            hadamard_test_trace(mats, shots=10 ** 7, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
