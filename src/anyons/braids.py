@@ -22,10 +22,10 @@ Three representations are provided:
 
 :func:`compile_gate` finds the reduced word over the Fibonacci generators
 that best approximates a target single-qubit gate projectively.  It holds
-the words of up to half the length as arrays (int8 letters, SU(2) images
-as unit quaternions) and meets in the middle: every word is scored by
-blocked real dot products of prefix frames with suffix quaternions, and
-only the near-ties are rescored exactly.
+one word per projective SU(2) element of up to half the length as arrays
+(int8 letters, unit quaternions) and meets in the middle: every join of
+those words is scored by blocked real dot products of prefix frames with
+suffix quaternions, and only the near-ties are rescored exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BraidSyntaxError, InputError, ResourceError
-from .fsymbols import fibonacci_data
+from .fsymbols import FIB_F1111, FIB_R11
 
 #: Hard cap on compile_gate word length.
 COMPILE_CAP = 14
@@ -267,9 +267,8 @@ def fib_qubit_rep() -> BraidRep:
     ``b_1 = R = diag(exp(4 pi i/5), -exp(2 pi i/5))`` and
     ``b_2 = F(1111) R F(1111)^{-1}``.
     """
-    _, ftab, rtab = fibonacci_data()
-    _, _, f = ftab.block(1, 1, 1, 1)
-    b1 = np.diag([rtab.value(1, 1, 0), rtab.value(1, 1, 1)]).astype(complex)
+    f = FIB_F1111.astype(complex)
+    b1 = np.diag(FIB_R11)
     b2 = f @ b1 @ np.linalg.inv(f)
     return BraidRep(dim=2, strands=3, generators={1: b1, 2: b2}, name="fib")
 
@@ -363,14 +362,27 @@ def _su2(m: np.ndarray) -> tuple[complex, complex]:
     return complex(s[0, 0]), complex(s[0, 1])
 
 
-def _reduced_words(rep: BraidRep, alphabet: list[int], max_len: int):
-    """Every reduced word of length <= ``max_len``, by length then letters.
+#: Quaternion grid on which two words count as one projective element: far
+#: coarser than the rounding of a product of 7 letters (about 1e-15), far
+#: finer than the spacing of distinct elements (distance 0.15 or more among
+#: the Fibonacci words of up to 7 letters).
+_ELEMENT_GRID = 1e-9
+
+
+def _distinct_words(rep: BraidRep, alphabet: list[int], max_len: int):
+    """The first reduced word of each projective element, up to ``max_len`` letters.
 
     Returns ``(letters, lengths, a, b)``: ``letters`` is int8 of shape
     ``(n, max_len)`` padded with 0, and ``(a, b)`` are the words' SU(2)
-    images (see :func:`_su2`).  Each level is one batched product of the
-    previous level with every letter that does not cancel a word's last
-    one; taken in (word, letter) order, the level stays sorted.
+    images (see :func:`_su2`), in enumeration order (length, then letters).
+    Each level of reduced words is one batched product of the previous
+    level with every letter that does not cancel a word's last one; taken
+    in (word, letter) order, the level stays sorted.  Words whose
+    quaternions agree up to sign on :data:`_ELEMENT_GRID` are one element,
+    and only the first of them is kept: the rounded quaternions, each signed
+    so its first non-zero component is positive, are sorted stably (one
+    ``np.lexsort``, far cheaper than ``np.unique`` over rows), so the first
+    row of each run of equal keys is its element's first word.
     """
     alpha = np.array(alphabet, dtype=np.int8)
     gen_a, gen_b = map(np.array, zip(*(_su2(rep.generator(g)) for g in alphabet)))
@@ -387,7 +399,14 @@ def _reduced_words(rep: BraidRep, alphabet: list[int], max_len: int):
         level[:, n] = last
         letters.append(level)
     lengths = np.repeat(np.arange(max_len + 1), [len(level) for level in a])
-    return np.concatenate(letters), lengths, np.concatenate(a), np.concatenate(b)
+    letters, a, b = np.concatenate(letters), np.concatenate(a), np.concatenate(b)
+
+    keys = np.rint(np.stack([a.real, a.imag, b.real, b.imag]) / _ELEMENT_GRID)
+    keys *= np.sign(keys[np.argmax(keys != 0, axis=0), np.arange(len(a))])
+    order = np.lexsort(keys)  # stable
+    run = np.any(np.diff(keys[:, order]) != 0, axis=0)
+    first = np.sort(order[np.concatenate([[True], run])])
+    return letters[first], lengths[first], a[first], b[first]
 
 
 #: Entries per block of split scores (float64), which bounds the search's
@@ -461,11 +480,16 @@ def compile_gate(
 
     The search meets in the middle.  Each word splits one way into a
     prefix ``P`` of at most ``half = ceil(max_len / 2)`` letters and a
-    suffix ``S``, non-empty only when ``P`` has ``half`` letters.  With
-    ``f`` the unit quaternion of ``P^dag target`` and ``s`` that of ``S``,
-    the word's projective distance is ``sqrt(2 - 2 |f . s|)``, so every
-    word is scored by blocked real matrix products of the prefix frames
-    with the suffix table.  The words within 1e-9 of the best score are
+    suffix ``S``, non-empty only when ``P`` has ``half`` letters.  The tie
+    rule picks the first word of its projective element, and such words
+    are closed under prefixes and suffixes (swapping a part for an earlier
+    word of the same element would give an earlier word of the winner's
+    element), so ``P`` and ``S`` range over the first word of each element
+    of up to ``half`` letters only (:func:`_distinct_words`).  With ``f``
+    the unit quaternion of ``P^dag target`` and ``s`` that of ``S``, the
+    word's projective distance is ``sqrt(2 - 2 |f . s|)``, so every join
+    is scored by blocked real matrix products of the prefix frames with
+    the suffix table.  The words within 1e-9 of the best score are
     rescored exactly with :func:`projective_distance`, then ranked by the
     tie rule.
     """
@@ -488,7 +512,7 @@ def compile_gate(
     alphabet = [-2, -1, 1, 2]
     half = (max_len + 1) // 2
 
-    letters, lengths, a, b = _reduced_words(rep, alphabet, half)
+    letters, lengths, a, b = _distinct_words(rep, alphabet, half)
     ta, tb = _su2(target)
     fa = a.conj() * ta + b * tb.conjugate()  # P^dag target
     fb = a.conj() * tb - b * ta.conjugate()

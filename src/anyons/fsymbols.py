@@ -49,6 +49,14 @@ from .fusion import AnyonModel, Label, fibonacci_model
 
 PHI = (1 + math.sqrt(5)) / 2
 
+#: The only non-trivial Fibonacci F block, ``F(1111)^i_j`` for i, j in {0, 1}
+#: (read-only).
+FIB_F1111 = np.array([[1 / PHI, 1 / math.sqrt(PHI)], [1 / math.sqrt(PHI), -1 / PHI]])
+FIB_F1111.flags.writeable = False
+
+#: The Fibonacci exchange phases ``(R(1,1->0), R(1,1->1))``.
+FIB_R11 = (complex(np.exp(4j * np.pi / 5)), complex(-np.exp(2j * np.pi / 5)))
+
 #: Most index tuples one join of the F/R checks may produce: the F-tuple
 #: enumeration, a side of the pentagon or hexagon, the unitarity Gram pairs.
 #: Each join counts its output before allocating it.  The largest Z_d
@@ -335,27 +343,25 @@ def fibonacci_data() -> tuple[AnyonModel, FSymbolTable, RSymbolTable]:
 
     All admissible F entries with a vacuum label among ``(a, b, c, d)`` are 1;
     the only non-trivial block is the real symmetric matrix
+    :data:`FIB_F1111`
 
         F(1111) = [[1/phi,        1/sqrt(phi)],
                    [1/sqrt(phi), -1/phi      ]]
 
-    and the exchange phases are ``R(1,1->0) = exp(4 pi i / 5)`` and
-    ``R(1,1->1) = -exp(2 pi i / 5)`` with trivial vacuum entries.
+    and the exchange phases :data:`FIB_R11` are ``R(1,1->0) = exp(4 pi i / 5)``
+    and ``R(1,1->1) = -exp(2 pi i / 5)`` with trivial vacuum entries.
     """
     model = fibonacci_model()
-    f2 = np.array(
-        [[1 / PHI, 1 / math.sqrt(PHI)], [1 / math.sqrt(PHI), -1 / PHI]]
-    )
     entries = dict.fromkeys(_label_rows(model, _admissible_tuples(model)[0]), 1.0 + 0.0j)
     for i in (0, 1):
         for j in (0, 1):
-            entries[(1, 1, 1, 1, i, j)] = complex(f2[i, j])
+            entries[(1, 1, 1, 1, i, j)] = complex(FIB_F1111[i, j])
     r_entries = {
         (0, 0, 0): 1.0 + 0.0j,
         (0, 1, 1): 1.0 + 0.0j,
         (1, 0, 1): 1.0 + 0.0j,
-        (1, 1, 0): np.exp(4j * np.pi / 5),
-        (1, 1, 1): -np.exp(2j * np.pi / 5),
+        (1, 1, 0): FIB_R11[0],
+        (1, 1, 1): FIB_R11[1],
     }
     return model, FSymbolTable(model, entries), RSymbolTable(model, r_entries)
 

@@ -14,11 +14,18 @@ That is equivalent in distribution to state-vector simulation of the
 circuit.  Passing ``basis_state`` replaces the mixed register with the pure
 state ``|s>`` and estimates the unnormalised diagonal element ``<s|U|s>``.
 
-The draws are made in fixed blocks and reduced at once to the two counts of
-+1 outcomes; the mean and standard error of each +-1 stream are closed forms
-of its count.  Memory is two bytes per shot (the register states, which must
-all be drawn before the first outcome to keep the seeded stream) plus one
-block, and ``shots`` is capped at :data:`SHOTS_CAP`.
+The draws are reduced at once to the two counts of +1 outcomes; the mean and
+standard error of each +-1 stream are closed forms of its count.  The
+register states are drawn in blocks of 2^16 (the chunking of integer draws
+is part of the seeded stream) and must all be drawn before the first
+outcome; the uniforms are drawn, compared with their shot's bias and
+counted in steps of 2^13 inside three buffers reused across steps, so a
+call allocates no temporaries per step.  Memory is two bytes per shot (the
+register states) plus those buffers, and ``shots`` is capped at
+:data:`SHOTS_CAP`.
+
+Both functions refuse a product that overflows (is not finite) with
+``InputError`` before any draw, as :func:`anyons.braids.evaluate` does.
 """
 
 from __future__ import annotations
@@ -36,8 +43,11 @@ DIM_CAP = 2 ** 10
 #: Cap on the shot count: at the cap the register states take 200 MB.
 SHOTS_CAP = 10 ** 8
 
-# Shots drawn and counted per numpy call.
+# Register states drawn per numpy call.
 _BLOCK = 2 ** 16
+
+# Uniforms drawn, compared and counted per step, in buffers reused across steps.
+_STEP = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -61,16 +71,33 @@ class TraceEstimate:
 
 def exact_normalized_trace(matrices: list[np.ndarray]) -> complex:
     """``Tr[prod_j U_j] / D`` for an ordered list of square matrices."""
+    prod = _product(matrices, from_identity=True)
+    return complex(np.trace(prod) / len(prod))
+
+
+def _product(matrices: list[np.ndarray], from_identity: bool = False) -> np.ndarray:
+    """Ordered product of equal square ``matrices``, leftmost first.
+
+    ``from_identity`` multiplies onto the identity first, which keeps the
+    signed zeros of :func:`exact_normalized_trace` as they always were.
+    Raises ``InputError`` on an empty list, unequal shapes or a product
+    that overflows.
+    """
     if not matrices:
         raise InputError("need at least one matrix")
     dim = matrices[0].shape[0]
     for m in matrices:
         if m.shape != (dim, dim):
             raise InputError("matrices must be square and of equal dimension")
-    prod = np.eye(dim, dtype=complex)
-    for m in matrices:
-        prod = prod @ m
-    return complex(np.trace(prod) / dim)
+    prod = np.asarray(matrices[0], dtype=complex)
+    if from_identity:
+        prod = np.eye(dim, dtype=complex) @ prod
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for m in matrices[1:]:
+            prod = prod @ m
+    if not np.all(np.isfinite(prod)):
+        raise InputError("the matrix product is not finite (an entry overflows or is NaN)")
+    return prod
 
 
 def hadamard_test_trace(
@@ -93,19 +120,11 @@ def hadamard_test_trace(
         raise InputError("shots must be >= 1")
     if shots > SHOTS_CAP:
         raise ResourceError(f"shots {shots} exceed cap {SHOTS_CAP}")
-    if not matrices:
-        raise InputError("need at least one matrix")
-    dim = matrices[0].shape[0]
-    if dim > DIM_CAP:
-        raise ResourceError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    for m in matrices:
-        if m.shape != (dim, dim):
-            raise InputError("matrices must be square and of equal dimension")
-    prod = np.asarray(matrices[0], dtype=complex)
-    for m in matrices[1:]:
-        prod = prod @ m
-    diag = np.diagonal(prod)
-    if np.max(np.abs(diag)) > 1.0 + 1e-9:
+    if matrices and matrices[0].shape[0] > DIM_CAP:
+        raise ResourceError(f"dimension {matrices[0].shape[0]} exceeds cap {DIM_CAP}")
+    diag = np.diagonal(_product(matrices))
+    dim = len(diag)
+    if not np.all(np.abs(diag) <= 1.0 + 1e-9):  # also refuses NaN
         raise InputError(
             "matrix elements exceed unit modulus; the Hadamard test needs "
             "a unitary product"
@@ -130,11 +149,22 @@ def hadamard_test_trace(
 
 
 def _plus_count(rng, bias: np.ndarray, states: np.ndarray) -> int:
-    """How many of the next ``len(states)`` uniforms lie below their shot's bias."""
+    """How many of the next ``len(states)`` uniforms lie below their shot's bias.
+
+    The uniforms come in steps of :data:`_STEP`; the draws, the gathered
+    biases and the comparisons go into three buffers reused across steps,
+    and the stream is that of one ``rng.random(len(states))``.
+    """
+    size = min(_STEP, len(states))
+    uniforms, biases = np.empty(size), np.empty(size)
+    below = np.empty(size, dtype=bool)
     count = 0
-    for lo in range(0, len(states), _BLOCK):
-        block = states[lo:lo + _BLOCK]
-        count += int(np.count_nonzero(rng.random(len(block)) < bias[block]))
+    for lo in range(0, len(states), _STEP):
+        n = min(_STEP, len(states) - lo)
+        u, b, hit = uniforms[:n], biases[:n], below[:n]
+        rng.random(out=u)
+        np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
+        count += int(np.count_nonzero(np.less(u, b, out=hit)))
     return count
 
 

@@ -14,9 +14,11 @@ Everything here deliberately avoids the code paths it checks:
   two gathers over the check matrix's edge-index arrays);
 * the correction oracle recomputes each probe string's full syndrome (the
   implementation reads it off the path endpoints);
-* the compile oracle scores every reduced word one at a time by its own
-  matrix product (the implementation scores prefix/suffix splits by
-  blocked quaternion dot products and rescores only near-ties);
+* the compile oracle scores every reduced word, each by its own matrix
+  product (the implementation scores prefix/suffix splits of one word per
+  projective element by blocked quaternion dot products and rescores only
+  near-ties), and the distinct-word oracle groups every word's own matrix
+  by projective distance (the implementation sorts rounded quaternions);
 * the pentagon and hexagon oracles scatter the tables into dense k^6 and
   k^3 tensors and contract them with ``np.einsum`` over the full label
   product, and the unitarity oracle multiplies every ``FSymbolTable.block``
@@ -101,23 +103,14 @@ def braid_permutation_cycles(word: BraidWord) -> int:
     return cycles
 
 
-def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, float]:
-    """Exhaustive gate compilation: every reduced word over ``s1^+-1, s2^+-1``.
-
-    Words are scanned by length, then lexicographically (letters as signed
-    integers), and one replaces the best so far only when it beats it by
-    more than ``COMPILE_TIE_EPS``; so the first member of every tie class
-    wins, which is the shorter, then lexicographically smaller, word.
-    """
-    rep = fib_qubit_rep() if rep is None else rep
+def _word_levels(rep, max_len: int):
+    """Each level of reduced words over ``s1^+-1, s2^+-1`` as a list of
+    ``(letters, matrix)``, lexicographically (letters as signed integers),
+    every matrix the product of its own word's generators."""
     alphabet = (-2, -1, 1, 2)
-    best = None
     level = [((), rep.identity())]
     for length in range(max_len + 1):
-        for letters, mat in level:
-            dist = projective_distance(target, mat)
-            if best is None or dist < best[0] - COMPILE_TIE_EPS:
-                best = (dist, letters)
+        yield level
         if length < max_len:
             level = [
                 (letters + (g,), mat @ rep.generator(g))
@@ -125,7 +118,43 @@ def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, floa
                 for g in alphabet
                 if not letters or letters[-1] != -g
             ]
+
+
+def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, float]:
+    """Exhaustive gate compilation: every reduced word over ``s1^+-1, s2^+-1``.
+
+    Words are scanned by length, then lexicographically (letters as signed
+    integers), and one replaces the best so far only when it beats it by
+    more than ``COMPILE_TIE_EPS``; so the first member of every tie class
+    wins, which is the shorter, then lexicographically smaller, word.  Each
+    level's distances come from one stacked ``projective_distance`` call,
+    whose every value equals the single-matrix one.
+    """
+    rep = fib_qubit_rep() if rep is None else rep
+    best = None
+    for level in _word_levels(rep, max_len):
+        dists = projective_distance(target, np.array([mat for _, mat in level]))
+        for (letters, _), dist in zip(level, dists):
+            if best is None or dist < best[0] - COMPILE_TIE_EPS:
+                best = (float(dist), letters)
     return BraidWord(rep.strands or 3, best[1]), best[0]
+
+
+def distinct_words_oracle(max_len: int) -> list[tuple[int, ...]]:
+    """The first reduced word of each projective element, in scan order.
+
+    Every Fibonacci word of up to ``max_len`` letters is compared, by
+    ``projective_distance`` of its own matrix product, with the first words
+    found so far; it starts a new element unless one of them lies within
+    1e-9 of it.
+    """
+    firsts, mats = [], np.empty((0, 2, 2), dtype=complex)
+    for level in _word_levels(fib_qubit_rep(), max_len):
+        for letters, mat in level:
+            if not firsts or np.min(projective_distance(mat, mats)) > 1e-9:
+                firsts.append(letters)
+                mats = np.concatenate([mats, mat[None]])
+    return firsts
 
 
 def segment_graph_loops(word: BraidWord, choices: tuple[str, ...]) -> int:

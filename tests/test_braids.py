@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anyons.braids import (
     BraidWord,
+    _distinct_words,
     abelian_rep,
     compile_gate,
     evaluate,
@@ -254,6 +255,20 @@ class TestProjectiveDistance:
             assert dist <= scanned + 1e-12
             assert scanned - dist <= 2 * np.pi / (n_phases - 1)
 
+    def test_stack_equals_single_matrix_values(self):
+        # the exhaustive compile oracle scores each level as one stack
+        from anyons.braids import projective_distance
+
+        rng = np.random.default_rng(5)
+        rep = fib_qubit_rep()
+        target = evaluate(rep, BraidWord(3, (1, -2, 1)))
+        stack = np.array(
+            [_su2_matrix(rng.uniform(-1, 1, 4), rng.uniform(0, 6)) for _ in range(50)]
+            + [np.exp(0.7j) * target, target, evaluate(rep, BraidWord(3, (2, 1)))]
+        )
+        singles = [projective_distance(target, m) for m in stack]
+        assert projective_distance(target, stack).tolist() == singles
+
     def test_zero_iff_equal_up_to_phase(self):
         from anyons.braids import projective_distance
 
@@ -296,13 +311,14 @@ class TestCompileGate:
     def test_meet_in_middle_matches_exhaustive(self):
         # a max_len whose prefix and suffix halves differ in length, against
         # the exhaustive scan with the same tie rule
-        from oracles import brute_force_compile
+        _assert_matches_exhaustive(np.array([[0, 1], [1, 0]], dtype=complex), 11)
 
-        target = np.array([[0, 1], [1, 0]], dtype=complex)
-        word_mitm, dist_mitm = compile_gate(target, max_len=11)
-        exhaustive_word, exhaustive_dist = brute_force_compile(target, 11)
-        assert dist_mitm == pytest.approx(exhaustive_dist, abs=1e-12)
-        assert word_mitm.letters == exhaustive_word.letters
+    @pytest.mark.parametrize("letters", [(), (1, 2, 1, -2, -2), (2, 2, 2, 2, 2, -1, 2, 1, 1)],
+                             ids=["identity", "word5", "word9"])
+    def test_meet_in_middle_matches_exhaustive_on_exact_ties(self, letters):
+        # targets that many words hit exactly, so words of one element tie
+        # at distance 0 and only the first may win
+        _assert_matches_exhaustive(evaluate(fib_qubit_rep(), BraidWord(3, letters)), 11)
 
     @pytest.mark.parametrize("max_len", range(9))
     @settings(max_examples=12)
@@ -327,6 +343,16 @@ class TestCompileGate:
         oracle_word, oracle_dist = brute_force_compile(target, max_len)
         assert word.letters == oracle_word.letters
         assert dist == pytest.approx(oracle_dist, abs=1e-12)
+
+    def test_one_word_per_projective_element(self):
+        # the search scores joins of these rows only: 690 elements among the
+        # 4,373 reduced words of up to 7 letters, each its first word
+        from oracles import distinct_words_oracle
+
+        letters, lengths, _, _ = _distinct_words(fib_qubit_rep(), [-2, -1, 1, 2], 7)
+        words = [tuple(int(g) for g in row[:n]) for row, n in zip(letters, lengths)]
+        assert len(words) == 690
+        assert words == distinct_words_oracle(7)
 
     def test_search_memory_is_bounded(self):
         import tracemalloc
@@ -355,6 +381,15 @@ class TestCompileGate:
             compile_gate(np.eye(2), 2, rep=tl_b3_rep(2.0))
         with pytest.raises(InputError):
             compile_gate(np.eye(2), 2, rep=abelian_rep(0.5))
+
+
+def _assert_matches_exhaustive(target, max_len):
+    from oracles import brute_force_compile
+
+    word, dist = compile_gate(target, max_len)
+    oracle_word, oracle_dist = brute_force_compile(target, max_len)
+    assert dist == pytest.approx(oracle_dist, abs=1e-12)
+    assert word.letters == oracle_word.letters
 
 
 def _su2_matrix(q, phase):

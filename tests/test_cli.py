@@ -127,6 +127,8 @@ class TestExitCodes:
         ["braid-check", "--rep", "tl", "--t", "1e300,0"],
         ["braid-check", "--rep", "tl", "--t", "1e-300,0"],
         ["braid-check", "--rep", "tl", "--t", "1e100,0", "--braid", "B3: s1 s1 s1 s1 s1"],
+        ["trace-est", "--rep", "tl", "--t", "1e90,0", "--braid",
+         "B3: s1 s1 s1 s1 s1 s1 s1 s1", "--shots", "100", "--seed", "1"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")
     def test_non_finite_or_bad_float_is_refused(self, argv, capsys):

@@ -120,6 +120,20 @@ class TestHadamardTest:
         with pytest.raises(InputError):
             hadamard_test_trace([off_arc.generator(1)], shots=10, seed=0)
 
+    def test_nan_diagonal_rejected(self):
+        with pytest.raises(InputError):
+            hadamard_test_trace([np.array([[np.nan, 0], [0, 1]])], shots=100, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_rejected_without_warnings(self):
+        from anyons.braids import tl_b3_rep
+
+        mats = [tl_b3_rep(1e90).generator(1)] * 8
+        with pytest.raises(InputError, match="not finite"):
+            exact_normalized_trace(mats)
+        with pytest.raises(InputError, match="not finite"):
+            hadamard_test_trace(mats, shots=100, seed=1)
+
     def test_errors(self):
         with pytest.raises(InputError):
             hadamard_test_trace([np.eye(2)], shots=0, seed=0)
@@ -143,10 +157,12 @@ class TestOutcomeCounts:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 1000])
     def test_same_draws_as_the_per_shot_oracle(self, dim):
-        # shot counts on both sides of the 2^16 draw block, at dims whose
-        # register draws take Lemire rejections
+        # shot counts on both sides of the 2^13 counting step and the 2^16
+        # register-state block, at dims whose register draws take Lemire
+        # rejections
         mats = [_diagonal_product(dim)]
-        for shots in (1, 2, 7, 65535, 65536, 65537, 100_000, 300_001):
+        for shots in (1, 2, 7, 8191, 8192, 8193, 16_385, 65535, 65536, 65537,
+                      100_000, 300_001):
             for basis_state in (None, dim - 1):
                 got = hadamard_test_trace(mats, shots, shots + dim, basis_state)
                 want = hadamard_test_trace_oracle(mats, shots, shots + dim, basis_state)
