@@ -139,39 +139,55 @@ def _rep_for(args) -> braids.BraidRep:
 
 @functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
+    """The parser, and the one registry of subcommands: each subparser carries
+    its handler and the package operations it reaches (directly or through
+    the functions it calls) as the defaults ``handler`` and ``operations``."""
     p = _Parser(prog="anyons", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("fusion-dim", help="fusion-space dimension")
+    def command(name, help, handler, operations):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, operations=operations)
+        return sp
+
+    sp = command("fusion-dim", "fusion-space dimension", _cmd_fusion_dim,
+                 ["fusion_space_dim", "fuse"])
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True, help="comma-separated labels")
     sp.add_argument("--total", required=True)
 
-    sp = sub.add_parser("fusion-trees", help="enumerate fusion trees")
+    sp = command("fusion-trees", "enumerate fusion trees", _cmd_fusion_trees,
+                 ["enumerate_fusion_trees", "fuse"])
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True)
     sp.add_argument("--total", required=True)
     sp.add_argument("--cap", type=int, default=fusion.TREE_CAP)
 
-    sp = sub.add_parser("qdims", help="quantum dimensions")
+    sp = command("qdims", "quantum dimensions", _cmd_qdims, ["quantum_dimensions"])
     sp.add_argument("--model", required=True)
     sp.add_argument("--tolerance", type=_positive_float, default=fusion.QDIM_TOL)
 
-    sp = sub.add_parser("entropy", help="total quantum dimension and entropy")
+    sp = command("entropy", "total quantum dimension and entropy", _cmd_entropy,
+                 ["total_dimension_entropy", "quantum_dimensions"])
     sp.add_argument("--model", required=True)
     sp.add_argument("--base", type=_log_base, default=None,
                     help="logarithm base (natural log when omitted)")
 
-    for name in ("pentagon", "hexagon"):
-        sp = sub.add_parser(name, help=f"{name} residual of built-in F/R data")
+    for name, handler, operations in (
+        ("pentagon", _cmd_pentagon,
+         ["fibonacci_data", "pentagon_residual", "f_unitarity_residual"]),
+        ("hexagon", _cmd_hexagon, ["fibonacci_data", "hexagon_residual"]),
+    ):
+        sp = command(name, f"{name} residual of built-in F/R data", handler, operations)
         sp.add_argument("--model", default="fibonacci")
         sp.add_argument("--f-json", default=None,
                         help="serialized F table file (overrides --model data)")
-        if name == "hexagon":
-            sp.add_argument("--r-json", default=None,
-                            help="serialized R table file")
+    sp.add_argument("--r-json", default=None,  # on the hexagon's parser, the last one
+                    help="serialized R table file")
 
-    sp = sub.add_parser("braid-check", help="braid-relation residual of a rep")
+    sp = command("braid-check", "braid-relation residual of a rep", _cmd_braid_check, [
+        "abelian_rep", "tl_b3_rep", "fib_qubit_rep", "relation_residual", "parse_braid",
+        "evaluate"])
     sp.add_argument("--rep", choices=("abelian", "tl", "fib"), required=True)
     sp.add_argument("--strands", type=int, default=3)
     sp.add_argument("--phi", type=_finite_float, default=np.pi,
@@ -180,24 +196,28 @@ def _build_parser() -> _Parser:
     sp.add_argument("--braid", default=None,
                     help="optional braid word to evaluate (round-trip check)")
 
-    sp = sub.add_parser("compile", help="meet-in-the-middle braid-word gate compilation")
+    sp = command("compile", "meet-in-the-middle braid-word gate compilation",
+                 _cmd_compile, ["compile_gate"])
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", type=int, required=True)
 
-    for name in ("jones", "bracket"):
-        sp = sub.add_parser(name, help=f"exact {name} of a braid closure")
+    for name, handler, operations in (
+        ("jones", _cmd_jones, ["parse_braid", "closure", "writhe", "jones", "kauffman_bracket"]),
+        ("bracket", _cmd_bracket, ["parse_braid", "kauffman_bracket", "bracket_tl_b3"]),
+    ):
+        sp = command(name, f"exact {name} of a braid closure", handler, operations)
         sp.add_argument("--braid", required=True)
         sp.add_argument("--t", default=None,
                         help="also evaluate at this complex t (re,im)")
         sp.add_argument("--cap", type=int, default=knots.CROSSING_CAP)
-        if name == "bracket":
-            sp.add_argument("--method", choices=("statesum", "tl"),
-                            default="statesum",
-                            help="statesum: the exact Laurent bracket (by a "
-                                 "Temperley-Lieb transfer); tl: the B_3 trace "
-                                 "formula evaluated at --t")
+    sp.add_argument("--method", choices=("statesum", "tl"),  # on the bracket's parser
+                    default="statesum",
+                    help="statesum: the exact Laurent bracket (by a "
+                         "Temperley-Lieb transfer); tl: the B_3 trace "
+                         "formula evaluated at --t")
 
-    sp = sub.add_parser("trace-est", help="Hadamard-test trace estimate")
+    sp = command("trace-est", "Hadamard-test trace estimate", _cmd_trace_est,
+                 ["exact_normalized_trace", "hadamard_test_trace", "evaluate"])
     sp.add_argument("--braid", required=True)
     sp.add_argument("--rep", choices=("fib", "tl", "abelian"), default="fib")
     sp.add_argument("--t", default="1,0")
@@ -205,68 +225,42 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shots", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
-    sp = sub.add_parser("toric", help="toric-code summary")
+    sp = command("toric", "toric-code summary", _cmd_toric, [
+        "ground_space_dim", "stabilizers_commute", "stabilizer_products_are_identity",
+        "dyon_braiding_phase", "commutation_phase", "string_operator", "syndrome", "correct",
+        "homology_class"])
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
 
-    sp = sub.add_parser("interferometer", help="charge/flux interferometer")
+    sp = command("interferometer", "charge/flux interferometer", _cmd_interferometer,
+                 ["interferometer_run", "build_stabilizers", "syndrome", "homology_class"])
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--beta", type=_finite_float, required=True)
     sp.add_argument("--braid", choices=("yes", "no"), required=True)
 
-    sub.add_parser("stringnet-check", help="Levin-Wen face-term residuals")
+    command("stringnet-check", "Levin-Wen face-term residuals", _cmd_stringnet_check,
+            ["vertex_projector", "face_operator", "face_term_checks"])
 
-    sp = sub.add_parser("honeycomb", help="honeycomb-model phase and coupling")
+    sp = command("honeycomb", "honeycomb-model phase and coupling", _cmd_honeycomb,
+                 ["honeycomb_phase", "honeycomb_effective_coupling"])
     sp.add_argument("--jx", type=_finite_float, required=True)
     sp.add_argument("--jy", type=_finite_float, required=True)
     sp.add_argument("--jz", type=_finite_float, required=True)
 
-    sp = sub.add_parser("cf-statistics", help="composite-fermion statistics")
+    sp = command("cf-statistics", "composite-fermion statistics", _cmd_cf_statistics,
+                 ["composite_fermion_statistics"])
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
 
-    sp = sub.add_parser("su2k", help="SU(2)_k fusion admissibility")
+    sp = command("su2k", "SU(2)_k fusion admissibility", _cmd_su2k, ["su2k_admissible"])
     sp.add_argument("--j1", required=True)
     sp.add_argument("--j2", required=True)
     sp.add_argument("--j", required=True)
     sp.add_argument("--k", type=int, required=True)
 
     return p
-
-
-# Which package operations each subcommand reaches (directly or through the
-# functions it calls); the coverage test checks this map spans the public API.
-OPERATION_COVERAGE = {
-    "fusion-dim": ["fusion_space_dim", "fuse"],
-    "fusion-trees": ["enumerate_fusion_trees", "fuse"],
-    "qdims": ["quantum_dimensions"],
-    "entropy": ["total_dimension_entropy", "quantum_dimensions"],
-    "pentagon": ["fibonacci_data", "pentagon_residual", "f_unitarity_residual"],
-    "hexagon": ["fibonacci_data", "hexagon_residual"],
-    "braid-check": [
-        "abelian_rep", "tl_b3_rep", "fib_qubit_rep", "relation_residual",
-        "parse_braid", "evaluate",
-    ],
-    "compile": ["compile_gate"],
-    "jones": ["parse_braid", "closure", "writhe", "jones", "kauffman_bracket"],
-    "bracket": ["parse_braid", "kauffman_bracket", "bracket_tl_b3"],
-    "trace-est": ["exact_normalized_trace", "hadamard_test_trace", "evaluate"],
-    "toric": [
-        "ground_space_dim", "stabilizers_commute",
-        "stabilizer_products_are_identity", "dyon_braiding_phase",
-        "commutation_phase", "string_operator", "syndrome", "correct",
-        "homology_class",
-    ],
-    "interferometer": [
-        "interferometer_run", "build_stabilizers", "syndrome", "homology_class",
-    ],
-    "stringnet-check": ["vertex_projector", "face_operator", "face_term_checks"],
-    "honeycomb": ["honeycomb_phase", "honeycomb_effective_coupling"],
-    "cf-statistics": ["composite_fermion_statistics"],
-    "su2k": ["su2k_admissible"],
-}
 
 
 def _cmd_fusion_dim(args) -> dict:
@@ -512,27 +506,6 @@ def _cmd_su2k(args) -> dict:
     }
 
 
-_HANDLERS = {
-    "fusion-dim": _cmd_fusion_dim,
-    "fusion-trees": _cmd_fusion_trees,
-    "qdims": _cmd_qdims,
-    "entropy": _cmd_entropy,
-    "pentagon": _cmd_pentagon,
-    "hexagon": _cmd_hexagon,
-    "braid-check": _cmd_braid_check,
-    "compile": _cmd_compile,
-    "jones": _cmd_jones,
-    "bracket": _cmd_bracket,
-    "trace-est": _cmd_trace_est,
-    "toric": _cmd_toric,
-    "interferometer": _cmd_interferometer,
-    "stringnet-check": _cmd_stringnet_check,
-    "honeycomb": _cmd_honeycomb,
-    "cf-statistics": _cmd_cf_statistics,
-    "su2k": _cmd_su2k,
-}
-
-
 def run(argv: list[str]) -> CommandResult:
     """Dispatch one invocation; never raises package errors.
 
@@ -541,7 +514,7 @@ def run(argv: list[str]) -> CommandResult:
     """
     try:
         args = _build_parser().parse_args(argv)
-        payload = {"schema": SCHEMA, **_HANDLERS[args.command](args)}
+        payload = {"schema": SCHEMA, **args.handler(args)}
     except ResourceError as exc:
         return CommandResult(2, error=str(exc))
     except InvariantViolation as exc:

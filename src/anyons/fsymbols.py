@@ -68,15 +68,25 @@ PENTAGON_TUPLE_CAP = 2**18
 _CODE_SPAN = 2**62
 
 
+def _allowed(model: AnyonModel, x, y, z) -> bool:
+    """Whether ``x, y -> z`` is an allowed fusion vertex, read from ``model.N``;
+    a vertex with an unknown label is not."""
+    index = model.index
+    try:
+        return bool(model.N[index[x], index[y], index[z]])
+    except KeyError:
+        return False
+
+
 def f_admissible(model: AnyonModel, a, b, c, d, i, j) -> bool:
     """True when all four vertex triples of ``F(abcd)^i_j`` are allowed:
     ``(a, b -> i)``, ``(i, c -> d)``, ``(b, c -> j)``, ``(a, j -> d)``."""
-    return bool(
-        model.n(a, b, i)
-        and model.n(i, c, d)
-        and model.n(b, c, j)
-        and model.n(a, j, d)
-    )
+    index, N = model.index, model.N
+    try:
+        a, b, c, d, i, j = index[a], index[b], index[c], index[d], index[i], index[j]
+    except KeyError:
+        return False
+    return bool(N[a, b, i] and N[i, c, d] and N[b, c, j] and N[a, j, d])
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,12 @@ class FSymbolTable:
         _f_values(self, _admissible_tuples(self.model)[0])
 
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
-        """The matrix ``F(abcd)^i_j`` with its admissible row/column labels."""
+        """The matrix ``F(abcd)^i_j`` with its admissible row/column labels;
+        an unknown label raises InputError."""
         m = self.model
-        rows = [i for i in m.labels if m.n(a, b, i) and m.n(i, c, d)]
-        cols = [j for j in m.labels if m.n(b, c, j) and m.n(a, j, d)]
+        A, B, C, D = (m.index[m.require_label(x)] for x in (a, b, c, d))
+        rows = [m.labels[i] for i in np.flatnonzero(np.logical_and(m.N[A, B], m.N[:, C, D]))]
+        cols = [m.labels[j] for j in np.flatnonzero(np.logical_and(m.N[B, C], m.N[A, :, D]))]
         mat = np.array(
             [[self.value(a, b, c, d, i, j) for j in cols] for i in rows],
             dtype=complex,
@@ -135,7 +147,7 @@ class RSymbolTable:
 
     def value(self, a, b, c) -> complex:
         key = (a, b, c)
-        if not self.model.n(a, b, c):
+        if not _allowed(self.model, *key):
             return 0.0
         try:
             return self.entries[key]
@@ -182,7 +194,7 @@ def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
             raise InputError(
                 f"{what} key {raw!r} has a label outside {list(model.labels)}"
             ) from None
-        if not (f_admissible(model, *key) if what == "F" else model.n(*key)):
+        if not (f_admissible(model, *key) if what == "F" else _allowed(model, *key)):
             raise InputError(f"{what} entry at {key}, which the fusion rules do not allow")
         if key in entries:
             raise InputError(f"{what} table lists {key} twice")
@@ -254,11 +266,7 @@ def _join(left: np.ndarray, right: np.ndarray, what: str) -> tuple[np.ndarray, n
 
 def _vertices(model: AnyonModel) -> np.ndarray:
     """The allowed fusion vertices ``(x, y -> z)`` as sorted rows of label indices."""
-    index = {label: i for i, label in enumerate(model.labels)}
-    rows = sorted(
-        (index[a], index[b], index[c]) for (a, b, c), m in model.fusion.items() if m
-    )
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return np.argwhere(model.N)
 
 
 def _admissible_tuples(model: AnyonModel) -> tuple[np.ndarray, str]:
@@ -394,7 +402,7 @@ def gauge_transform(
     which leaves the pentagon residual invariant.
     """
     for key, u in phases.items():
-        if not f.model.n(*key):
+        if not _allowed(f.model, *key):
             raise InputError(f"phase attached to non-allowed vertex {key}")
         if abs(abs(u) - 1.0) > 1e-12:
             raise InputError(f"gauge phase at {key} is not unit modulus")

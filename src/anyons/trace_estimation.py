@@ -22,7 +22,8 @@ outcome; the uniforms are drawn, compared with their shot's bias and
 counted in steps of 2^13 inside three buffers reused across steps, so a
 call allocates no temporaries per step.  Memory is two bytes per shot (the
 register states) plus those buffers, and ``shots`` is capped at
-:data:`SHOTS_CAP`.
+:data:`SHOTS_CAP`.  With ``basis_state`` there are no register states: the
+uniforms are compared with its one bias, and memory is the buffers alone.
 
 Both functions refuse a product that overflows (is not finite) with
 ``InputError`` before any draw, as :func:`anyons.braids.evaluate` does.
@@ -131,6 +132,7 @@ def hadamard_test_trace(
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
+    bias_x, bias_y = (1.0 + diag.real) / 2.0, (1.0 + diag.imag) / 2.0
     if basis_state is None:
         # int64 draws stored as uint16 (dim <= DIM_CAP): drawing uint16
         # directly would consume the stream differently
@@ -140,30 +142,34 @@ def hadamard_test_trace(
     else:
         if not (0 <= basis_state < dim):
             raise InputError(f"basis state {basis_state} out of range")
-        states = np.full(shots, basis_state, dtype=np.uint16)
-    kx = _plus_count(rng, (1.0 + diag.real) / 2.0, states)
-    ky = _plus_count(rng, (1.0 + diag.imag) / 2.0, states)
+        states, bias_x, bias_y = None, bias_x[basis_state], bias_y[basis_state]
+    kx = _plus_count(rng, bias_x, shots, states)
+    ky = _plus_count(rng, bias_y, shots, states)
 
     value = complex((2 * kx - shots) / shots, (2 * ky - shots) / shots)
     return TraceEstimate(value, _stderr(kx, shots), _stderr(ky, shots), shots, seed)
 
 
-def _plus_count(rng, bias: np.ndarray, states: np.ndarray) -> int:
-    """How many of the next ``len(states)`` uniforms lie below their shot's bias.
+def _plus_count(rng, bias, shots: int, states: np.ndarray | None) -> int:
+    """How many of the next ``shots`` uniforms lie below their shot's bias:
+    ``bias[states[shot]]``, or the scalar ``bias`` itself without ``states``.
 
     The uniforms come in steps of :data:`_STEP`; the draws, the gathered
     biases and the comparisons go into three buffers reused across steps,
-    and the stream is that of one ``rng.random(len(states))``.
+    and the stream is that of one ``rng.random(shots)``.
     """
-    size = min(_STEP, len(states))
+    size = min(_STEP, shots)
     uniforms, biases = np.empty(size), np.empty(size)
     below = np.empty(size, dtype=bool)
     count = 0
-    for lo in range(0, len(states), _STEP):
-        n = min(_STEP, len(states) - lo)
+    for lo in range(0, shots, _STEP):
+        n = min(_STEP, shots - lo)
         u, b, hit = uniforms[:n], biases[:n], below[:n]
         rng.random(out=u)
-        np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
+        if states is None:
+            b = bias
+        else:
+            np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
         count += int(np.count_nonzero(np.less(u, b, out=hit)))
     return count
 

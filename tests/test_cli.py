@@ -1,5 +1,6 @@
 """CLI dispatch, JSON stability, exit codes, operation coverage."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,8 +16,21 @@ from hypothesis import strategies as st
 
 import anyons
 from anyons import cli, fusion, toric
-from anyons.cli import OPERATION_COVERAGE, main, render, run
+from anyons.cli import main, render, run
 from anyons.trace_estimation import SHOTS_CAP
+
+
+def _subcommands() -> dict:
+    """Each subcommand's parser, by name, as the CLI registers it."""
+    (action,) = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Which package operations each subcommand reaches, read from the parser.
+OPERATION_COVERAGE = {
+    name: sp.get_default("operations") for name, sp in _subcommands().items()
+}
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -173,7 +187,8 @@ class TestExitCodes:
         assert cached == fresh
 
     def test_non_finite_output_is_an_invariant_violation(self, monkeypatch):
-        monkeypatch.setitem(cli._HANDLERS, "qdims", lambda args: {"x": float("nan")})
+        monkeypatch.setitem(_subcommands()["qdims"]._defaults, "handler",
+                            lambda args: {"x": float("nan")})
         res = run(["qdims", "--model", "fibonacci"])
         assert res.status == 3 and res.payload is None and render(res) == ""
         assert "non-finite" in res.error
@@ -543,14 +558,10 @@ class TestCoverage:
             assert hasattr(anyons, op), op
 
     def test_coverage_map_matches_parser(self):
-        from anyons.cli import _build_parser
-
-        parser = _build_parser()
-        subcommands = set()
-        for action in parser._actions:
-            if hasattr(action, "choices") and action.choices:
-                subcommands = set(action.choices)
-        assert subcommands == set(OPERATION_COVERAGE)
+        assert len(_subcommands()) == 17
+        for name, sp in _subcommands().items():
+            assert callable(sp.get_default("handler")), name
+            assert sp.get_default("operations"), name
 
 
 SMOKE_INVOCATIONS = [
@@ -630,6 +641,15 @@ class TestModelFileInput:
         res = run(["fusion-dim", "--model", f"@{path}", "--inputs", "1,3", "--total", "0"])
         assert res.status == 0
         assert json.loads(render(res))["dim"] == 1
+
+    def test_multiplicity_past_int64_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads(fusion.fibonacci_model().to_json())
+        doc["fusion"][-1][3] = 10 ** 29
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["qdims", "--model", f"@{path}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "int64" in err
 
     def test_symbol_tables_from_files(self, tmp_path):
         from anyons.fsymbols import fibonacci_data

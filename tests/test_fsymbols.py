@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from anyons import fsymbols
 from anyons.errors import CompletenessError, InputError, InvariantViolation, ResourceError
 from anyons.fsymbols import (
+    FIB_F1111,
     PENTAGON_TUPLE_CAP,
     FSymbolTable,
     RSymbolTable,
@@ -122,6 +123,18 @@ class TestFibonacciValues:
         _, f, _ = fib_data
         assert f.value(0, 0, 0, 1, 0, 0) == 0.0
         assert f.value(1, 1, 1, 1, 0, 2) == 0.0  # unknown label never admissible
+        _, _, r = fib_data
+        assert r.value(0, 1, 0) == 0.0 and r.value(1, 1, 2) == 0.0
+
+    def test_block(self, fib_data):
+        _, f, _ = fib_data
+        rows, cols, mat = f.block(1, 1, 1, 1)
+        assert rows == cols == [0, 1]
+        np.testing.assert_array_equal(mat, FIB_F1111)
+        rows, cols, mat = f.block(0, 0, 0, 1)
+        assert rows == cols == [] and mat.shape == (0, 0)
+        with pytest.raises(InputError, match="unknown label 2"):
+            f.block(1, 1, 1, 2)
 
     def test_unit_modulus_r(self, fib_data):
         _, _, r = fib_data

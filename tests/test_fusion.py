@@ -1,8 +1,10 @@
 """Fusion algebra: products, dimensions, trees, quantum dimensions."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from oracles import brute_force_tree_count
 
 PHI = (1 + math.sqrt(5)) / 2
 FIB = fibonacci_model()
+FIB_FUSION = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}
 
 
 class TestFuse:
@@ -63,6 +66,11 @@ class TestFusionSpaceDim:
     def test_frozen_large_values(self):
         assert fusion_space_dim(FIB, [1] * 20, 1) == 6765
         assert fusion_space_dim(FIB, [1] * 21, 1) == 10946
+
+    def test_exact_past_int64(self):
+        # Fib(100) > 2^63: the counts are Python integers, not int64
+        dim = fusion_space_dim(FIB, [1] * 100, 1)
+        assert dim == 354224848179261915075 and type(dim) is int
 
     def test_growth_ratio_approaches_phi(self):
         d30 = fusion_space_dim(FIB, [1] * 30, 1)
@@ -239,3 +247,65 @@ class TestModels:
                     (1, 0, 0): 1,
                 },
             )
+
+    @pytest.mark.parametrize("labels, dual, fusion, message", [
+        pytest.param((0, 1), {0: 0, 1: 1}, {(0, 0, 0): 1, (1, 1, 0): 1},
+                     r"vacuum is not a fusion identity at \(1, 1\)", id="vacuum"),
+        pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 0, 0): 1},
+                     r"fusion not commutative at \(0, 1, 0\)", id="non-commutative"),
+        pytest.param((0, 1, 2), {0: 0, 1: 1, 2: 2},
+                     {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)},
+                     "1 does not annihilate with its dual", id="dual"),
+        pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 7, 1): 1},
+                     "unknown label 7", id="unknown-label"),
+        pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): -1},
+                     r"multiplicity at \(1, 1, 1\) is not a non-negative integer",
+                     id="negative"),
+        pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 1.5},
+                     r"multiplicity at \(1, 1, 1\) is not a non-negative integer",
+                     id="non-integer"),
+        pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 2 ** 63},
+                     "does not fit in int64", id="int64-overflow"),
+    ])
+    def test_each_refusal_names_its_cause(self, labels, dual, fusion, message):
+        with pytest.raises(InputError, match=message):
+            AnyonModel(labels, 0, dual, fusion)
+
+    def test_largest_int64_multiplicity_accepted(self):
+        model = AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 2 ** 63 - 1})
+        assert model.N[1, 1, 1] == 2 ** 63 - 1
+
+    def test_fusion_tensor_array(self):
+        assert FIB.N.dtype == np.int64 and FIB.N.shape == (2, 2, 2)
+        assert not FIB.N.flags.writeable
+        assert FIB.N.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+        for model in (FIB, zd_model(3), toric_model()):
+            for a, b, c in itertools.product(model.labels, repeat=3):
+                index = [model.index[x] for x in (a, b, c)]
+                assert model.N[tuple(index)] == model.n(a, b, c)
+
+    @pytest.mark.parametrize("model, text", [
+        (FIB, '{"dual": [[0, 0], [1, 1]], "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], '
+              '[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], "labels": [0, 1], '
+              '"name": "fibonacci", "vacuum": 0}'),
+        (toric_model(),
+         '{"dual": [["1", "1"], ["e", "e"], ["m", "m"], ["em", "em"]], "fusion": '
+         '[["1", "1", "1", 1], ["1", "e", "e", 1], ["1", "m", "m", 1], '
+         '["1", "em", "em", 1], ["e", "1", "e", 1], ["e", "e", "1", 1], '
+         '["e", "m", "em", 1], ["e", "em", "m", 1], ["m", "1", "m", 1], '
+         '["m", "e", "em", 1], ["m", "m", "1", 1], ["m", "em", "e", 1], '
+         '["em", "1", "em", 1], ["em", "e", "m", 1], ["em", "m", "e", 1], '
+         '["em", "em", "1", 1]], "labels": ["1", "e", "m", "em"], "name": "toric", '
+         '"vacuum": "1"}'),
+        (zd_model(3),
+         '{"dual": [[0, 0], [1, 2], [2, 1]], "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], '
+         '[0, 2, 2, 1], [1, 0, 1, 1], [1, 1, 2, 1], [1, 2, 0, 1], [2, 0, 2, 1], '
+         '[2, 1, 0, 1], [2, 2, 1, 1]], "labels": [0, 1, 2], "name": "z_d:3", '
+         '"vacuum": 0}'),
+        (AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 2}),
+         '{"dual": [[0, 0], [1, 1]], "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], '
+         '[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 2]], "labels": [0, 1], "name": "", '
+         '"vacuum": 0}'),
+    ], ids=["fibonacci", "toric", "z_d:3", "multiplicity-2"])
+    def test_json_bytes(self, model, text):
+        assert model.to_json() == text

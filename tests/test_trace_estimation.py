@@ -181,3 +181,15 @@ class TestOutcomeCounts:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
+
+    def test_basis_state_keeps_no_per_shot_array(self):
+        # one bias for every shot: only the step buffers, no register states
+        mats = [np.diag([1, 1j])]
+        hadamard_test_trace(mats, 10, 3, basis_state=1)  # one-time lazy imports
+        tracemalloc.start()
+        try:
+            hadamard_test_trace(mats, 10 ** 7, 3, basis_state=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
