@@ -20,9 +20,10 @@ unitary.
 An R symbol ``R(a,b -> c)`` is the phase acquired when ``a`` and ``b`` are
 exchanged counterclockwise in fusion channel ``c``.
 
-Every check runs over the admissible tuples only.  Each check enumerates
-them as an ``(m, 6)`` array of label indices, by joining the allowed fusion
-vertices of the two trees above.  Each side of the pentagon
+Every check runs over the admissible tuples only.  Each table holds them,
+enumerated once at construction, as an ``(m, 6)`` array of label indices
+(joining the allowed fusion vertices of the two trees above) with its
+values in the same row order.  Each side of the pentagon
 and hexagon equations is a join of those rows on their shared labels, with
 the contracted label summed over int64 tuple codes, and the residual is the
 worst absolute deviation over the union of the two sides' supports:
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -91,22 +92,29 @@ def f_admissible(model: AnyonModel, a, b, c, d, i, j) -> bool:
 
 @dataclass(frozen=True)
 class FSymbolTable:
-    """Complete map of admissible ``(a, b, c, d, i, j)`` tuples to values."""
+    """Complete map of admissible ``(a, b, c, d, i, j)`` tuples to values.
+
+    Built once from those, read-only and neither compared nor printed:
+    ``rows``, the admissible tuples as a sorted ``(m, 6)`` array of label
+    indices; ``values``, the entries at those rows; ``non_square``, the
+    message naming the first non-square block, or ``""``.  A missing
+    admissible entry raises CompletenessError, naming the first in label order.
+    """
 
     model: AnyonModel
     entries: dict[tuple[Label, Label, Label, Label, Label, Label], complex]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    non_square: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, non_square = _admissible_tuples(self.model)
+        _hold(self, rows, "F table missing admissible entry")
+        object.__setattr__(self, "non_square", non_square)
 
     def value(self, a, b, c, d, i, j) -> complex:
         key = (a, b, c, d, i, j)
-        if not f_admissible(self.model, *key):
-            return 0.0
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise CompletenessError(f"F table missing admissible entry {key}") from None
-
-    def check_complete(self):
-        _f_values(self, _admissible_tuples(self.model)[0])
+        return self.entries[key] if f_admissible(self.model, *key) else 0.0
 
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
         """The matrix ``F(abcd)^i_j`` with its admissible row/column labels;
@@ -140,22 +148,21 @@ class FSymbolTable:
 
 @dataclass(frozen=True)
 class RSymbolTable:
-    """Map of allowed exchange triples ``(a, b, c)`` to unit-modulus phases."""
+    """Complete map of allowed exchange triples ``(a, b, c)`` to unit-modulus
+    phases; ``rows`` holds the allowed vertices and ``values`` the entries at
+    them, as in :class:`FSymbolTable`."""
 
     model: AnyonModel
     entries: dict[tuple[Label, Label, Label], complex]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _hold(self, _vertices(self.model), "R table missing allowed entry")
 
     def value(self, a, b, c) -> complex:
         key = (a, b, c)
-        if not _allowed(self.model, *key):
-            return 0.0
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise CompletenessError(f"R table missing allowed entry {key}") from None
-
-    def check_complete(self):
-        _r_data(self)
+        return self.entries[key] if _allowed(self.model, *key) else 0.0
 
     def to_json(self) -> str:
         doc = {
@@ -307,23 +314,17 @@ def _label_rows(model: AnyonModel, rows: np.ndarray) -> list[tuple]:
     return list(zip(*labels[rows.T].tolist()))
 
 
-def _values(entries: dict, keys: list[tuple], missing: str) -> np.ndarray:
+def _hold(table, rows: np.ndarray, missing: str):
+    """Set ``table.rows`` and ``table.values``, the entries at ``rows`` in row
+    order, both read-only; the first missing entry raises CompletenessError."""
     try:
-        return np.array([entries[key] for key in keys], dtype=complex)
+        values = np.array([table.entries[key] for key in _label_rows(table.model, rows)],
+                          dtype=complex)
     except KeyError as exc:
         raise CompletenessError(f"{missing} {exc.args[0]}") from None
-
-
-def _f_values(f: FSymbolTable, rows: np.ndarray) -> np.ndarray:
-    """The values of ``f`` at admissible rows; missing ones raise CompletenessError."""
-    return _values(f.entries, _label_rows(f.model, rows), "F table missing admissible entry")
-
-
-def _r_data(r: RSymbolTable) -> tuple[np.ndarray, np.ndarray]:
-    """Allowed vertices of ``r``'s model and their values."""
-    vertices = _vertices(r.model)
-    keys = _label_rows(r.model, vertices)
-    return vertices, _values(r.entries, keys, "R table missing allowed entry")
+    rows.flags.writeable = values.flags.writeable = False
+    object.__setattr__(table, "rows", rows)
+    object.__setattr__(table, "values", values)
 
 
 def _max_deviation(k: int, lhs_key, lhs: np.ndarray, rhs_key, rhs: np.ndarray) -> float:
@@ -438,9 +439,8 @@ def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    rows, _ = _admissible_tuples(model)
     k = len(model.labels)
-    A, B, C, D, I, J = rows.T
+    A, B, C, D, I, J = f.rows.T
     # left side: row p is (f,c,d,e,g,l), row q is (a,b,l,e,f,k); shared f, l, e
     lp, lq = _join(*_shared_codes(k, [A, J, D], [I, C, D]), "the pentagon")
     lhs_key = [A[lq], B[lq], B[lp], C[lp], D[lp], A[lp], I[lp], J[lq], J[lp]]
@@ -452,8 +452,7 @@ def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     )
     p, q = p[pq], q[pq]
     rhs_key = [A[p], B[p], C[p], C[q], D[q], I[p], D[p], J[q], J[s]]
-    # the joins above hold the caps; the values are read only now
-    v = _f_values(f, rows)
+    v = f.values
     lhs = v[lp] * v[lq]
     rhs = v[p] * v[q] * v[s]
     return _max_deviation(k, lhs_key, lhs, rhs_key, rhs)
@@ -469,24 +468,22 @@ def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> flo
     """
     if f.model != model or r.model != model:
         raise InputError("symbol tables belong to a different model")
-    rows, _ = _admissible_tuples(model)
     k = len(model.labels)
-    A, B, C, D, I, J = rows.T
+    A, B, C, D, I, J = f.rows.T
     # right side: row p is (l,k,m,j,p,r), row q is (m,l,k,j,q,p); shared l, k, m, j, p
     p, q = _join(*_shared_codes(k, [A, B, C, D, I], [B, C, A, D, J]), "the hexagon")
-    v = _f_values(f, rows)
-    vertices, rv = _r_data(r)
+    v, rv = f.values, r.values
     # Fusion is commutative, so R(m,k,r), R(m,l,q) and R(m,p,j) of a row
     # (l,m,k,j,q,r) or (l,k,m,j,p,r) sit at allowed vertices, and every
     # right-side term's (l,m,k,j,q,r) is an admissible row: the left side's
     # rows carry the union of both supports.
     known, asked = _shared_codes(
-        k, list(vertices.T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
+        k, list(r.rows.T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
     )
-    r_mkr, r_mlq, r_mpj = rv[known.searchsorted(asked)].reshape(3, len(rows))
+    r_mkr, r_mlq, r_mpj = rv[known.searchsorted(asked)].reshape(3, len(v))
     lhs = r_mkr * v * r_mlq
     known, asked = _shared_codes(k, [A, B, C, D, I, J], [A[p], C[p], B[p], D[p], I[q], J[p]])
-    rhs = np.zeros(len(rows), dtype=complex)
+    rhs = np.zeros(len(v), dtype=complex)
     np.add.at(rhs, known.searchsorted(asked), v[p] * r_mpj[p] * v[q])
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -495,15 +492,14 @@ def f_unitarity_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """``max over (a,b,c,d) of max-entry norm of F(abcd) F(abcd)^dag - 1``."""
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    rows, non_square = _admissible_tuples(model)
-    if non_square:
-        raise InvariantViolation(non_square)
+    if f.non_square:
+        raise InvariantViolation(f.non_square)
     k = len(model.labels)
+    rows, v = f.rows, f.values
     A, B, C, D, I, J = rows.T
     # (F F^dag)^i_i' sums over pairs of entries sharing (a, b, c, d, j)
     abcdj = _codes(k, [A, B, C, D, J])
     p, q = _join(abcdj, abcdj, "the unitarity check")
-    v = _f_values(f, rows)
     # the identity: one 1 per row label i of each block
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:, :5] != rows[:-1, :5], axis=1)

@@ -39,6 +39,17 @@ QDIM_MAX_ITER = 100_000
 #: ``cap`` argument can lower it, not raise it.
 TREE_CAP = 200_000
 
+#: Most labels an :class:`AnyonModel` may have, checked before its
+#: ``(k, k, k)`` int64 tensor is allocated: building and checking a model at
+#: the cap holds that tensor and two byte copies of it, 3 * 8 * 128^3 bytes,
+#: about 50 MB.
+LABEL_CAP = 128
+
+#: Most decimal digits a fusion-space dimension may have: the default limit
+#: of Python's int-to-str conversion, past which the exact count cannot be
+#: printed.
+DIM_DIGITS_CAP = 4300
+
 #: Largest ``d`` that :func:`named_model` builds for ``z_d:<d>``.  Building a
 #: model fills its d^3 tensor and checks it with array comparisons, and the
 #: quantum dimensions iterate a d x d matrix: z_d:64 builds in about 5 ms
@@ -83,14 +94,16 @@ class AnyonModel:
             raise InputError(f"labels {list(self.labels)} are not all hashable") from None
         if len(index) != len(self.labels):
             raise InputError(f"labels {list(self.labels)} repeat")
-        if self.vacuum not in self.labels:
+        if self.vacuum not in index:
             raise InputError(f"vacuum {self.vacuum!r} not among labels")
         for a, b in self.dual.items():
-            if a not in self.labels or b not in self.labels:
+            if a not in index or b not in index:
                 raise InputError(f"dual map mentions unknown label {a!r} or {b!r}")
         if len(self.dual) != len(self.labels):
             raise InputError("dual map must give every label a dual")
         k = len(self.labels)
+        if k > LABEL_CAP:
+            raise ResourceError(f"{k} labels exceed the cap of {LABEL_CAP}")
         N = np.zeros((k, k, k), dtype=np.int64)
         for (a, b, c), m in self.fusion.items():
             if not isinstance(m, (int, np.integer)) or m < 0:
@@ -135,7 +148,7 @@ class AnyonModel:
         return self.fusion.get((a, b, c), 0)
 
     def require_label(self, a: Label) -> Label:
-        if a not in self.labels:
+        if a not in self.index:
             raise InputError(f"unknown label {a!r} (model has {list(self.labels)})")
         return a
 
@@ -260,11 +273,22 @@ def fusion_space_dim(model: AnyonModel, inputs: Sequence[Label], total: Label) -
     One contraction per leaf: the vector of path counts per running outcome
     is multiplied by the leaf's slice ``N[:, leaf, :]``.  The counts and the
     slices are Python integers (object arrays), so they stay exact past int64.
+    Each step multiplies the total count by at most the largest row sum of a
+    leaf slice, so an input for which that bound could reach
+    :data:`DIM_DIGITS_CAP` digits raises ResourceError before any step.
     """
     if not inputs:
         raise InputError("inputs must be non-empty")
     *leaves, t = [model.index[model.require_label(a)] for a in (*inputs, total)]
-    slices = {leaf: model.N[:, leaf].astype(object) for leaf in set(leaves[1:])}
+    distinct = sorted(set(leaves[1:]))
+    # a row sum is below k * 2^63, so only long inputs need the row sums
+    if (len(leaves) - 1) * math.log10(len(model.labels) * 2.0**63) >= DIM_DIGITS_CAP:
+        rows = model.N[:, distinct].sum(axis=2, dtype=float)  # floats: no int64 overflow
+        if (len(leaves) - 1) * math.log10(rows.max(initial=1.0)) >= DIM_DIGITS_CAP:
+            raise ResourceError(
+                f"the dimension of {len(leaves)} leaves could exceed {DIM_DIGITS_CAP} digits"
+            )
+    slices = {leaf: model.N[:, leaf].astype(object) for leaf in distinct}
     counts = np.zeros(len(model.labels), dtype=object)
     counts[leaves[0]] = 1
     for leaf in leaves[1:]:

@@ -275,7 +275,6 @@ def _dense(model, entries, rank: int) -> np.ndarray:
 
 def pentagon_oracle(model, f) -> float:
     """Dense pentagon residual: two k^9 einsum outputs over the label product."""
-    f.check_complete()
     fv = _dense(model, f.entries, 6)
     lhs = np.einsum("fcdegl,ablefk->abcdefgkl", fv, fv)
     rhs = np.einsum("abcgfh,ahdegk,bcdkhl->abcdefgkl", fv, fv, fv)
@@ -284,8 +283,6 @@ def pentagon_oracle(model, f) -> float:
 
 def hexagon_oracle(model, f, r) -> float:
     """Dense hexagon residual: two k^6 einsum outputs over the label product."""
-    f.check_complete()
-    r.check_complete()
     fv = _dense(model, f.entries, 6)
     rv = _dense(model, r.entries, 3)
     lhs = np.einsum("mkr,lmkjqr,mlq->mkljqr", rv, fv, rv)
@@ -295,7 +292,6 @@ def hexagon_oracle(model, f, r) -> float:
 
 def f_unitarity_oracle(model, f) -> float:
     """``max |F F^dag - 1|`` block by block over every ``(a, b, c, d)``."""
-    f.check_complete()
     worst = 0.0
     for abcd in itertools.product(model.labels, repeat=4):
         rows, cols, mat = f.block(*abcd)

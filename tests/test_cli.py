@@ -8,6 +8,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -33,6 +34,21 @@ OPERATION_COVERAGE = {
 }
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+#: A model file of 10,000 labels (about 200 KB), whose (k, k, k) fusion
+#: tensor would need 7.28 TiB; :func:`_write_big_model` writes it.
+BIG_MODEL = pathlib.Path(tempfile.gettempdir()) / "anyons-test-10000-labels.json"
+
+#: ``fusion-dim`` over 30,000 Fibonacci leaves: the exact dimension has over
+#: 6,000 digits, past what Python prints.
+LONG_FUSION_DIM = ["fusion-dim", "--model", "fibonacci", "--inputs", ",".join(["1"] * 30_000),
+                   "--total", "0"]
+
+
+def _write_big_model(path: pathlib.Path):
+    labels = list(range(10_000))
+    path.write_text(json.dumps({"labels": labels, "vacuum": 0, "name": "big",
+                                "dual": [[a, a] for a in labels], "fusion": [[0, 0, 0, 1]]}))
 
 GOLDEN_CASES = {
     "fusion_dim_fibonacci.json": [
@@ -80,7 +96,15 @@ class TestExitCodes:
         assert run(["unknown-subcommand"]).status == 1
         assert run(["toric", "--lx", "2", "--ly", "2", "--d", "4"]).status == 1
 
-    def test_resource_error(self):
+    def test_resource_error(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        _write_big_model(big)
+        for argv in (["qdims", "--model", f"@{big}"], LONG_FUSION_DIM):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
         res = run(["jones", "--braid", "B2: " + " ".join(["s1"] * 30)])
         assert res.status == 2
         res = run(["compile", "--target", "identity", "--max-len", "20"])
@@ -473,6 +497,12 @@ def _other_argv(draw):
 class TestEveryOtherCommandFuzz:
     """Every subcommand that the knot and consistency fuzzes do not reach."""
 
+    @pytest.fixture(scope="class", autouse=True)
+    def big_model(self):
+        _write_big_model(BIG_MODEL)
+        yield
+        BIG_MODEL.unlink()
+
     def test_covers_every_other_subcommand(self):
         fuzzed = set(_SUBCOMMAND_FLAGS) | {"jones", "bracket", "pentagon", "hexagon"}
         assert fuzzed == set(OPERATION_COVERAGE)
@@ -492,6 +522,8 @@ class TestEveryOtherCommandFuzz:
               "--seed", "1"])
     @example(["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(["1"] * 30),
               "--total", "1", "--cap", "100000000"])
+    @example(["qdims", "--model", f"@{BIG_MODEL}"])
+    @example(LONG_FUSION_DIM)
     def test_exit_code_and_strict_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

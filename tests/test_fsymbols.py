@@ -1,5 +1,6 @@
 """F/R symbol data, consistency residuals, admissibility."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from anyons.fsymbols import (
     su2k_admissible,
     trivial_data,
 )
-from anyons.fusion import AnyonModel, fibonacci_model, toric_model, zd_model
+from anyons.fusion import AnyonModel, fibonacci_model, named_model, toric_model, zd_model
 from oracles import f_unitarity_oracle, hexagon_oracle, pentagon_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -199,17 +200,130 @@ class TestResiduals:
         model, f, _ = fib_data
         entries = dict(f.entries)
         del entries[(1, 1, 1, 1, 0, 0)]
-        broken = FSymbolTable(model, entries)
         with pytest.raises(CompletenessError, match=r"1, 1, 1, 1, 0, 0"):
-            pentagon_residual(model, broken)
+            FSymbolTable(model, entries)
 
     def test_missing_r_entry_named(self, fib_data):
-        model, f, r = fib_data
+        model, _, r = fib_data
         entries = dict(r.entries)
         del entries[(1, 1, 1)]
-        broken = RSymbolTable(model, entries)
         with pytest.raises(CompletenessError, match=r"1, 1, 1"):
-            hexagon_residual(model, f, broken)
+            RSymbolTable(model, entries)
+
+
+class TestTablesHoldTheirRows:
+    """The residuals read the rows and values a table built once."""
+
+    @pytest.mark.parametrize("name", ["fibonacci", "z_d:3", "random su2_3"])
+    def test_residuals_never_enumerate(self, monkeypatch, name):
+        if name == "fibonacci":
+            model, f, r = fibonacci_data()
+        elif name == "z_d:3":
+            model = zd_model(3)
+            f, r = trivial_data(model)
+        else:
+            model = su2k_model(3)
+            f, r = random_tables(model, 5)
+        want = (pentagon_residual(model, f), hexagon_residual(model, f, r),
+                f_unitarity_residual(model, f))
+
+        def refuse(*args):
+            raise AssertionError("a residual enumerated its tuples again")
+
+        monkeypatch.setattr(fsymbols, "_admissible_tuples", refuse)
+        monkeypatch.setattr(fsymbols, "_vertices", refuse)
+        got = (pentagon_residual(model, f), hexagon_residual(model, f, r),
+               f_unitarity_residual(model, f))
+        assert got == want
+
+    def test_rows_and_values_follow_the_entries(self, fib_data):
+        model, f, r = fib_data
+        labels = np.array(model.labels)
+        assert [tuple(row) for row in labels[f.rows].tolist()] == sorted(f.entries)
+        assert f.values.tolist() == [f.entries[key] for key in sorted(f.entries)]
+        assert [tuple(row) for row in labels[r.rows].tolist()] == list(r.entries)
+        assert r.values.tolist() == list(r.entries.values())
+        assert f.non_square == ""
+        for array in (f.rows, f.values, r.rows, r.values):
+            assert not array.flags.writeable
+
+    def test_held_arrays_stay_out_of_equality_and_repr(self, fib_data):
+        model, f, r = fib_data
+        assert FSymbolTable(model, dict(f.entries)) == f
+        assert RSymbolTable(model, dict(r.entries)) == r
+        assert "rows" not in repr(f) and "values" not in repr(r)
+
+
+#: ``to_json`` of the Fibonacci tables, byte for byte, as the dict-only
+#: tables wrote them.
+FIB_F_JSON = (
+    '{"entries": [[[0, 0, 0, 0, 0, 0], [1.0, 0.0]], [[0, 0, 1, 1, 0, 1], [1.0, 0.0]], '
+    '[[0, 1, 0, 1, 1, 1], [1.0, 0.0]], [[0, 1, 1, 0, 1, 0], [1.0, 0.0]], '
+    '[[0, 1, 1, 1, 1, 1], [1.0, 0.0]], [[1, 0, 0, 1, 1, 0], [1.0, 0.0]], '
+    '[[1, 0, 1, 0, 1, 1], [1.0, 0.0]], [[1, 0, 1, 1, 1, 1], [1.0, 0.0]], '
+    '[[1, 1, 0, 0, 0, 1], [1.0, 0.0]], [[1, 1, 0, 1, 1, 1], [1.0, 0.0]], '
+    '[[1, 1, 1, 0, 1, 1], [1.0, 0.0]], [[1, 1, 1, 1, 0, 0], [0.6180339887498948, 0.0]], '
+    '[[1, 1, 1, 1, 0, 1], [0.7861513777574233, 0.0]], '
+    '[[1, 1, 1, 1, 1, 0], [0.7861513777574233, 0.0]], '
+    '[[1, 1, 1, 1, 1, 1], [-0.6180339887498948, 0.0]]], '
+    '"model": {"dual": [[0, 0], [1, 1]], "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], '
+    '[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], "labels": [0, 1], "name": "fibonacci", '
+    '"vacuum": 0}}'
+)
+FIB_R_JSON = (
+    '{"entries": [[[0, 0, 0], [1.0, 0.0]], [[0, 1, 1], [1.0, 0.0]], '
+    '[[1, 0, 1], [1.0, 0.0]], [[1, 1, 0], [-0.8090169943749473, 0.5877852522924732]], '
+    '[[1, 1, 1], [-0.30901699437494745, -0.9510565162951535]]], '
+    '"model": {"dual": [[0, 0], [1, 1]], "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], '
+    '[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], "labels": [0, 1], "name": "fibonacci", '
+    '"vacuum": 0}}'
+)
+
+#: (pentagon, hexagon, unitarity) residuals as ``float.hex``, as the
+#: dict-only tables computed them: the named models' own data, then
+#: ``random_tables(model, 11)``.
+RESIDUAL_PINS = {
+    "fibonacci": ("0x1.0000000000000p-53", "0x1.6a09e667f3bcdp-53", "0x1.0000000000000p-53"),
+    **{name: ("0x0.0p+0",) * 3 for name in ("toric", "z_d:3", "z_d:4", "z_d:5", "z_d:6")},
+}
+RANDOM_RESIDUAL_PINS = {
+    "fibonacci": ("0x1.df988fad6c6a6p+2", "0x1.2d1797376f601p+2", "0x1.019705ab522acp+2"),
+    "toric": ("0x1.ffe2665de20adp+2", "0x1.6b2aba749f3a0p+3", "0x1.d6b74b8c13beep+2"),
+    "z_d:3": ("0x1.a287b7bec3358p+2", "0x1.96041868b4c19p+2", "0x1.acd99fae2d5a2p+1"),
+    "z_d:4": ("0x1.577aa5be8a60fp+3", "0x1.6b2aba749f3a0p+3", "0x1.d6b74b8c13beep+2"),
+}
+
+
+def _residual_hex(model, f, r) -> tuple[str, str, str]:
+    return (pentagon_residual(model, f).hex(), hexagon_residual(model, f, r).hex(),
+            f_unitarity_residual(model, f).hex())
+
+
+class TestPinnedOutputs:
+    def test_fibonacci_table_bytes(self, fib_data):
+        _, f, r = fib_data
+        assert f.to_json() == FIB_F_JSON
+        assert r.to_json() == FIB_R_JSON
+
+    def test_z_d_3_trivial_table_bytes(self):
+        f, r = trivial_data(zd_model(3))
+        for table, size, digest in (
+            (f, 1165, "dd25d3fba90bae109b8af02789ec0b8311c88a51d9ae9b1fd356387e48630fc6"),
+            (r, 472, "2eb609ebabfa283e77a972a860880ff7203e5fe781a3e8e62becf54082a9a566"),
+        ):
+            text = table.to_json()
+            assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_PINS))
+    def test_named_model_residuals(self, name):
+        model = named_model(name)
+        f, r = fibonacci_data()[1:] if name == "fibonacci" else trivial_data(model)
+        assert _residual_hex(model, f, r) == RESIDUAL_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_RESIDUAL_PINS))
+    def test_random_table_residuals(self, name):
+        model = named_model(name)
+        assert _residual_hex(model, *random_tables(model, 11)) == RANDOM_RESIDUAL_PINS[name]
 
 
 class TestGaugeCovariance:
@@ -352,7 +466,7 @@ class TestAgainstDenseOracles:
         del entries[(1, 1, 1, 1, 1, 0)]
         del entries[(0, 1, 1, 1, 1, 1)]
         with pytest.raises(CompletenessError, match=r"\(0, 1, 1, 1, 1, 1\)"):
-            FSymbolTable(model, entries).check_complete()
+            FSymbolTable(model, entries)
 
     def test_non_square_block_is_an_invariant_violation(self):
         # 1 x 1 = 0 + 2 but 1 x 2 = 2: (1 x 1) x 2 holds 0 and 1 x (1 x 2)
@@ -486,8 +600,8 @@ class TestCaps:
         assert peak < 16 * 2**20
 
     def test_z_d_6_pentagon_memory(self):
-        # the dense einsums peaked at 539 MB here; the window also holds the
-        # admissible-tuple enumeration, which every check builds per call
+        # the dense einsums peaked at 539 MB here; the table already holds the
+        # admissible tuples, so the window holds only the joins
         model = zd_model(6)
         f, _ = trivial_data(model)
         tracemalloc.start()

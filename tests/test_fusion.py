@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from anyons.errors import InputError, ResourceError
 from anyons.fusion import (
+    DIM_DIGITS_CAP,
+    LABEL_CAP,
     TREE_CAP,
+    Z_D_CAP,
     AnyonModel,
     composite_fermion_statistics,
     enumerate_fusion_trees,
@@ -80,6 +84,26 @@ class TestFusionSpaceDim:
     def test_empty_inputs_rejected(self):
         with pytest.raises(InputError):
             fusion_space_dim(FIB, [], 1)
+
+    def test_digit_bound(self):
+        # each tau leaf at most doubles the count, so n leaves give at most
+        # 2^(n-1) trees: refused from 14,286 leaves, the exact count printed
+        # below
+        n = math.ceil(DIM_DIGITS_CAP / math.log10(2)) + 1
+        fib = [0, 1]
+        for _ in range(n - 3):
+            fib.append(fib[-1] + fib[-2])
+        assert fusion_space_dim(FIB, [1] * (n - 1), 0) == fib[-1]
+        with pytest.raises(ResourceError, match=f"{n} leaves could exceed"):
+            fusion_space_dim(FIB, [1] * n, 0)
+
+    def test_digit_bound_survives_huge_multiplicities(self):
+        # row sums of 2^63 - 1 multiplicities overflow int64 but not floats
+        big = AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 0): 2 ** 63 - 1,
+                                                   (1, 1, 1): 2 ** 63 - 1})
+        assert fusion_space_dim(big, [1] * 3, 1) == (2 ** 63 - 1) * 2 ** 63  # M^2 + M
+        with pytest.raises(ResourceError, match="could exceed"):
+            fusion_space_dim(big, [1] * 300, 1)
 
     def test_partition_identity(self):
         # summing over totals counts every fusion path exactly once
@@ -270,6 +294,29 @@ class TestModels:
     def test_each_refusal_names_its_cause(self, labels, dual, fusion, message):
         with pytest.raises(InputError, match=message):
             AnyonModel(labels, 0, dual, fusion)
+
+    def test_label_cap_refuses_before_allocating(self):
+        labels = tuple(range(10_000))  # a (k, k, k) int64 tensor of 7.28 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="10000 labels exceed the cap of"):
+                AnyonModel(labels, 0, {a: a for a in labels}, {(0, 0, 0): 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_model_at_the_label_cap_builds_in_bounded_memory(self):
+        assert Z_D_CAP <= LABEL_CAP
+        tracemalloc.start()
+        try:
+            model = zd_model(LABEL_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.N.shape == (LABEL_CAP,) * 3 and peak < 64 * 2**20
+        with pytest.raises(ResourceError, match="labels exceed"):
+            zd_model(LABEL_CAP + 1)
 
     def test_largest_int64_multiplicity_accepted(self):
         model = AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 2 ** 63 - 1})
