@@ -76,6 +76,7 @@ from .stringnet import face_operator, face_term_checks, vertex_projector
 from .toric import (
     Syndrome,
     TorusLattice,
+    braiding_table,
     build_stabilizers,
     correct,
     dual_path_edges,

@@ -49,11 +49,13 @@ def _parse_model(name_or_path: str) -> fusion.AnyonModel:
     return fusion.named_model(name_or_path)
 
 
-def _parse_label(model: fusion.AnyonModel, token: str):
-    for label in model.labels:
-        if str(label) == token:
-            return label
-    raise InputError(f"label {token!r} not in model {list(model.labels)}")
+def _parse_labels(model: fusion.AnyonModel, tokens: list[str]) -> list:
+    """The label each token names; of labels that print alike, the first."""
+    by_name = {str(label): label for label in reversed(model.labels)}
+    try:
+        return [by_name[token] for token in tokens]
+    except KeyError as exc:
+        raise InputError(f"label {exc.args[0]!r} not in model {list(model.labels)}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -227,8 +229,8 @@ def _build_parser() -> _Parser:
 
     sp = command("toric", "toric-code summary", _cmd_toric, [
         "ground_space_dim", "stabilizers_commute", "stabilizer_products_are_identity",
-        "dyon_braiding_phase", "commutation_phase", "string_operator", "syndrome", "correct",
-        "homology_class"])
+        "braiding_table", "dyon_braiding_phase", "commutation_phase", "string_operator",
+        "syndrome", "correct", "homology_class"])
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -265,15 +267,13 @@ def _build_parser() -> _Parser:
 
 def _cmd_fusion_dim(args) -> dict:
     model = _parse_model(args.model)
-    inputs = [_parse_label(model, tok) for tok in args.inputs.split(",")]
-    total = _parse_label(model, args.total)
+    *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
     return {"dim": fusion.fusion_space_dim(model, inputs, total)}
 
 
 def _cmd_fusion_trees(args) -> dict:
     model = _parse_model(args.model)
-    inputs = [_parse_label(model, tok) for tok in args.inputs.split(",")]
-    total = _parse_label(model, args.total)
+    *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
     trees = fusion.enumerate_fusion_trees(model, inputs, total, cap=args.cap)
     return {
         "count": len(trees),
@@ -396,25 +396,12 @@ def _cmd_toric(args) -> dict:
     # of the prime test is cheap below 2**31, and larger d is over the cap
     if d < 2 ** 31 and not toric._is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
-    if d ** 4 > toric.BRAIDING_TABLE_CAP:
-        raise ResourceError(
-            f"a d={d} braiding table has {d ** 4} entries, over the cap of "
-            f"{toric.BRAIDING_TABLE_CAP}"
-        )
-    # first, as it checks the rank step's memory cap up front
+    # the braiding cap (on d), then the rank step's memory cap (on the
+    # lattice), each checked before its work
+    table = toric.braiding_table(d)
     degeneracy = toric.ground_space_dim(lat, d)
     lat.validate()
     stars_identity, plaquettes_identity = toric.stabilizer_products_are_identity(lat, d)
-    table = [
-        [
-            [
-                [toric.dyon_braiding_phase(d, (r, s), (rp, sp)) for sp in range(d)]
-                for rp in range(d)
-            ]
-            for s in range(d)
-        ]
-        for r in range(d)
-    ]
     demo = _correction_demo(lat, d)
     return {
         "lx": args.lx,

@@ -32,6 +32,9 @@ Everything here deliberately avoids the code paths it checks:
   sector and one vertex projector at a time (the implementation builds
   one branching mask by bit arithmetic and checks all sectors in batched
   array operations);
+* the braiding-table oracle composes every one of the d^4 entries with
+  ``dyon_braiding_phase`` (the implementation composes the four unit pairs
+  and extends them by bilinearity);
 * the Hadamard-test oracle keeps every shot's two +-1 outcomes as floats
   and takes numpy's mean and standard deviation (the implementation draws
   the same random stream block by block and keeps only the two counts of
@@ -61,6 +64,7 @@ from anyons.toric import (
     _vertex_far_from,
     build_stabilizers,
     dual_path_edges,
+    dyon_braiding_phase,
     string_operator,
     vertex_path_edges,
 )
@@ -309,6 +313,20 @@ def f_unitarity_oracle(model, f) -> float:
 
 #: Dense state-vector cap (qubits).
 DENSE_QUBIT_CAP = 20
+
+
+def braiding_table_oracle(d: int) -> list:
+    """The ``[r][s][r'][s']`` braiding table, one composition per entry."""
+    return [
+        [
+            [
+                [dyon_braiding_phase(d, (r, s), (rp, sp)) for sp in range(d)]
+                for rp in range(d)
+            ]
+            for s in range(d)
+        ]
+        for r in range(d)
+    ]
 
 
 def pauli_dense(p: PauliString) -> np.ndarray:

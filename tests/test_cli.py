@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -80,6 +81,13 @@ class TestGoldenFiles:
         # qubit charge around flux: exponent 2 in units of pi/2 is the phase -1
         assert toric["braiding_phase_exponents"][1][0][0][1] == 2
 
+    def test_largest_braiding_table_bytes(self, capsys):
+        # recorded from the per-entry composition of braiding_table_oracle
+        assert main(["toric", "--lx", "2", "--ly", "2", "--d", "13"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (
+            108304, "0099cdfedfa0b36693a25b2cb95e8f772fc4c67b808d4a51828c6b0ddc1714ea")
+
     def test_schema_field_everywhere(self):
         for argv in GOLDEN_CASES.values():
             payload = json.loads(render(run(argv)))
@@ -99,7 +107,11 @@ class TestExitCodes:
     def test_resource_error(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         _write_big_model(big)
-        for argv in (["qdims", "--model", f"@{big}"], LONG_FUSION_DIM):
+        z128 = tmp_path / "z128.json"
+        z128.write_text(fusion.zd_model(128).to_json())
+        many_leaves = ["fusion-dim", "--model", f"@{z128}", "--inputs",
+                       ",".join(["127"] * 14_000), "--total", "0"]
+        for argv in (["qdims", "--model", f"@{big}"], LONG_FUSION_DIM, many_leaves):
             start = time.perf_counter()
             assert main(argv) == 2
             assert time.perf_counter() - start < 1.0
@@ -577,7 +589,7 @@ class TestCoverage:
             # toric
             "build_stabilizers", "commutation_phase", "ground_space_dim",
             "string_operator", "syndrome", "correct", "homology_class",
-            "dyon_braiding_phase", "interferometer_run",
+            "braiding_table", "dyon_braiding_phase", "interferometer_run",
             "honeycomb_phase", "honeycomb_effective_coupling",
             # string net
             "vertex_projector", "face_operator", "face_term_checks",
@@ -673,6 +685,19 @@ class TestModelFileInput:
         res = run(["fusion-dim", "--model", f"@{path}", "--inputs", "1,3", "--total", "0"])
         assert res.status == 0
         assert json.loads(render(res))["dim"] == 1
+
+    def test_labels_that_print_alike_name_the_first(self, tmp_path):
+        # Z_2 with labels 0 and "0": the token "0" names the vacuum 0
+        labels = [0, "0"]
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({
+            "labels": labels, "vacuum": 0, "dual": [[a, a] for a in labels],
+            "fusion": [[a, b, labels[(i + j) % 2], 1]
+                       for i, a in enumerate(labels) for j, b in enumerate(labels)]}))
+        res = run(["fusion-dim", "--model", f"@{path}", "--inputs", "0,0", "--total", "0"])
+        assert res.status == 0 and res.payload["dim"] == 1
+        res = run(["fusion-trees", "--model", f"@{path}", "--inputs", "0", "--total", "1"])
+        assert res.status == 1 and res.error == "label '1' not in model [0, '0']"
 
     def test_multiplicity_past_int64_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(fusion.fibonacci_model().to_json())

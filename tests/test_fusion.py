@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyons import fusion
 from anyons.errors import InputError, ResourceError
 from anyons.fusion import (
     DIM_DIGITS_CAP,
+    FUSION_WORK_CAP,
     LABEL_CAP,
     TREE_CAP,
     Z_D_CAP,
@@ -104,6 +107,23 @@ class TestFusionSpaceDim:
         assert fusion_space_dim(big, [1] * 3, 1) == (2 ** 63 - 1) * 2 ** 63  # M^2 + M
         with pytest.raises(ResourceError, match="could exceed"):
             fusion_space_dim(big, [1] * 300, 1)
+
+    def test_work_bound(self, monkeypatch):
+        # (n - 1) k^2 products: 16 leaves over z_d:6 is the largest job the
+        # consistency benchmark runs
+        assert 15 * 6 ** 2 <= FUSION_WORK_CAP
+        z6 = zd_model(6)
+        monkeypatch.setattr(fusion, "FUSION_WORK_CAP", 15 * 6 ** 2)
+        assert fusion_space_dim(z6, [5] * 16, 2) == 1
+        with pytest.raises(ResourceError, match="17 leaves over 6 labels need 576 products"):
+            fusion_space_dim(z6, [5] * 17, 1)
+
+    def test_work_bound_refuses_before_any_step(self):
+        model = zd_model(LABEL_CAP)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="over the cap of"):
+            fusion_space_dim(model, [LABEL_CAP - 1] * 14_000, 0)
+        assert time.perf_counter() - start < 0.1
 
     def test_partition_identity(self):
         # summing over totals counts every fusion path exactly once
@@ -201,6 +221,13 @@ class TestQuantumDimensions:
                     rhs = sum(model.n(a, b, c) * dims[c] for c in model.labels)
                     assert abs(dims[a] * dims[b] - rhs) < 1e-10
 
+    def test_summed_fusion_graph_is_a_star_around_the_vacuum(self):
+        # every model quantum_dimensions accepts has an irreducible matrix
+        for model in (FIB, zd_model(5), toric_model(), zd_model(Z_D_CAP)):
+            M = model.N.sum(axis=0)
+            v = model.index[model.vacuum]
+            assert (M[v] > 0).all() and (M[:, v] > 0).all()
+
     def test_no_convergence_is_numeric_error(self):
         from anyons.errors import NumericError
 
@@ -280,6 +307,12 @@ class TestModels:
         pytest.param((0, 1, 2), {0: 0, 1: 1, 2: 2},
                      {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)},
                      "1 does not annihilate with its dual", id="dual"),
+        # {0, 1} is Z_2 and 2 x 2 = 2: a fusion graph with no path from 2 to
+        # the vacuum, refused by the same invariant
+        pytest.param((0, 1, 2), {0: 0, 1: 1, 2: 2},
+                     {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1, (2, 0, 2): 1,
+                      (1, 1, 0): 1, (2, 2, 2): 1},
+                     "2 does not annihilate with its dual", id="disconnected"),
         pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 7, 1): 1},
                      "unknown label 7", id="unknown-label"),
         pytest.param((0, 1), {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): -1},

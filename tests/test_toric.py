@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyons.errors import InputError, ResourceError
+from anyons import toric
+from anyons.errors import InputError, InvariantViolation, ResourceError
 from anyons.pauli import PauliString, commutation_phase, rank_mod_p
 from anyons.toric import (
+    BRAIDING_TABLE_CAP,
     EDGE_SIGNS,
     INTERFEROMETER_EDGE_CAP,
     RANK_MEMORY_CAP,
@@ -19,6 +21,7 @@ from anyons.toric import (
     TorusLattice,
     _code_state_expectation,
     _star_face_overlaps,
+    braiding_table,
     build_stabilizers,
     correct,
     dual_path_edges,
@@ -36,6 +39,7 @@ from anyons.toric import (
     vertex_path_edges,
 )
 from oracles import (
+    braiding_table_oracle,
     correct_oracle,
     expectation,
     ground_state,
@@ -355,6 +359,35 @@ class TestDyonBraiding:
                 assert dyon_braiding_phase(d, (r, s), (rp, sp)) == dyon_braiding_phase(
                     d, (rp, sp), (r, s)
                 )
+
+
+class TestBraidingTable:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_matches_the_per_entry_composition(self, d):
+        assert braiding_table(d) == braiding_table_oracle(d)
+
+    def test_composes_only_the_four_unit_pairs(self, monkeypatch):
+        calls = []
+        original = toric.dyon_braiding_phase
+        monkeypatch.setattr(toric, "dyon_braiding_phase",
+                            lambda d, a, b: calls.append((a, b)) or original(d, a, b))
+        braiding_table(5)
+        assert sorted(calls) == sorted(itertools.product(((1, 0), (0, 1)), repeat=2))
+
+    def test_unit_composition_against_the_closed_form(self, monkeypatch):
+        # a unit phase that disagrees with 2 (r s' + s r') still raises
+        original = toric.commutation_phase
+        monkeypatch.setattr(toric, "commutation_phase", lambda p, q: original(p, q) + 2)
+        with pytest.raises(InvariantViolation, match="closed form"):
+            braiding_table(3)
+
+    def test_refusals_before_any_composition(self, monkeypatch):
+        monkeypatch.setattr(toric, "dyon_braiding_phase", None)  # any call fails
+        with pytest.raises(InputError):
+            braiding_table(1)
+        assert 13 ** 4 <= BRAIDING_TABLE_CAP < 14 ** 4
+        with pytest.raises(ResourceError, match=f"has {14 ** 4} entries"):
+            braiding_table(14)
 
 
 class TestGroundState:
