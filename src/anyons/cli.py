@@ -66,6 +66,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: the key range of the Philox generator."""
+    value = int(text)
+    if not 0 <= value < 2 ** 128:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**128)")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
@@ -163,7 +178,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True)
     sp.add_argument("--total", required=True)
-    sp.add_argument("--cap", type=int, default=fusion.TREE_CAP)
+    sp.add_argument("--cap", type=_non_negative_int, default=fusion.TREE_CAP)
 
     sp = command("qdims", "quantum dimensions", _cmd_qdims, ["quantum_dimensions"])
     sp.add_argument("--model", required=True)
@@ -211,7 +226,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--braid", required=True)
         sp.add_argument("--t", default=None,
                         help="also evaluate at this complex t (re,im)")
-        sp.add_argument("--cap", type=int, default=knots.CROSSING_CAP)
+        sp.add_argument("--cap", type=_non_negative_int, default=knots.CROSSING_CAP)
     sp.add_argument("--method", choices=("statesum", "tl"),  # on the bracket's parser
                     default="statesum",
                     help="statesum: the exact Laurent bracket (by a "
@@ -225,7 +240,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", default="1,0")
     sp.add_argument("--phi", type=_finite_float, default=np.pi)
     sp.add_argument("--shots", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
 
     sp = command("toric", "toric-code summary", _cmd_toric, [
         "ground_space_dim", "stabilizers_commute", "stabilizer_products_are_identity",
@@ -396,8 +411,8 @@ def _cmd_toric(args) -> dict:
     # of the prime test is cheap below 2**31, and larger d is over the cap
     if d < 2 ** 31 and not toric._is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
-    # the braiding cap (on d), then the rank step's memory cap (on the
-    # lattice), each checked before its work
+    # the braiding cap (on d), then the lattice edge cap, each checked
+    # before its work
     table = toric.braiding_table(d)
     degeneracy = toric.ground_space_dim(lat, d)
     lat.validate()

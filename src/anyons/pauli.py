@@ -123,26 +123,3 @@ def commutation_phase(p: PauliString, q: PauliString) -> int:
     phi = 2 * int(np.dot(p.z, q.x) - np.dot(p.x, q.z))
     return phi % (2 * p.d)
 
-
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over the prime field Z_p.
-
-    Row echelon elimination; each pivot clears its column below in one
-    vectorised row update.
-    """
-    m = np.asarray(matrix, dtype=np.int64) % p
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        below = rank + np.flatnonzero(m[rank:, col])
-        if below.size == 0:
-            continue
-        pivot = below[0]
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
-        below = below[1:]
-        m[below] = (m[below] - np.outer(m[below, col], m[rank])) % p
-        rank += 1
-    return rank

@@ -35,10 +35,10 @@ The stabilizer layout is defined once, as two ``(lx*ly, 4)`` edge-index
 arrays (:attr:`TorusLattice.star_edges`, :attr:`TorusLattice.face_edges`)
 sharing the sign vector :data:`EDGE_SIGNS`.  With exactly four nonzeros
 per row they are the sparse check matrix ``H = [Hx | Hz]`` over Z_d.
-Syndromes, the commutation check and the stabilizer products are
-computed from them with O(n) memory, the rank from their dense blocks,
-and :func:`build_stabilizers` expands rows of them into explicit Pauli
-strings.
+Syndromes, the commutation check, the stabilizer products and the rank
+(each block is a graph's incidence matrix) are computed from them with
+O(n) memory, and :func:`build_stabilizers` expands rows of them into
+explicit Pauli strings.
 
 The qubit code state is never stored: a Pauli string's expectation on it is
 read off its syndrome and flux winding (Gottesman, quant-ph/9807006;
@@ -56,19 +56,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, InvariantViolation, ResourceError
-from .pauli import PauliString, commutation_phase, rank_mod_p
+from .pauli import PauliString, commutation_phase
 
-#: Memory budget (bytes) of the rank step in :func:`ground_space_dim`.  It
-#: holds the two dense ``(lx*ly) x (2*lx*ly)`` int64 blocks of ``H`` and one
-#: working copy, ``48 (lx*ly)^2`` bytes: 32x32 peaks at 48 MB and takes
-#: 0.2 s, 48x48 (the largest square lattice admitted) at 243 MB and 0.7 s
-#: (tracemalloc peak and wall time on a 2-core x86 host, numpy 2.4).
-RANK_MEMORY_CAP = 256 * 2**20
-
-#: Edge cap of :func:`interferometer_run` (O(64 n) work): the largest square
-#: lattice admitted, 128x128, runs ``anyons interferometer`` end to end in
-#: 0.7 s on the same host.
-INTERFEROMETER_EDGE_CAP = 2 * 128 * 128
+#: Edge cap of the O(n) :func:`ground_space_dim` and :func:`interferometer_run`,
+#: checked before any edge array is built.  At 128x128, the largest square
+#: lattice admitted, the ``anyons toric`` job takes 0.05 s in process at a
+#: 15 MB tracemalloc peak and ``anyons interferometer`` 0.7 s end to end.
+LATTICE_EDGE_CAP = 2 * 128 * 128
 
 #: Entries (``d^4``) of the dyon braiding table :func:`braiding_table`
 #: builds.  The table costs four compositions plus O(d^4) array work, so the
@@ -225,17 +219,6 @@ class Syndrome:
 # stabilizers: the check matrix H = [Hx | Hz]
 
 
-def _check_blocks(lat: TorusLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``(lx*ly, n_edges)`` blocks: star X exponents ``Hx`` and
-    plaquette Z exponents ``Hz``."""
-    blocks = []
-    for edges in (lat.star_edges, lat.face_edges):
-        block = np.zeros((len(edges), lat.n_edges), dtype=np.int64)
-        block[np.arange(len(edges))[:, None], edges] = EDGE_SIGNS
-        blocks.append(block)
-    return blocks[0], blocks[1]
-
-
 def build_stabilizers(
     lat: TorusLattice, d: int, vertices=None, faces=None
 ) -> tuple[list[PauliString], list[PauliString]]:
@@ -316,6 +299,35 @@ def _is_prime(d: int) -> bool:
     return True
 
 
+def _incidence_rank(edges: np.ndarray, n_edges: int) -> int:
+    """Rank over any field of the block with rows ``edges`` and signs
+    :data:`EDGE_SIGNS`: its rows minus the connected components of its graph.
+
+    Raises :class:`InvariantViolation` unless each edge sits in two distinct
+    rows with cancelling signs (an oriented incidence matrix).  Each round of
+    min-label propagation points the larger root of every edge at the smaller
+    and flattens the forest by pointer jumping, until both ends of every edge
+    share a label: one O(n) round on a torus lattice.
+    """
+    flat = edges.ravel()
+    slot = flat + n_edges * np.broadcast_to(EDGE_SIGNS < 0, edges.shape).ravel()
+    if np.any(np.bincount(slot, minlength=2 * n_edges) != 1):
+        raise InvariantViolation("an edge is not in exactly two rows with opposite signs")
+    ends = np.empty(2 * n_edges, dtype=np.int64)
+    ends[slot] = np.arange(flat.size) // edges.shape[1]
+    ends = ends.reshape(2, n_edges)  # the row of each edge's +1, then of its -1
+    if np.any(ends[0] == ends[1]):
+        raise InvariantViolation("an edge is in one row twice")
+    label = np.arange(len(edges))
+    roots = label[ends]
+    while not np.array_equal(roots[0], roots[1]):
+        np.minimum.at(label, roots.ravel(), np.tile(roots.min(axis=0), 2))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        roots = label[ends]
+    return len(edges) - int(np.count_nonzero(label == np.arange(len(edges))))
+
+
 def ground_space_dim(lat: TorusLattice, d: int) -> int:
     """``d^(n - rank)`` with the rank of the stabilizer generators over Z_d.
 
@@ -323,20 +335,16 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
     torus (two vertex/face dependencies: the product of all stars and the
     product of all plaquettes are both the identity).  ``H`` is block
     diagonal (stars have no Z part, plaquettes no X part), so its rank is
-    ``rank(Hx) + rank(Hz)``.  A lattice whose rank step would need more
-    than :data:`RANK_MEMORY_CAP` bytes raises :class:`ResourceError`
-    before any allocation.
+    ``rank(Hx) + rank(Hz)``, each from the graph of the primal (dual)
+    lattice in O(n): 6-8 ms at a 3.4 MB tracemalloc peak for 128x128
+    (2-core x86 host, numpy 2.4).  Over :data:`LATTICE_EDGE_CAP` edges it
+    raises :class:`ResourceError` before any edge array is built.
     """
     if not _is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
-    needed = 48 * lat.n_faces ** 2
-    if needed > RANK_MEMORY_CAP:
-        raise ResourceError(
-            f"the rank of the {lat.lx}x{lat.ly} check matrix needs {needed >> 20} MB, "
-            f"over the cap of {RANK_MEMORY_CAP >> 20} MB"
-        )
-    hx, hz = _check_blocks(lat)
-    rank = rank_mod_p(hx, d) + rank_mod_p(hz, d)
+    if lat.n_edges > LATTICE_EDGE_CAP:
+        raise ResourceError(f"{lat.n_edges} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
+    rank = sum(_incidence_rank(edges, lat.n_edges) for edges in (lat.star_edges, lat.face_edges))
     return d ** (lat.n_edges - rank)
 
 
@@ -659,14 +667,13 @@ def interferometer_run(
     ``(1 + A)/2 + exp(i beta) (1 - A)/2`` with ``A`` the star at the defect,
     loop ``L``) is a sum of at most 8 Pauli strings, so ``<g|U^dag Z_l U|g>``
     is a sum of at most 64 code-state expectations, each O(n).  Over
-    :data:`INTERFEROMETER_EDGE_CAP` edges it raises :class:`ResourceError`.
+    :data:`LATTICE_EDGE_CAP` edges it raises :class:`ResourceError`.
     """
     if not math.isfinite(beta):
         raise InputError("the dwell phase beta must be finite")
     n = lat.n_edges
-    if n > INTERFEROMETER_EDGE_CAP:
-        raise ResourceError(
-            f"{n} edges exceed the interferometer cap {INTERFEROMETER_EDGE_CAP}")
+    if n > LATTICE_EDGE_CAP:
+        raise ResourceError(f"{n} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
     if splitter_edge is None:
         splitter_edge = lat.h_edge(0, 0)
     zvec = np.zeros(n, dtype=np.int64)

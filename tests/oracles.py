@@ -32,6 +32,10 @@ Everything here deliberately avoids the code paths it checks:
   sector and one vertex projector at a time (the implementation builds
   one branching mask by bit arithmetic and checks all sectors in batched
   array operations);
+* the rank oracle expands the two check-matrix blocks into dense
+  ``(lx*ly, 2*lx*ly)`` arrays and row-reduces them over Z_p (the
+  implementation counts the connected components of the graphs whose
+  incidence matrices the blocks are);
 * the braiding-table oracle composes every one of the d^4 entries with
   ``dyon_braiding_phase`` (the implementation composes the four unit pairs
   and extends them by bilinearity);
@@ -59,6 +63,7 @@ from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
 from anyons.stringnet import branching_allowed, face_term
 from anyons.toric import (
+    EDGE_SIGNS,
     Syndrome,
     _torus_shortest_vertex_path,
     _vertex_far_from,
@@ -313,6 +318,41 @@ def f_unitarity_oracle(model, f) -> float:
 
 #: Dense state-vector cap (qubits).
 DENSE_QUBIT_CAP = 20
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over the prime field Z_p.
+
+    Row echelon elimination; each pivot clears its column below in one
+    vectorised row update.
+    """
+    m = np.asarray(matrix, dtype=np.int64) % p
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        below = rank + np.flatnonzero(m[rank:, col])
+        if below.size == 0:
+            continue
+        pivot = below[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
+        below = below[1:]
+        m[below] = (m[below] - np.outer(m[below, col], m[rank])) % p
+        rank += 1
+    return rank
+
+
+def check_blocks(lat) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(lx*ly, n_edges)`` blocks: star X exponents ``Hx`` and
+    plaquette Z exponents ``Hz``."""
+    blocks = []
+    for edges in (lat.star_edges, lat.face_edges):
+        block = np.zeros((len(edges), lat.n_edges), dtype=np.int64)
+        block[np.arange(len(edges))[:, None], edges] = EDGE_SIGNS
+        blocks.append(block)
+    return blocks[0], blocks[1]
 
 
 def braiding_table_oracle(d: int) -> list:

@@ -171,6 +171,13 @@ class TestExitCodes:
         ["toric", "--lx", "2", "--ly", "2", "--d", "15"],
         ["braid-check", "--rep", "abelian", "--strands", "-5"],
         ["braid-check", "--rep", "abelian", "--strands", "0"],
+        # negative caps and seeds outside the Philox key range, refused at parse time
+        ["fusion-trees", "--model", "fibonacci", "--inputs", "1,1", "--total", "1",
+         "--cap", "-5"],
+        ["jones", "--braid", "B2: s1", "--cap", "-1"],
+        ["bracket", "--braid", "B2: s1", "--cap", "-3"],
+        ["trace-est", "--braid", "B3: s1", "--shots", "10", "--seed", "-1"],
+        ["trace-est", "--braid", "B3: s1", "--shots", "10", "--seed", str(2 ** 128)],
         ["su2k", "--j1", "1/0", "--j2", "1", "--j", "1", "--k", "2"],
         # entries whose products overflow: refused before any product
         ["compile", "--target", "[[[1e308,1e308],[0,0]],[[0,0],[1,0]]]", "--max-len", "3"],
@@ -232,6 +239,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["toric", "--lx", "2", "--ly", "2", "--d", "97"],
         ["toric", "--lx", "400", "--ly", "400", "--d", "2"],
+        ["toric", "--lx", "129", "--ly", "128", "--d", "2"],
         ["toric", "--lx", "2", "--ly", "2", "--d", str(2 ** 61 - 1)],  # a prime
         ["interferometer", "--lx", "129", "--ly", "128", "--beta", "0.5", "--braid", "yes"],
         ["interferometer", "--lx", str(10 ** 12), "--ly", "2", "--beta", "0.5",
@@ -271,6 +279,10 @@ class TestExitCodes:
     def test_toric_caps_admit_the_baseline_sizes(self):
         assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4
         assert run(["toric", "--lx", "32", "--ly", "32", "--d", "2"]).status == 0
+        start = time.perf_counter()
+        res = run(["toric", "--lx", "128", "--ly", "128", "--d", "2"])  # the edge cap
+        assert time.perf_counter() - start < 1.0
+        assert res.status == 0 and res.payload["degeneracy"] == 4
         res = run(["interferometer", "--lx", "32", "--ly", "32", "--beta", "0.785398",
                    "--braid", "yes"])
         assert res.status == 0
@@ -466,7 +478,7 @@ _SUBCOMMAND_FLAGS = {
         # values over SHOTS_CAP are refused with exit 2 before any draw
         "--shots", draw(_value(st.integers(1, 2000),
                                [0, -1, 10 ** 5, SHOTS_CAP + 1, 10 ** 14])),
-        "--seed", draw(_value(st.integers(0, 2 ** 64), [-2])),
+        "--seed", draw(_value(st.integers(0, 2 ** 64), [-2, 2 ** 128])),
     ],
     "toric": lambda draw: [
         "--lx", draw(_value(st.integers(2, 6), [0, 1, 400, 10 ** 12])),
@@ -534,6 +546,9 @@ class TestEveryOtherCommandFuzz:
               "--seed", "1"])
     @example(["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(["1"] * 30),
               "--total", "1", "--cap", "100000000"])
+    @example(["fusion-trees", "--model", "fibonacci", "--inputs", "1,1", "--total", "1",
+              "--cap", "-5"])
+    @example(["trace-est", "--braid", "B3: s1", "--shots", "10", "--seed", "-1"])
     @example(["qdims", "--model", f"@{BIG_MODEL}"])
     @example(LONG_FUSION_DIM)
     def test_exit_code_and_strict_json(self, argv):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyons.errors import InputError
-from anyons.pauli import PauliString, commutation_phase, rank_mod_p
-from oracles import apply_to_state, expectation, pauli_dense
+from anyons.pauli import PauliString, commutation_phase
+from oracles import apply_to_state, expectation, pauli_dense, rank_mod_p
 
 
 def random_pauli(rng, d, n):

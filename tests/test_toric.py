@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 
 from anyons import toric
 from anyons.errors import InputError, InvariantViolation, ResourceError
-from anyons.pauli import PauliString, commutation_phase, rank_mod_p
+from anyons.pauli import PauliString, commutation_phase
 from anyons.toric import (
     BRAIDING_TABLE_CAP,
     EDGE_SIGNS,
-    INTERFEROMETER_EDGE_CAP,
-    RANK_MEMORY_CAP,
+    LATTICE_EDGE_CAP,
     Syndrome,
     TorusLattice,
     _code_state_expectation,
+    _incidence_rank,
     _star_face_overlaps,
     braiding_table,
     build_stabilizers,
@@ -40,11 +41,13 @@ from anyons.toric import (
 )
 from oracles import (
     braiding_table_oracle,
+    check_blocks,
     correct_oracle,
     expectation,
     ground_state,
     interferometer_oracle,
     pauli_dense,
+    rank_mod_p,
     syndrome_oracle,
 )
 
@@ -184,10 +187,41 @@ class TestCheckMatrix:
         assert syn == syndrome_oracle(lat, error)
         assert correct(lat, syn) == correct_oracle(lat, syn)
 
-    def test_rank_memory_cap(self):
-        assert 48 * (32 * 32) ** 2 <= RANK_MEMORY_CAP  # the 32x32 baseline size
-        with pytest.raises(ResourceError):
-            ground_space_dim(TorusLattice(400, 400), 2)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_component_rank_equals_dense_rank(self, p):
+        for lx, ly in itertools.product(range(2, 9), repeat=2):
+            lat = TorusLattice(lx, ly)
+            for edges, block in zip((lat.star_edges, lat.face_edges), check_blocks(lat)):
+                assert _incidence_rank(edges, lat.n_edges) == rank_mod_p(block, p), (lx, ly)
+
+    @pytest.mark.parametrize("attr", ["star_edges", "face_edges"])
+    @pytest.mark.parametrize("fault,message", [
+        ("one row twice", "one row twice"),
+        ("signs do not cancel", "opposite signs"),
+        ("three rows", "exactly two rows"),
+    ])
+    def test_malformed_incidence_is_refused(self, attr, fault, message):
+        lat = TorusLattice(3, 4)
+        edges = getattr(lat, attr).copy()
+        if fault == "one row twice":
+            # trade row 0's -1 edge for the +1 edge's other (-1) occurrence
+            other = np.flatnonzero(edges[:, 2] == edges[0, 0])[0]
+            edges[[0, other], 2] = edges[[other, 0], 2]
+        elif fault == "signs do not cancel":
+            edges[0, [0, 2]] = edges[0, [2, 0]]
+        else:
+            edges[0, 0] = edges[1, 0]
+        vars(lat)[attr] = edges  # the cached property's slot
+        with pytest.raises(InvariantViolation, match=message):
+            ground_space_dim(lat, 3)
+
+    def test_lattice_edge_cap(self):
+        assert TorusLattice(128, 128).n_edges == LATTICE_EDGE_CAP
+        for lx, ly in [(400, 400), (129, 128)]:
+            big = TorusLattice(lx, ly)
+            with pytest.raises(ResourceError):
+                ground_space_dim(big, 2)
+            assert "star_edges" not in vars(big)  # refused before the arrays are built
 
 
 class TestGroundSpaceDim:
@@ -203,6 +237,20 @@ class TestGroundSpaceDim:
     def test_non_prime_rejected(self):
         with pytest.raises(InputError):
             ground_space_dim(TorusLattice(2, 2), 4)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_largest_lattice_admitted(self, d):
+        assert ground_space_dim(TorusLattice(128, 128), d) == d ** 2
+
+    def test_memory_is_linear_in_the_lattice(self):
+        # dense blocks and one working copy would take 48 (lx*ly)^2 bytes, 12 GB here
+        tracemalloc.start()
+        try:
+            ground_space_dim(TorusLattice(128, 128), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestStrings:
@@ -471,7 +519,7 @@ class TestInterferometer:
         with pytest.raises(ResourceError):
             interferometer_run(big, braid=True, beta=0.5)
         assert "star_edges" not in vars(big)  # the cached index arrays were never built
-        assert TorusLattice(128, 128).n_edges == INTERFEROMETER_EDGE_CAP
+        assert TorusLattice(128, 128).n_edges == LATTICE_EDGE_CAP
 
 
 class TestCodeStateExpectation:
