@@ -34,7 +34,9 @@ Check matrix
 The stabilizer layout is defined once, as two ``(lx*ly, 4)`` edge-index
 arrays (:attr:`TorusLattice.star_edges`, :attr:`TorusLattice.face_edges`)
 sharing the sign vector :data:`EDGE_SIGNS`.  With exactly four nonzeros
-per row they are the sparse check matrix ``H = [Hx | Hz]`` over Z_d.
+per row they are the sparse check matrix ``H = [Hx | Hz]`` over Z_d.  The
+arrays are read-only and shared by every lattice of one shape (a small
+per-shape cache), so a new lattice object does not rebuild them.
 Syndromes, the commutation check, the stabilizer products and the rank
 (each block is a graph's incidence matrix) are computed from them with
 O(n) memory, and :func:`build_stabilizers` expands rows of them into
@@ -48,6 +50,7 @@ interferometer protocol is a sum of at most 64 of them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -148,20 +151,12 @@ class TorusLattice:
     @cached_property
     def star_edges(self) -> np.ndarray:
         """``(n_vertices, 4)`` edges of every star, in :data:`EDGE_SIGNS` order."""
-        x, y = self._grid()
-        return _frozen_rows(self.h_edge(x - 1, y), self.v_edge(x, y - 1),
-                            self.h_edge(x, y), self.v_edge(x, y))
+        return _edge_rows(self)[0]
 
     @cached_property
     def face_edges(self) -> np.ndarray:
         """``(n_faces, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
-        x, y = self._grid()
-        return _frozen_rows(self.h_edge(x, y), self.v_edge(x + 1, y),
-                            self.h_edge(x, y + 1), self.v_edge(x, y))
-
-    def _grid(self):
-        index = np.arange(self.lx * self.ly)
-        return index % self.lx, index // self.lx
+        return _edge_rows(self)[1]
 
     def star_exponents(self, x: int, y: int) -> dict[int, int]:
         """Divergence signs at a vertex: incoming edges +1, outgoing -1."""
@@ -191,6 +186,19 @@ class TorusLattice:
             raise InvariantViolation("a star and a face share 1 edge")
 
 
+@functools.lru_cache(maxsize=8)
+def _edge_rows(lat: TorusLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only star and face rows, shared by every lattice of one shape
+    (1 MB for both at 128x128)."""
+    index = np.arange(lat.lx * lat.ly)
+    x, y = index % lat.lx, index // lat.lx
+    stars = _frozen_rows(lat.h_edge(x - 1, y), lat.v_edge(x, y - 1),
+                         lat.h_edge(x, y), lat.v_edge(x, y))
+    faces = _frozen_rows(lat.h_edge(x, y), lat.v_edge(x + 1, y),
+                         lat.h_edge(x, y + 1), lat.v_edge(x, y))
+    return stars, faces
+
+
 @dataclass(frozen=True)
 class Syndrome:
     """Violated stabilizers with their eigenvalue exponents (mod d)."""
@@ -206,6 +214,14 @@ class Syndrome:
         object.__setattr__(
             self, "face", {f: e % self.d for f, e in self.face.items() if e % self.d}
         )
+
+    @classmethod
+    def _reduced(cls, d: int, vertex: dict[int, int], face: dict[int, int]) -> "Syndrome":
+        """A syndrome from maps whose exponents are already in ``[1, d)``."""
+        syn = cls.__new__(cls)
+        for name, value in (("d", d), ("vertex", vertex), ("face", face)):
+            object.__setattr__(syn, name, value)
+        return syn
 
     def check_sum_rule(self):
         if sum(self.vertex.values()) % self.d or sum(self.face.values()) % self.d:
@@ -443,7 +459,7 @@ def syndrome(lat: TorusLattice, error: PauliString) -> Syndrome:
     d = error.d
     vertex = -(error.z[lat.star_edges] @ EDGE_SIGNS) % d
     face = (error.x[lat.face_edges] @ EDGE_SIGNS) % d
-    syn = Syndrome(d, _nonzero(vertex), _nonzero(face))
+    syn = Syndrome._reduced(d, _nonzero(vertex), _nonzero(face))
     syn.check_sum_rule()
     return syn
 
@@ -453,70 +469,140 @@ def _nonzero(exponents: np.ndarray) -> dict[int, int]:
     return dict(zip(where.tolist(), exponents[where].tolist()))
 
 
-def _torus_shortest_vertex_path(lat, start: tuple[int, int], goal: tuple[int, int]):
-    """Greedy staircase: x leg first, then y, each along the shorter wrap."""
-    x, y = start
-    path = [(x, y)]
-    gx, gy = goal
-    right = (gx - x) % lat.lx
-    step_x = +1 if right <= lat.lx - right else -1
-    while x % lat.lx != gx % lat.lx:
-        x += step_x
-        path.append((x % lat.lx, y % lat.ly))
-    up = (gy - y) % lat.ly
-    step_y = +1 if up <= lat.ly - up else -1
-    while y % lat.ly != gy % lat.ly:
-        y += step_y
-        path.append((x % lat.lx, y % lat.ly))
-    return path
-
-
 def correct(lat: TorusLattice, syn: Syndrome) -> PauliString:
     """Greedy nearest-pair correction string for a syndrome.
 
     Repeatedly connects the lowest-index defect to its nearest partner
-    along a shortest staircase path with the power that cancels it.  The
-    returned operator's syndrome is exactly the inverse of ``syn``, so
-    composing it with any error that produced ``syn`` leaves an empty
-    syndrome; whether the composite is homologically trivial is for
-    :func:`homology_class` to report.
+    (torus distance, then index) along a staircase path with the power that
+    cancels it: the x leg first, then the y leg, each along the shorter wrap
+    (forward on a tie).  The returned operator's syndrome is exactly the
+    inverse of ``syn``, so composing it with any error that produced ``syn``
+    leaves an empty syndrome; whether the composite is homologically trivial
+    is for :func:`homology_class` to report.
+
+    For m defects the pairing reads torus distances from a per-shape table,
+    at most :data:`_DISTANCE_BLOCK` of them at a time: O(m^2) numpy work in
+    O(m^2 / block + m) calls and O(m + block) memory, never an m x m array.
+    The strings are written in closed form and scattered in one pass.
+    Defect indices outside ``[0, lx*ly)`` raise :class:`InputError` before
+    any work.
     """
     syn.check_sum_rule()
+    n = lat.n_vertices
+    for defects in (syn.vertex, syn.face):
+        if defects and (min(defects) < 0 or max(defects) >= n):
+            raise InputError(f"a defect index lies outside [0, {n})")
     d = syn.d
-    charge = np.zeros(lat.n_edges, dtype=np.int64)  # Z exponents of the correction
-    flux = np.zeros(lat.n_edges, dtype=np.int64)  # X exponents
-
-    for kind, defects, target in (
-        ("charge", dict(syn.vertex), charge), ("flux", dict(syn.face), flux)
-    ):
-        path_builder = vertex_path_edges if kind == "charge" else dual_path_edges
-        # A unit string along a simple path has defects only at its ends:
-        # +1 at the start of a charge string, -1 at the start of a flux
-        # string, and the inverse at the other end.
-        k1 = 1 if kind == "charge" else d - 1
-        while defects:
-            v1 = min(defects)
-            others = [v for v in defects if v != v1]
-            assert others, "sum rule guarantees defects pair up"
-            c1 = lat.vertex_coords(v1)
-
-            def torus_dist(v):
-                x, y = lat.vertex_coords(v)
-                dx = min((x - c1[0]) % lat.lx, (c1[0] - x) % lat.lx)
-                dy = min((y - c1[1]) % lat.ly, (c1[1] - y) % lat.ly)
-                return (dx + dy, v)
-
-            v2 = min(others, key=torus_dist)
-            path = _torus_shortest_vertex_path(lat, c1, lat.vertex_coords(v2))
-            power = (-defects.pop(v1) * k1) % d
-            for edge, direction in path_builder(lat, path):
-                target[edge] += direction * power
-            defects[v2] = (defects[v2] - power * k1) % d
-            if defects[v2] == 0:
-                del defects[v2]
+    charge, flux = _string_exponents(lat, _greedy_pairs(lat, syn)) % d
     # all charge strings, then all flux strings, as the greedy order applies them
-    zeros = np.zeros_like(charge)
-    return PauliString(d, zeros, charge) * PauliString(d, flux, zeros)
+    return PauliString(d, flux, charge, 2 * int(np.dot(charge, flux)))
+
+
+#: Entries of the defect-distance block :func:`correct` holds at once.
+_DISTANCE_BLOCK = 2 ** 18
+
+
+def _greedy_pairs(lat: TorusLattice, syn: Syndrome) -> list[tuple[int, ...]]:
+    """``(flux, x1, y1, x2, y2, power)`` of every string of the greedy
+    pairing, from defect ``(x1, y1)`` to its partner ``(x2, y2)``.
+
+    The lowest live defect of a species always opens its next string, and
+    its partner has a higher index, so the sorted defects (vertices, then
+    faces) open strings in order.  A block of rows holds their distances to
+    every later defect, read from :func:`_displacement_distances`, with the
+    columns of defects already cancelled set past any distance; the first
+    ``argmin`` of a row over its own species is then the nearest live
+    partner with the lowest index.
+    """
+    d = syn.d
+    found = sorted(syn.vertex.items()) + sorted(syn.face.items())
+    m, faces_from = len(found), len(syn.vertex)
+    exponent = [e for _, e in found]
+    y, x = np.divmod(np.array([v for v, _ in found], dtype=np.int64), lat.lx)
+    xs, ys = x.tolist(), y.tolist()
+    key = y * (2 * lat.lx) + x
+    shifted = key - (lat.ly * 2 * lat.lx + lat.lx)  # key_j - shifted_i: a table position
+    table = _displacement_distances(lat)
+    cancelled = np.zeros(m, dtype=bool)
+    beyond = lat.lx + lat.ly
+    strings = []
+    rows = max(1, _DISTANCE_BLOCK // max(m, 1))
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        dist = table.take(key[lo:] - shifted[lo:hi, None])
+        if lo:  # defects cancelled by earlier blocks
+            dist[:, cancelled[lo:]] = beyond
+        for i in range(lo, hi):
+            if cancelled[i]:
+                continue
+            # A unit string along a simple path has defects only at its ends:
+            # +1 at the start of a charge string, -1 at the start of a flux
+            # string, and the inverse at the other end.
+            flux = i >= faces_from
+            end, k1 = (m, d - 1) if flux else (faces_from, 1)
+            j = i + 1 + int(dist[i - lo, i + 1 - lo:end - lo].argmin())
+            assert not cancelled[j], "sum rule guarantees defects pair up"
+            power = (-exponent[i] * k1) % d
+            exponent[j] = (exponent[j] - power * k1) % d
+            if exponent[j] == 0:
+                cancelled[j] = True
+                dist[:, j - lo] = beyond
+            strings.append((flux, xs[i], ys[i], xs[j], ys[j], power))
+    return strings
+
+
+@functools.lru_cache(maxsize=8)
+def _displacement_distances(lat: TorusLattice) -> np.ndarray:
+    """Torus distance of every displacement ``(dy, dx)`` with ``|dx| < lx``
+    and ``|dy| < ly``, at position ``(dy + ly) * 2 lx + dx + lx``: the
+    difference of two keys ``y * 2 lx + x`` shifted by ``ly * 2 lx + lx``.
+    Shared by every lattice of one shape (512 KB at 128x128)."""
+
+    def wrapped(size):
+        step = np.abs(np.arange(-size, size))
+        return np.minimum(step, size - step)
+
+    table = (wrapped(lat.ly)[:, None] + wrapped(lat.lx)).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _string_exponents(lat: TorusLattice, strings) -> np.ndarray:
+    """Summed Z exponents of the charge strings and X exponents of the flux
+    strings, ``(2, n_edges)``, for :func:`_greedy_pairs` strings: staircases
+    along row ``y1``, then column ``x2``.
+
+    Each leg takes the shorter wrap (forward on a tie) and is one forward
+    run of edges along its row or column.  A charge step crosses the edge at
+    its lower end, a flux step the edge at its upper end, and a flux
+    string's x leg runs against the v edges: the edges and signs of
+    :func:`vertex_path_edges` and :func:`dual_path_edges`.
+    """
+    lx, ly, nv, ne = lat.lx, lat.ly, lat.n_vertices, lat.n_edges
+    # per leg: start of its line, first step along it, steps, exponent per step
+    along_x, along_y = [], []
+    for flux, x1, y1, x2, y2, power in strings:
+        ahead = (x2 - x1) % lx
+        back = ahead > lx - ahead
+        n = lx - ahead if back else ahead
+        along_x += (flux * (nv + ne) + y1 * lx, x1 + flux - back * n, n,
+                    -power if back != flux else power)
+        ahead = (y2 - y1) % ly
+        back = ahead > ly - ahead
+        n = ly - ahead if back else ahead
+        along_y += ((not flux) * nv + flux * ne + x2, y1 + flux - back * n, n,
+                    -power if back else power)
+    line, first, steps, weight = np.array(along_x + along_y, dtype=np.int64).reshape(-1, 4).T
+    ends = steps.cumsum()
+    at = np.arange(ends[-1] if len(ends) else 0) + (first - ends + steps).repeat(steps)
+    cut = steps[:len(along_x) // 4].sum()  # the x legs' steps come first
+    at[:cut] %= lx
+    at[cut:] %= ly
+    at[cut:] *= lx
+    at += line.repeat(steps)
+    out = np.zeros(2 * ne, dtype=np.int64)
+    np.add.at(out, at, weight.repeat(steps))
+    return out.reshape(2, -1)
 
 
 def homology_class(

@@ -32,6 +32,7 @@ Both functions refuse a product that overflows (is not finite) with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,14 @@ def hadamard_test_trace(
     Bernoullis with the exact biases for that shot's register state); the
     estimate is ``mean(x) + i mean(y)``, computed from the counts of +1
     outcomes.  Reproducible for a fixed ``seed``; the real and imaginary
-    parts always lie in [-1, 1].  ``shots`` above :data:`SHOTS_CAP` and
-    dimensions above :data:`DIM_CAP` raise ``ResourceError`` before any
-    work.
+    parts always lie in [-1, 1].  A ``seed`` that is not an integer in
+    ``[0, 2**128)`` (the Philox key range) raises ``InputError``, and
+    ``shots`` above :data:`SHOTS_CAP` and dimensions above :data:`DIM_CAP`
+    raise ``ResourceError``, all before any work.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 128:
+        raise InputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = int(seed)
     if shots < 1:
         raise InputError("shots must be >= 1")
     if shots > SHOTS_CAP:

@@ -12,8 +12,11 @@ Everything here deliberately avoids the code paths it checks:
 * the syndrome oracle builds every stabilizer as a dense Pauli string and
   takes one ``commutation_phase`` per stabilizer (the implementation is
   two gathers over the check matrix's edge-index arrays);
-* the correction oracle recomputes each probe string's full syndrome (the
-  implementation reads it off the path endpoints);
+* the correction oracle walks each staircase vertex by vertex, finds each
+  partner with a Python ``min`` and recomputes each probe string's full
+  syndrome (the implementation reads the partners off blocks of a distance
+  table, writes the legs in closed form and reads the powers off the path
+  endpoints);
 * the compile oracle scores every reduced word, each by its own matrix
   product (the implementation scores prefix/suffix splits of one word per
   projective element by blocked quaternion dot products and rescores only
@@ -65,7 +68,6 @@ from anyons.stringnet import branching_allowed, face_term
 from anyons.toric import (
     EDGE_SIGNS,
     Syndrome,
-    _torus_shortest_vertex_path,
     _vertex_far_from,
     build_stabilizers,
     dual_path_edges,
@@ -239,6 +241,24 @@ def syndrome_oracle(lat, error: PauliString) -> Syndrome:
     vertex = {v: (commutation_phase(s, error) // 2) % d for v, s in enumerate(stars)}
     face = {f: (commutation_phase(p, error) // 2) % d for f, p in enumerate(plaqs)}
     return Syndrome(d, vertex, face)
+
+
+def _torus_shortest_vertex_path(lat, start: tuple[int, int], goal: tuple[int, int]):
+    """Greedy staircase: x leg first, then y, each along the shorter wrap."""
+    x, y = start
+    path = [(x, y)]
+    gx, gy = goal
+    right = (gx - x) % lat.lx
+    step_x = +1 if right <= lat.lx - right else -1
+    while x % lat.lx != gx % lat.lx:
+        x += step_x
+        path.append((x % lat.lx, y % lat.ly))
+    up = (gy - y) % lat.ly
+    step_y = +1 if up <= lat.ly - up else -1
+    while y % lat.ly != gy % lat.ly:
+        y += step_y
+        path.append((x % lat.lx, y % lat.ly))
+    return path
 
 
 def correct_oracle(lat, syn: Syndrome) -> PauliString:

@@ -170,7 +170,7 @@ class TestCheckMatrix:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        d=st.integers(2, 6),
+        d=st.integers(2, 7),
         lx=st.integers(2, 9),
         ly=st.integers(2, 9),
         seed=st.integers(0, 2 ** 32 - 1),
@@ -186,6 +186,42 @@ class TestCheckMatrix:
         syn = syndrome(lat, error)
         assert syn == syndrome_oracle(lat, error)
         assert correct(lat, syn) == correct_oracle(lat, syn)
+
+    # lx or ly = 2 (and 32) puts partners at the half-way wrap tie; d > 2
+    # leaves partners alive after a pairing
+    @pytest.mark.parametrize("lx,ly,d,p", [
+        (2, 2, 7, 1.0), (2, 31, 7, 0.3), (33, 2, 5, 0.3), (2, 17, 4, 1.0),
+        (9, 2, 3, 0.6), (32, 2, 2, 0.2), (2, 32, 6, 0.1), (33, 31, 7, 0.004),
+    ])
+    def test_correction_matches_the_oracle_on_wide_and_thin_tori(self, lx, ly, d, p):
+        lat = TorusLattice(lx, ly)
+        n = lat.n_edges
+        for seed in range(1 if lx * ly > 100 else 3):  # the oracle is slow at 33x31
+            rng = np.random.default_rng([lx, ly, d, seed])
+            x = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+            z = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+            syn = syndrome(lat, PauliString(d, x, z))
+            assert correct(lat, syn) == correct_oracle(lat, syn), seed
+
+    @pytest.mark.parametrize("block", [1, 250, 1000])
+    def test_distance_blocks_do_not_change_the_pairing(self, monkeypatch, block):
+        monkeypatch.setattr(toric, "_DISTANCE_BLOCK", block)  # 1, 4 or 16 rows of ~60
+        lat = TorusLattice(10, 7)
+        n = lat.n_edges
+        for d, p in ((2, 0.15), (5, 0.2)):
+            rng = np.random.default_rng([block, d])
+            x = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+            z = np.where(rng.random(n) < p, rng.integers(1, d, n), 0)
+            syn = syndrome(lat, PauliString(d, x, z))
+            assert len(syn.vertex) + len(syn.face) > 40
+            assert correct(lat, syn) == correct_oracle(lat, syn)
+
+    def test_edge_rows_are_shared_per_shape(self):
+        a, b = TorusLattice(5, 4), TorusLattice(5, 4)
+        assert a.star_edges is b.star_edges and a.face_edges is b.face_edges
+        assert not a.star_edges.flags.writeable and not a.face_edges.flags.writeable
+        assert TorusLattice(4, 5).star_edges.shape == a.star_edges.shape
+        assert not np.array_equal(TorusLattice(4, 5).star_edges, a.star_edges)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_component_rank_equals_dense_rank(self, p):
@@ -364,6 +400,30 @@ class TestSyndromeAndCorrection:
         lat = TorusLattice(3, 3)
         with pytest.raises(InputError):
             correct(lat, Syndrome(2, {0: 1}, {}))
+
+    @pytest.mark.parametrize("vertex,face", [
+        ({-3: 1, 0: 1}, {}), ({0: 1, 10 ** 6: 1}, {}), ({}, {16: 1, 0: 1}), ({}, {-1: 1, 15: 1}),
+    ])
+    def test_defects_off_the_lattice_refused(self, vertex, face):
+        with pytest.raises(InputError, match="outside"):
+            correct(TorusLattice(4, 4), Syndrome(2, vertex, face))
+
+    def test_correction_memory_is_linear_in_the_defects(self):
+        # all distances of the ~16,000 defects at once would take 2 GB
+        lat = TorusLattice(128, 128)
+        rng = np.random.default_rng(1)
+        n = lat.n_edges
+        error = PauliString(2, rng.random(n) < 0.3, rng.random(n) < 0.3)
+        syn = syndrome(lat, error)
+        assert len(syn.vertex) + len(syn.face) > 15_000
+        tracemalloc.start()
+        try:
+            corr = correct(lat, syn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert syndrome(lat, error * corr).is_empty()
 
     def test_homology_requires_closed(self):
         lat = TorusLattice(4, 4)

@@ -144,6 +144,18 @@ class TestHadamardTest:
         with pytest.raises(InputError):
             hadamard_test_trace([], shots=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, 2.0, "3", None, True])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            hadamard_test_trace([np.eye(2)], shots=10, seed=seed)
+
+    def test_integer_seeds_of_any_type_agree(self):
+        mats = [np.diag([1.0, 1j])]
+        want = hadamard_test_trace(mats, shots=100, seed=5)
+        got = hadamard_test_trace(mats, shots=100, seed=np.int64(5))
+        assert got == want and type(got.seed) is int
+        assert hadamard_test_trace(mats, shots=10, seed=2 ** 128 - 1).seed == 2 ** 128 - 1
+
 
 def _diagonal_product(dim: int) -> np.ndarray:
     """A diagonal matrix with moduli in [0, 1] and generic phases."""
