@@ -494,7 +494,8 @@ def correct(lat: TorusLattice, syn: Syndrome) -> PauliString:
             raise InputError(f"a defect index lies outside [0, {n})")
     d = syn.d
     charge, flux = _string_exponents(lat, _greedy_pairs(lat, syn)) % d
-    # all charge strings, then all flux strings, as the greedy order applies them
+    # all charge strings, then all flux strings, as the greedy order applies
+    # them: Z^charge X^flux = omega^(charge.flux) X^flux Z^charge
     return PauliString(d, flux, charge, 2 * int(np.dot(charge, flux)))
 
 
