@@ -580,7 +580,10 @@ def _string_exponents(lat: TorusLattice, strings) -> np.ndarray:
     :func:`vertex_path_edges` and :func:`dual_path_edges`.
     """
     lx, ly, nv, ne = lat.lx, lat.ly, lat.n_vertices, lat.n_edges
-    # per leg: start of its line, first step along it, steps, exponent per step
+    # per leg: start of its line, first step along it, steps, exponent per
+    # step.  Flux strings fill the second half (X exponents) of the output;
+    # an x leg runs along row y1 over h edges (charge) or v edges (flux), a
+    # y leg along column x2 over the other kind.
     along_x, along_y = [], []
     for flux, x1, y1, x2, y2, power in strings:
         ahead = (x2 - x1) % lx

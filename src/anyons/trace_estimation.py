@@ -119,7 +119,8 @@ def hadamard_test_trace(
     ``shots`` above :data:`SHOTS_CAP` and dimensions above :data:`DIM_CAP`
     raise ``ResourceError``, all before any work.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 128:
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 128):
         raise InputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     seed = int(seed)
     if shots < 1:
