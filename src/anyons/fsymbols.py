@@ -20,10 +20,11 @@ unitary.
 An R symbol ``R(a,b -> c)`` is the phase acquired when ``a`` and ``b`` are
 exchanged counterclockwise in fusion channel ``c``.
 
-Every check runs over the admissible tuples only.  Each table holds them,
-enumerated once at construction, as an ``(m, 6)`` array of label indices
-(joining the allowed fusion vertices of the two trees above) with its
-values in the same row order.  Each side of the pentagon
+A table is its arrays: the admissible tuples, enumerated once, as an
+``(m, 6)`` array of label indices (joining the allowed fusion vertices of
+the two trees above), and its values in the same row order; ``entries``,
+keyed by label tuples, is a read-only view of them built when first read.
+Every check runs over those rows only.  Each side of the pentagon
 and hexagon equations is a join of those rows on their shared labels, with
 the contracted label summed over int64 tuple codes, and the residual is the
 worst absolute deviation over the union of the two sides' supports:
@@ -40,8 +41,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,27 +93,76 @@ def f_admissible(model: AnyonModel, a, b, c, d, i, j) -> bool:
     return bool(N[a, b, i] and N[i, c, d] and N[b, c, j] and N[a, j, d])
 
 
-@dataclass(frozen=True)
-class FSymbolTable:
+class _Table:
+    """What F and R tables share: the read-only ``model``, ``rows`` (the
+    admissible tuples as sorted rows of label indices) and ``values`` (the
+    entries at those rows).  Two tables are equal when their models and
+    values are; ``repr`` shows the model and entries."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def _hold(self, model: AnyonModel, rows: np.ndarray, values: np.ndarray, **extra):
+        """Hold the model, ``rows`` and ``values`` (made read-only) and
+        ``extra``, and return the table: every way to build one ends here."""
+        rows.flags.writeable = values.flags.writeable = False
+        vars(self).update(model=model, rows=rows, values=values, **extra)
+        return self
+
+    @classmethod
+    def _of(cls, model: AnyonModel, rows: np.ndarray, values: np.ndarray, **extra):
+        return object.__new__(cls)._hold(model, rows, values, **extra)
+
+    def _read(self, model: AnyonModel, rows: np.ndarray, entries: dict, missing: str, **extra):
+        """Hold ``entries``, a dict keyed by label tuples, at ``rows``; other
+        keys are ignored, and the first missing one raises CompletenessError."""
+        try:
+            values = np.array([entries[key] for key in _label_rows(model, rows)], dtype=complex)
+        except KeyError as exc:
+            raise CompletenessError(f"{missing} {exc.args[0]}") from None
+        self._hold(model, rows, values, **extra)
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """The values keyed by label tuples, in row (label-product) order: a
+        read-only view, built when first read."""
+        return MappingProxyType(dict(zip(_label_rows(self.model, self.rows),
+                                         self.values.tolist())))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.model == other.model and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(model={self.model!r}, entries={dict(self.entries)!r})"
+
+    def to_json(self) -> str:
+        entries = sorted(self.entries.items(), key=lambda kv: str(kv[0]))
+        return json.dumps({"model": json.loads(self.model.to_json()),
+                           "entries": [[list(k), [v.real, v.imag]] for k, v in entries]},
+                          sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Parse a :meth:`to_json` document; every entry must sit at an
+        admissible key of the model (for R, an allowed fusion triple) and
+        hold a finite ``[re, im]`` pair."""
+        return cls(*_table_from_json(text, cls._what))
+
+
+class FSymbolTable(_Table):
     """Complete map of admissible ``(a, b, c, d, i, j)`` tuples to values.
 
-    Built once from those, read-only and neither compared nor printed:
-    ``rows``, the admissible tuples as a sorted ``(m, 6)`` array of label
-    indices; ``values``, the entries at those rows; ``non_square``, the
-    message naming the first non-square block, or ``""``.  A missing
-    admissible entry raises CompletenessError, naming the first in label order.
+    A missing admissible entry raises CompletenessError, naming the first in
+    label order.  ``non_square`` names the first non-square block, or is ``""``.
     """
 
-    model: AnyonModel
-    entries: dict[tuple[Label, Label, Label, Label, Label, Label], complex]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    non_square: str = field(init=False, repr=False, compare=False)
+    _what = "F"
 
-    def __post_init__(self):
-        rows, non_square = _admissible_tuples(self.model)
-        _hold(self, rows, "F table missing admissible entry")
-        object.__setattr__(self, "non_square", non_square)
+    def __init__(self, model: AnyonModel, entries: dict):
+        rows, non_square = _admissible_tuples(model)
+        self._read(model, rows, entries, "F table missing admissible entry", non_square=non_square)
 
     def value(self, a, b, c, d, i, j) -> complex:
         key = (a, b, c, d, i, j)
@@ -129,56 +181,19 @@ class FSymbolTable:
         ).reshape(len(rows), len(cols))
         return rows, cols, mat
 
-    def to_json(self) -> str:
-        doc = {
-            "model": json.loads(self.model.to_json()),
-            "entries": [
-                [list(k), [complex(v).real, complex(v).imag]]
-                for k, v in sorted(self.entries.items(), key=lambda kv: str(kv[0]))
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FSymbolTable":
-        """Parse a :meth:`to_json` document; every entry must sit at an
-        admissible key of the model and hold a finite ``[re, im]`` pair."""
-        return cls(*_table_from_json(text, "F"))
-
-
-@dataclass(frozen=True)
-class RSymbolTable:
+class RSymbolTable(_Table):
     """Complete map of allowed exchange triples ``(a, b, c)`` to unit-modulus
-    phases; ``rows`` holds the allowed vertices and ``values`` the entries at
-    them, as in :class:`FSymbolTable`."""
+    phases; ``rows`` holds the allowed vertices."""
 
-    model: AnyonModel
-    entries: dict[tuple[Label, Label, Label], complex]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
+    _what = "R"
 
-    def __post_init__(self):
-        _hold(self, _vertices(self.model), "R table missing allowed entry")
+    def __init__(self, model: AnyonModel, entries: dict):
+        self._read(model, _vertices(model), entries, "R table missing allowed entry")
 
     def value(self, a, b, c) -> complex:
         key = (a, b, c)
         return self.entries[key] if _allowed(self.model, *key) else 0.0
-
-    def to_json(self) -> str:
-        doc = {
-            "model": json.loads(self.model.to_json()),
-            "entries": [
-                [list(k), [v.real, v.imag]]
-                for k, v in sorted(self.entries.items(), key=lambda kv: str(kv[0]))
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RSymbolTable":
-        """Parse a :meth:`to_json` document; every entry must sit at an
-        allowed fusion triple of the model and hold a finite ``[re, im]``."""
-        return cls(*_table_from_json(text, "R"))
 
 
 def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
@@ -314,19 +329,6 @@ def _label_rows(model: AnyonModel, rows: np.ndarray) -> list[tuple]:
     return list(zip(*labels[rows.T].tolist()))
 
 
-def _hold(table, rows: np.ndarray, missing: str):
-    """Set ``table.rows`` and ``table.values``, the entries at ``rows`` in row
-    order, both read-only; the first missing entry raises CompletenessError."""
-    try:
-        values = np.array([table.entries[key] for key in _label_rows(table.model, rows)],
-                          dtype=complex)
-    except KeyError as exc:
-        raise CompletenessError(f"{missing} {exc.args[0]}") from None
-    rows.flags.writeable = values.flags.writeable = False
-    object.__setattr__(table, "rows", rows)
-    object.__setattr__(table, "values", values)
-
-
 def _max_deviation(k: int, lhs_key, lhs: np.ndarray, rhs_key, rhs: np.ndarray) -> float:
     """``max |lhs - rhs|`` over the union of both supports.
 
@@ -361,18 +363,14 @@ def fibonacci_data() -> tuple[AnyonModel, FSymbolTable, RSymbolTable]:
     and ``R(1,1->1) = -exp(2 pi i / 5)`` with trivial vacuum entries.
     """
     model = fibonacci_model()
-    entries = dict.fromkeys(_label_rows(model, _admissible_tuples(model)[0]), 1.0 + 0.0j)
-    for i in (0, 1):
-        for j in (0, 1):
-            entries[(1, 1, 1, 1, i, j)] = complex(FIB_F1111[i, j])
-    r_entries = {
-        (0, 0, 0): 1.0 + 0.0j,
-        (0, 1, 1): 1.0 + 0.0j,
-        (1, 0, 1): 1.0 + 0.0j,
-        (1, 1, 0): FIB_R11[0],
-        (1, 1, 1): FIB_R11[1],
-    }
-    return model, FSymbolTable(model, entries), RSymbolTable(model, r_entries)
+    rows, non_square = _admissible_tuples(model)
+    values = np.ones(len(rows), dtype=complex)
+    tau = np.all(rows[:, :4] == 1, axis=1)  # the F(1111) block; label = index
+    values[tau] = FIB_F1111[rows[tau, 4], rows[tau, 5]]
+    # the allowed vertices, in row order: 000, 011, 101, 110, 111
+    r_values = np.array([1, 1, 1, *FIB_R11], dtype=complex)
+    return (model, FSymbolTable._of(model, rows, values, non_square=non_square),
+            RSymbolTable._of(model, _vertices(model), r_values))
 
 
 def trivial_data(model: AnyonModel) -> tuple[FSymbolTable, RSymbolTable]:
@@ -381,11 +379,11 @@ def trivial_data(model: AnyonModel) -> tuple[FSymbolTable, RSymbolTable]:
     A consistent (pentagon- and hexagon-exact) solution for any abelian
     group model where all fusion multiplicities are one.
     """
-    f_keys = _label_rows(model, _admissible_tuples(model)[0])
-    r_keys = _label_rows(model, _vertices(model))
+    rows, non_square = _admissible_tuples(model)
+    vertices = _vertices(model)
     return (
-        FSymbolTable(model, dict.fromkeys(f_keys, 1.0 + 0.0j)),
-        RSymbolTable(model, dict.fromkeys(r_keys, 1.0 + 0.0j)),
+        FSymbolTable._of(model, rows, np.ones(len(rows), dtype=complex), non_square=non_square),
+        RSymbolTable._of(model, vertices, np.ones(len(vertices), dtype=complex)),
     )
 
 
@@ -395,27 +393,33 @@ def gauge_transform(
     """Rephase fusion-vertex bases by unit phases ``u(x, y, z)`` per vertex.
 
     ``phases`` is keyed by allowed fusion vertices ``(x, y, z)`` meaning
-    ``x`` and ``y`` fuse to ``z``.  The F symbols transform with the left
-    tree's vertices over the right tree's:
+    ``x`` and ``y`` fuse to ``z``; a vertex left out keeps phase 1, and a
+    phase must be a finite unit-modulus number.  The F symbols transform
+    with the left tree's vertices over the right tree's:
 
         F'(abcd)^i_j = F(abcd)^i_j * u(a,b,i) u(i,c,d) / (u(b,c,j) u(a,j,d))
 
     which leaves the pentagon residual invariant.
     """
-    for key, u in phases.items():
-        if not _allowed(f.model, *key):
-            raise InputError(f"phase attached to non-allowed vertex {key}")
-        if abs(abs(u) - 1.0) > 1e-12:
-            raise InputError(f"gauge phase at {key} is not unit modulus")
-    out = {}
-    for (a, b, c, d, i, j), val in f.entries.items():
-        out[(a, b, c, d, i, j)] = (
-            val
-            * phases.get((a, b, i), 1.0)
-            * phases.get((i, c, d), 1.0)
-            / (phases.get((b, c, j), 1.0) * phases.get((a, j, d), 1.0))
-        )
-    return FSymbolTable(f.model, out)
+    model = f.model
+    u = np.ones((len(model.labels),) * 3, dtype=complex)
+    for key, phase in phases.items():
+        if not (isinstance(key, tuple) and len(key) == 3 and _allowed(model, *key)):
+            raise InputError(f"phase attached to non-allowed vertex {key!r}")
+        try:
+            unit = isinstance(phase, numbers.Number) and abs(abs(complex(phase)) - 1.0) <= 1e-12
+        except (TypeError, ValueError, OverflowError):
+            unit = False
+        if not unit:  # NaN and infinities fail the comparison
+            raise InputError(f"gauge phase at {key} is not a finite unit-modulus number")
+        u[tuple(model.index[x] for x in key)] = complex(phase)
+    A, B, C, D, I, J = f.rows.T
+    columns = (f.values, u[A, B, I], u[I, C, D], u[B, C, J], u[A, J, D])
+    # Python complex arithmetic, in the order written: numpy's rounds differently
+    values = [val * abi * icd / (bcj * ajd)
+              for val, abi, icd, bcj, ajd in zip(*(col.tolist() for col in columns))]
+    return FSymbolTable._of(model, f.rows, np.array(values, dtype=complex),
+                            non_square=f.non_square)
 
 
 # ---------------------------------------------------------------------------

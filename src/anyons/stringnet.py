@@ -110,15 +110,6 @@ class FaceOperatorMatrix:
         return out
 
 
-def _f_tensor() -> np.ndarray:
-    """``W[x, y, zp, u, yp] = F(x y 1 zp)^u_{yp}`` over Fibonacci labels."""
-    _, ftab, _ = fibonacci_data()
-    w = np.zeros((2, 2, 2, 2, 2), dtype=complex)
-    for x, y, zp, u, yp in product((0, 1), repeat=5):
-        w[x, y, zp, u, yp] = ftab.value(x, y, 1, zp, u, yp)
-    return w
-
-
 def face_operator(s: int) -> FaceOperatorMatrix:
     """The Levin-Wen face operator ``B^s`` for Fibonacci strings."""
     if s not in (0, 1):
@@ -126,7 +117,10 @@ def face_operator(s: int) -> FaceOperatorMatrix:
     if s == 0:
         blocks = np.broadcast_to(np.eye(64, dtype=complex), (64, 64, 64)).copy()
         return FaceOperatorMatrix(0, blocks)
-    w = _f_tensor()
+    _, ftab, _ = fibonacci_data()
+    full = np.zeros((2,) * 6, dtype=complex)  # F(abcd)^i_j; a label is its index
+    full[tuple(ftab.rows.T)] = ftab.values
+    w = full[:, :, 1]  # W[x, y, zp, u, yp] = F(x y 1 zp)^u_{yp}
     # indices: external a..f; source boundary g h i j k l; target m n o p q r.
     # No index is summed; the path multiplies the factors pairwise, first to
     # last, in the order (and so to the bits) of the one-pass product, but

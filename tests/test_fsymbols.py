@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyons import fsymbols
+from anyons import cli, fsymbols
 from anyons.errors import CompletenessError, InputError, InvariantViolation, ResourceError
 from anyons.fsymbols import (
     FIB_F1111,
@@ -253,6 +253,54 @@ class TestTablesHoldTheirRows:
         assert RSymbolTable(model, dict(r.entries)) == r
         assert "rows" not in repr(f) and "values" not in repr(r)
 
+    def test_tables_and_entries_are_read_only(self, fib_data):
+        _, f, r = fib_data
+        with pytest.raises(AttributeError):
+            f.values = r.values
+        with pytest.raises(TypeError):
+            f.entries[(0, 0, 0, 0, 0, 0)] = 2.0
+
+    def test_one_enumeration_per_table(self, monkeypatch, fib_data):
+        model, f, _ = fib_data
+        text = f.to_json()
+        calls = []
+        enumerate_tuples = fsymbols._admissible_tuples
+
+        def counted(model):
+            calls.append(model)
+            return enumerate_tuples(model)
+
+        monkeypatch.setattr(fsymbols, "_admissible_tuples", counted)
+        builds = {
+            "fibonacci_data": (fibonacci_data, 1),
+            "trivial_data z_d:3": (lambda: trivial_data(zd_model(3)), 1),
+            "from_json": (lambda: FSymbolTable.from_json(text), 1),
+            "pentagon --model z_d:4": (lambda: cli.run(["pentagon", "--model", "z_d:4"]), 1),
+            "gauge_transform": (lambda: gauge_transform(f, {(1, 1, 0): 1j}), 0),
+        }
+        got = {}
+        for name, (build, _) in builds.items():
+            calls.clear()
+            build()
+            got[name] = len(calls)
+        assert got == {name: want for name, (_, want) in builds.items()}
+
+    def test_entries_are_built_only_when_read(self, monkeypatch):
+        model = zd_model(4)
+        f, r = trivial_data(model)
+        label_rows = fsymbols._label_rows
+
+        def refuse(*args):
+            raise AssertionError("label tuples built although no entry was read")
+
+        monkeypatch.setattr(fsymbols, "_label_rows", refuse)
+        g = gauge_transform(f, {(1, 1, 2): 1j})
+        assert (pentagon_residual(model, g), hexagon_residual(model, f, r),
+                f_unitarity_residual(model, f)) == (0.0, 0.0, 0.0)
+        assert g != f and trivial_data(model) == (f, r)
+        monkeypatch.setattr(fsymbols, "_label_rows", label_rows)
+        assert g.entries[(1, 1, 2, 0, 2, 3)] == 1j  # u(1,1,2) on the left tree only
+
 
 #: ``to_json`` of the Fibonacci tables, byte for byte, as the dict-only
 #: tables wrote them.
@@ -314,6 +362,29 @@ class TestPinnedOutputs:
             text = table.to_json()
             assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
 
+    def test_gauged_table_bytes(self, fib_data):
+        # unit phases on every allowed vertex; bytes as the dict-only
+        # gauge_transform wrote them
+        for model, f, size, digest in (
+            (fib_data[0], fib_data[1], 1016,
+             "73d93797a4fae4895cec77b90bfe6c1ba8bfab00578e0659c1af2be37688b8f3"),
+            (zd_model(3), trivial_data(zd_model(3))[0], 1920,
+             "9bc073525a1b3a1a0a4a44873a563a4c78a6aa9e948c04687370e87a557d4a18"),
+        ):
+            rng = np.random.default_rng(15)
+            phases = {
+                t: complex(np.exp(2j * np.pi * rng.random()))
+                for t in itertools.product(model.labels, repeat=3)
+                if model.n(*t)
+            }
+            text = gauge_transform(f, phases).to_json()
+            assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
+
+    def test_fibonacci_entry_order(self, fib_data):
+        model, f, r = fib_data
+        assert list(r.entries) == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert list(f.entries) == product_scan(model)[0]
+
     @pytest.mark.parametrize("name", sorted(RESIDUAL_PINS))
     def test_named_model_residuals(self, name):
         model = named_model(name)
@@ -344,11 +415,23 @@ class TestGaugeCovariance:
         assert pentagon_residual(model, gauged) < 1e-12
 
     def test_bad_phase_rejected(self, fib_data):
-        model, f, _ = fib_data
-        with pytest.raises(InputError):
-            gauge_transform(f, {(0, 0, 1): 1.0})  # not an allowed vertex
-        with pytest.raises(InputError):
-            gauge_transform(f, {(1, 1, 0): 2.0})  # not unit modulus
+        _, f, _ = fib_data
+        for phases in (
+            {(0, 0, 1): 1.0},  # not an allowed vertex
+            {(1, 1, 2): 1.0},  # unknown label
+            {((1,), 1, 0): 1.0},
+            {(1, 1): 1.0},  # not a 3-tuple
+            {"110": 1.0},
+            {(1, 1, 0): 2.0},  # not unit modulus
+            {(1, 1, 0): float("nan")},
+            {(1, 1, 0): complex(float("inf"), 0.0)},
+            {(1, 1, 0): complex(1e308, 1e308)},
+            {(1, 1, 0): 10 ** 400},
+            {(1, 1, 0): "1"},  # not a number
+            {(1, 1, 0): None},
+        ):
+            with pytest.raises(InputError):
+                gauge_transform(f, phases)
 
 
 class TestAdmissibility:

@@ -1,5 +1,6 @@
 """Levin-Wen Fibonacci vertex and face operators on the 12-qubit patch."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from anyons import stringnet
 from anyons.errors import InputError
+from anyons.fsymbols import fibonacci_data
 from anyons.stringnet import (
     _branching_mask,
     branching_allowed,
@@ -108,6 +110,30 @@ class TestFaceOperators:
             block = b1.block(ext)
             assert np.abs(block[:, bad]).max() == 0.0
             assert np.abs(block[bad, :]).max() == 0.0
+
+    def test_b1_elements_are_six_f_values(self, b1):
+        # F(a l 1 g')^g_{l'} F(b g 1 h')^h_{g'} ... F(f k 1 l')^l_{k'}, read
+        # through FSymbolTable.value, over the allowed configurations of
+        # several external sectors (bits most significant first)
+        _, ftab, _ = fibonacci_data()
+
+        def bits(n):
+            return [(n >> (5 - q)) & 1 for q in range(6)]
+
+        for ext in (0, 21, 42, 63):
+            e = bits(ext)
+            for src in constrained_configs(ext):
+                for tgt in constrained_configs(ext):
+                    s, t = bits(src), bits(tgt)
+                    want = 1.0
+                    for q in range(6):
+                        want *= ftab.value(e[q], s[q - 1], 1, t[q], s[q], t[q - 1])
+                    assert b1.block(ext)[tgt, src] == pytest.approx(want, abs=1e-14)
+
+    def test_b1_bytes(self, b1):
+        # as the per-element table reads built them
+        digest = hashlib.sha256(np.ascontiguousarray(b1.blocks).tobytes()).hexdigest()
+        assert digest == "bddc8c1edf0c29bf4574f6f59fccb101775a304de207969ba1c8e47af26a2afa"
 
     def test_block_structure_exact(self, b1):
         # structural block-diagonality: the operator never couples
