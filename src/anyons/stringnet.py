@@ -18,7 +18,10 @@ changes nothing), while ``B^1`` maps boundary configuration ``ghijkl`` to
     F(d i 1 j')^j_{i'} F(e j 1 k')^k_{j'} F(f k 1 l')^l_{k'}
 
 and is identically zero between different external sectors (structural
-block-diagonality).  The face term is
+block-diagonality).  Only 1,584 of its 64^3 sector-block entries are
+nonzero, and ``B^1`` is held as that support: one join of the F rows
+with ``c = 1`` around the hexagon gives every admissible
+(external, target, source) assignment and its six factors.  The face term is
 
     H_f = (d_0 B^0 + d_1 B^1) / (d_0^2 + d_1^2),   d_0 = 1, d_1 = phi,
 
@@ -30,20 +33,24 @@ of shape (64 external sectors, 6 vertices, 64 boundary configurations),
 computed by bit arithmetic: vertex ``q``'s triple has code
 ``4 a[q] + 2 g[q-1] + g[q]``, looked up in an 8-entry table of allowed
 codes.  ``constrained_configs`` and ``vertex_diagonal`` are views of it,
-and ``face_term_checks`` checks all 64 sectors at once with batched array
-operations on the ``(64, 64, 64)`` face term.
+and ``face_term_checks`` checks all 64 sectors at once on the face term's
+support: the vertex-allowed entries scattered into one padded
+``(64, 18, 18)`` stack, and the vertex signatures of each entry's two ends.
+The F join never reads the mask, so the commutation check still tests
+that F admissibility agrees with the branching rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import InputError
-from .fsymbols import PHI, fibonacci_data
+from .fsymbols import PHI, _join, _shared_codes, fibonacci_data
 
 #: Allowed branchings of three edge occupations at a trivalent vertex.
 ALLOWED_BRANCHINGS = frozenset(
@@ -90,48 +97,62 @@ def _check_sector(ext: int) -> None:
 
 @dataclass(frozen=True)
 class FaceOperatorMatrix:
-    """A face operator, stored as one 64x64 boundary block per external
-    sector (structural block-diagonality in the external edges)."""
+    """A face operator as its support: entry ``i`` is ``value[i]`` at
+    ``[sector[i], target[i], source[i]]`` (external sector, target and source
+    boundary configurations).  No entry couples two external sectors."""
 
     s: int
-    blocks: np.ndarray  # shape (64, 64, 64): [external, target, source]
+    sector: np.ndarray
+    target: np.ndarray
+    source: np.ndarray
+    value: np.ndarray
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The support scattered into shape (64, 64, 64): [external, target, source]."""
+        out = np.zeros((64, 64, 64), dtype=complex)
+        out[self.sector, self.target, self.source] = self.value
+        out.flags.writeable = False
+        return out
 
     def block(self, external: int) -> np.ndarray:
         """Boundary-space matrix for one external-edge configuration."""
         _check_sector(external)
         return self.blocks[external]
 
-    def dense(self) -> np.ndarray:
-        """Full 4096x4096 matrix (external qubits are the high bits)."""
-        out = np.zeros((4096, 4096), dtype=complex)
-        for ext in range(64):
-            sl = slice(ext * 64, (ext + 1) * 64)
-            out[sl, sl] = self.blocks[ext]
-        return out
-
 
 def face_operator(s: int) -> FaceOperatorMatrix:
-    """The Levin-Wen face operator ``B^s`` for Fibonacci strings."""
+    """The Levin-Wen face operator ``B^s`` for Fibonacci strings.
+
+    ``B^1``'s support is a join of the F rows with ``c = 1`` around the
+    hexagon: factor ``q`` is a row ``(e_q, s_{q-1}, 1, t_q, s_q, t_{q-1})``
+    (external edge, source and target boundary edges), and factor ``q + 1``
+    continues it where its ``(s_q, t_q)`` agree, factor 0 closing the cycle.
+    Each value is the six factors multiplied first to last.
+    """
     if s not in (0, 1):
         raise InputError("string type s must be 0 or 1")
     if s == 0:
-        blocks = np.broadcast_to(np.eye(64, dtype=complex), (64, 64, 64)).copy()
-        return FaceOperatorMatrix(0, blocks)
+        ext, bnd = np.divmod(np.arange(4096), 64)
+        return FaceOperatorMatrix(0, ext, bnd, bnd, np.ones(4096, dtype=complex))
     _, ftab, _ = fibonacci_data()
-    full = np.zeros((2,) * 6, dtype=complex)  # F(abcd)^i_j; a label is its index
-    full[tuple(ftab.rows.T)] = ftab.values
-    w = full[:, :, 1]  # W[x, y, zp, u, yp] = F(x y 1 zp)^u_{yp}
-    # indices: external a..f; source boundary g h i j k l; target m n o p q r.
-    # No index is summed; the path multiplies the factors pairwise, first to
-    # last, in the order (and so to the bits) of the one-pass product, but
-    # on small intermediates.
-    tensor = np.einsum(
-        "almgr,bgnhm,choin,dipjo,ejqkp,fkrlq->abcdefmnopqrghijkl",
-        w, w, w, w, w, w,
-        optimize=["einsum_path", (0, 1), (0, 4), (0, 3), (0, 2), (0, 1)],
-    )
-    blocks = tensor.reshape(64, 64, 64)  # [external, target, source]
-    return FaceOperatorMatrix(1, blocks)
+    on = ftab.rows[:, 2] == 1  # a label is its index
+    e, s_prev, _, t_cur, s_cur, t_prev = ftab.rows[on].T
+    w = ftab.values[on]
+    chain = np.arange(len(w))[:, np.newaxis]  # chain[m, q]: factor q's F row
+    for _ in range(5):
+        last = chain[:, -1]
+        p, r = _join(*_shared_codes(2, [s_cur[last], t_cur[last]], [s_prev, t_prev]),
+                     "the face operator")
+        chain = np.column_stack([chain[p], r])
+    first, last = chain[:, 0], chain[:, -1]
+    chain = chain[(s_cur[last] == s_prev[first]) & (t_cur[last] == t_prev[first])]
+    value = w[chain[:, 0]]
+    for q in range(1, 6):
+        value = value * w[chain[:, q]]
+    bits = 1 << np.arange(5, -1, -1)  # edge q = 0 is the most significant bit
+    return FaceOperatorMatrix(1, e[chain] @ bits, t_cur[chain] @ bits,
+                              s_cur[chain] @ bits, value)
 
 
 def face_term() -> np.ndarray:
@@ -186,33 +207,52 @@ def face_term_checks() -> dict[str, float]:
     * ``vertex_commutation``: max-entry norm of ``[H_f, H_v]`` over the
       whole boundary block, for each of the six vertex projectors.
 
-    All 64 sectors are checked at once.  Each sector's allowed
-    configurations are gathered, in order, into the leading rows and columns
-    of one ``(64, width, width)`` stack, ``width`` being the largest allowed
-    count (18), with the padding zeroed, which leaves every entry of the
-    restricted residuals unchanged.  The products stay 18x18: full 64x64
-    complex products run multi-threaded in OpenBLAS, and the first one in
-    a process took about 0.9 s on a 2-core x86 host.
+    ``H_f``'s support is ``B^1``'s off-diagonal entries and ``B^0``'s, every
+    block diagonal entry, valued as in :func:`face_term`; no dense face term
+    is built.
+    """
+    b0, b1 = face_operator(0), face_operator(1)
+    off = b1.target != b1.source
+    diag = np.zeros((64, 64), dtype=complex)  # B^1 on B^0's support, in its order
+    diag[b1.sector[~off], b1.source[~off]] = b1.value[~off]
+    return _face_term_residuals(
+        np.concatenate([b1.sector[off], b0.sector]),
+        np.concatenate([b1.target[off], b0.target]),
+        np.concatenate([b1.source[off], b0.source]),
+        np.concatenate([PHI * b1.value[off], PHI * diag.ravel() + b0.value]) / (1.0 + PHI ** 2),
+    )
+
+
+def _face_term_residuals(sector, target, source, value) -> dict[str, float]:
+    """:func:`face_term_checks` of the face term whose entries are ``value`` at
+    ``[sector, target, source]``, distinct, and zero everywhere else.
+
+    All 64 sectors are checked at once.  The entries whose two ends are both
+    allowed are scattered, each sector's allowed configurations in order,
+    into the leading rows and columns of one ``(64, width, width)`` stack,
+    ``width`` being the largest allowed count (18); the zero padding leaves
+    every entry of the restricted residuals unchanged.  The products stay
+    18x18: full 64x64 complex products run multi-threaded in OpenBLAS, and
+    the first one in a process took about 0.9 s on a 2-core x86 host.
 
     With ``H_v`` diagonal with entries ``dv`` in {0, 1},
     ``[H_f, H_v][t, s] = H_f[t, s] (dv[s] - dv[t])``, so the six commutators
-    reduce to the largest ``|H_f[t, s]|`` over pairs whose 6-bit vertex
+    reduce to the largest ``|H_f[t, s]|`` over entries whose 6-bit vertex
     signatures differ.
     """
-    h = face_term()
     mask = _branching_mask()
     allowed = mask.all(axis=1)  # (ext, bnd)
     width = int(allowed.sum(axis=1).max())
-    rows = np.argsort(~allowed, axis=1, kind="stable")[:, :width]
-    keep = np.take_along_axis(allowed, rows, axis=1)
-    sub = h[np.arange(64)[:, np.newaxis, np.newaxis],
-            rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
-    sub = np.where(keep[:, :, np.newaxis] & keep[:, np.newaxis, :], sub, 0.0)
+    row = allowed.cumsum(axis=1) - 1  # a configuration's row in its sector's stack
+    keep = allowed[sector, target] & allowed[sector, source]
+    at = sector[keep]
+    sub = np.zeros((64, width, width), dtype=complex)
+    sub[at, row[at, target[keep]], row[at, source[keep]]] = value[keep]
     herm = np.max(np.abs(sub - sub.conj().transpose(0, 2, 1)))
     proj = np.max(np.abs(sub @ sub - sub))
     signature = np.tensordot(1 << np.arange(6), mask, axes=(0, 1))  # (ext, bnd)
-    differ = signature[:, :, np.newaxis] != signature[:, np.newaxis, :]
-    comm = np.max(np.abs(h), where=differ, initial=0.0)
+    differ = signature[sector, target] != signature[sector, source]
+    comm = np.max(np.abs(value), where=differ, initial=0.0)
     return {
         "hermiticity": float(herm),
         "projector": float(proj),

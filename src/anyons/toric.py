@@ -621,6 +621,11 @@ def homology_class(
     """
     if not syndrome(lat, loop).is_empty():
         raise InputError("operator has a non-empty syndrome; not a closed loop")
+    return _winding(lat, loop)
+
+
+def _winding(lat: TorusLattice, loop: PauliString) -> dict[str, tuple[int, int]]:
+    """:func:`homology_class` of an operator already known to be closed."""
     d = loop.d
     xs, ys = np.arange(lat.lx), np.arange(lat.ly)
     charge_wx = int(loop.z[lat.h_edge(lat.lx - 1, ys)].sum()) % d
@@ -726,7 +731,7 @@ def _code_state_expectation(lat: TorusLattice, op: PauliString) -> complex:
     star syndrome (``P`` anticommutes with a star), else ``i^k`` when
     ``X^x`` is a star product (no plaquette syndrome, no flux winding), else 0.
     """
-    if not syndrome(lat, op).is_empty() or homology_class(lat, op)["flux"] != (0, 0):
+    if not syndrome(lat, op).is_empty() or _winding(lat, op)["flux"] != (0, 0):
         return 0j
     return 1j ** op.phase
 

@@ -30,11 +30,15 @@ Everything here deliberately avoids the code paths it checks:
   the code space and applies the protocol's operators to it one by one
   (the implementation expands the circuit into Pauli strings and reads
   each one's code-state expectation off its syndrome and flux winding);
+* the string-net face-operator oracle scatters the F table into a dense
+  ``(2,)*6`` tensor and forms all 2^18 sector-block entries of ``B^1`` by
+  one six-factor ``np.einsum`` (the implementation joins the F rows around
+  the hexagon and keeps only the 1,584 nonzero entries);
 * the string-net face-check oracle tests every (external, boundary,
-  vertex) triple with ``branching_allowed`` and checks the face term one
-  sector and one vertex projector at a time (the implementation builds
-  one branching mask by bit arithmetic and checks all sectors in batched
-  array operations);
+  vertex) triple with ``branching_allowed`` and checks the dense face term
+  one sector and one vertex projector at a time (the implementation builds
+  one branching mask by bit arithmetic and checks all sectors at once on
+  the face term's support);
 * the rank oracle expands the two check-matrix blocks into dense
   ``(lx*ly, 2*lx*ly)`` arrays and row-reduces them over Z_p (the
   implementation counts the connected components of the graphs whose
@@ -62,6 +66,7 @@ from anyons.braids import (
     projective_distance,
 )
 from anyons.errors import InputError, InvariantViolation, ResourceError
+from anyons.fsymbols import fibonacci_data
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
 from anyons.stringnet import branching_allowed, face_term
@@ -509,6 +514,32 @@ def vertex_triples(ext: int, bnd: int) -> list[tuple[int, int, int]]:
     # vertex q joins external edge q with boundary edges (q-1 mod 6) and q:
     # (a, l, g), (b, g, h), (c, h, i), (d, i, j), (e, j, k), (f, k, l)
     return [(a[q], g[(q - 1) % 6], g[q]) for q in range(6)]
+
+
+def face_operator_oracle() -> np.ndarray:
+    """``B^1`` as dense blocks, shape (64, 64, 64): [external, target, source]."""
+    _, ftab, _ = fibonacci_data()
+    full = np.zeros((2,) * 6, dtype=complex)  # F(abcd)^i_j; a label is its index
+    full[tuple(ftab.rows.T)] = ftab.values
+    w = full[:, :, 1]  # W[x, y, zp, u, yp] = F(x y 1 zp)^u_{yp}
+    # indices: external a..f; source boundary g h i j k l; target m n o p q r.
+    # No index is summed; the path multiplies the factors pairwise, first to
+    # last, on small intermediates.
+    tensor = np.einsum(
+        "almgr,bgnhm,choin,dipjo,ejqkp,fkrlq->abcdefmnopqrghijkl",
+        w, w, w, w, w, w,
+        optimize=["einsum_path", (0, 1), (0, 4), (0, 3), (0, 2), (0, 1)],
+    )
+    return tensor.reshape(64, 64, 64)
+
+
+def dense_face_operator(blocks: np.ndarray) -> np.ndarray:
+    """The full 4096x4096 matrix of sector blocks (external qubits are the high bits)."""
+    out = np.zeros((4096, 4096), dtype=complex)
+    for ext in range(64):
+        sl = slice(ext * 64, (ext + 1) * 64)
+        out[sl, sl] = blocks[ext]
+    return out
 
 
 def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:

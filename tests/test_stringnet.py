@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,30 @@ from anyons.stringnet import (
     vertex_diagonal,
     vertex_projector,
 )
-from oracles import face_term_checks_oracle, vertex_triples
+from oracles import (
+    dense_face_operator,
+    face_operator_oracle,
+    face_term_checks_oracle,
+    vertex_triples,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def six_f_product(ext, tgt, src):
+    """F(a l 1 g')^g_{l'} F(b g 1 h')^h_{g'} ... F(f k 1 l')^l_{k'}, read
+    through FSymbolTable.value and multiplied first to last (bits most
+    significant first)."""
+    _, ftab, _ = fibonacci_data()
+
+    def bits(n):
+        return [(n >> (5 - q)) & 1 for q in range(6)]
+
+    e, s, t = bits(ext), bits(src), bits(tgt)
+    want = 1.0
+    for q in range(6):
+        want *= ftab.value(e[q], s[q - 1], 1, t[q], s[q], t[q - 1])
+    return want
 
 
 class TestVertexProjector:
@@ -112,34 +134,45 @@ class TestFaceOperators:
             assert np.abs(block[bad, :]).max() == 0.0
 
     def test_b1_elements_are_six_f_values(self, b1):
-        # F(a l 1 g')^g_{l'} F(b g 1 h')^h_{g'} ... F(f k 1 l')^l_{k'}, read
-        # through FSymbolTable.value, over the allowed configurations of
-        # several external sectors (bits most significant first)
-        _, ftab, _ = fibonacci_data()
-
-        def bits(n):
-            return [(n >> (5 - q)) & 1 for q in range(6)]
-
+        # over the allowed configurations of several external sectors
         for ext in (0, 21, 42, 63):
-            e = bits(ext)
             for src in constrained_configs(ext):
                 for tgt in constrained_configs(ext):
-                    s, t = bits(src), bits(tgt)
-                    want = 1.0
-                    for q in range(6):
-                        want *= ftab.value(e[q], s[q - 1], 1, t[q], s[q], t[q - 1])
+                    want = six_f_product(ext, tgt, src)
                     assert b1.block(ext)[tgt, src] == pytest.approx(want, abs=1e-14)
 
+    def test_b1_support_is_the_six_f_products(self, b1):
+        assert b1.value.shape == (1584,)
+        entries = list(zip(b1.sector.tolist(), b1.target.tolist(), b1.source.tolist()))
+        assert len(set(entries)) == 1584
+        # multiplied in the same order, so equal to the last bit
+        assert b1.value.tolist() == [six_f_product(*entry) for entry in entries]
+
+    def test_b1_support_is_the_oracle_nonzero_set(self, b1):
+        nonzero = np.argwhere(face_operator_oracle())
+        support = np.column_stack([b1.sector, b1.target, b1.source])
+        assert np.array_equal(support[np.lexsort(support.T[::-1])], nonzero)
+
+    def test_b0_support_is_the_identity_diagonal(self, b0):
+        assert np.array_equal(b0.sector, np.arange(4096) // 64)
+        assert np.array_equal(b0.target, np.arange(4096) % 64)
+        assert np.array_equal(b0.source, b0.target)
+        assert np.all(b0.value == 1.0)
+
     def test_b1_bytes(self, b1):
-        # as the per-element table reads built them
+        oracle = face_operator_oracle()
+        assert np.array_equal(b1.blocks, oracle)
+        # the einsum writes -0.0 into some parts of zero entries where the
+        # scatter writes +0.0; adding +0.0 clears the sign of zeros only
+        assert (b1.blocks + 0.0).tobytes() == (oracle + 0.0).tobytes()
         digest = hashlib.sha256(np.ascontiguousarray(b1.blocks).tobytes()).hexdigest()
-        assert digest == "bddc8c1edf0c29bf4574f6f59fccb101775a304de207969ba1c8e47af26a2afa"
+        assert digest == "514432de9f02547d58d074b82bf2f42fd7f33ea69dd7d01b5a97378cf72caed4"
 
     def test_block_structure_exact(self, b1):
         # structural block-diagonality: the operator never couples
         # different external sectors by construction
         assert b1.blocks.shape == (64, 64, 64)
-        dense = b1.dense()
+        dense = dense_face_operator(b1.blocks)
         assert dense.shape == (4096, 4096)
         off = dense[0:64, 64:128]
         assert np.abs(off).max() == 0.0
@@ -150,6 +183,23 @@ class TestFaceOperators:
 
 
 class TestFaceTerm:
+    def test_face_term_from_the_oracle(self):
+        h = PHI * face_operator_oracle()
+        diag = np.arange(64)
+        h[:, diag, diag] += 1.0
+        assert np.array_equal(face_term(), h / (1.0 + PHI ** 2))
+
+    def test_residuals_build_no_dense_face_term(self):
+        face_term_checks()  # warm: imports and first-call set-up
+        tracemalloc.start()
+        try:
+            face_term_checks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (64, 64, 64) complex array alone is 4 MiB
+        assert peak < 2_000_000
+
     def test_residuals(self):
         checks = face_term_checks()
         assert checks["hermiticity"] < 1e-10
@@ -196,13 +246,13 @@ class TestFaceTerm:
         # the zero-padded batched product may add its zero terms in another order
         assert checks["projector"] == pytest.approx(oracle["projector"], abs=1e-15)
 
-    def test_residuals_match_the_oracle_off_the_model(self, monkeypatch):
-        # the face term's residuals are ~0; random blocks make every check
-        # report a worst case, so the batched reductions are tested too
+    def test_residuals_match_the_oracle_off_the_model(self):
+        # the face term's residuals are ~0; random blocks, given as a support
+        # of all 64^3 entries, make every check report a worst case, so the
+        # batched reductions and entries off the branching rule are tested too
         rng = np.random.default_rng(7)
         h = rng.normal(size=(64, 64, 64)) + 1j * rng.normal(size=(64, 64, 64))
-        monkeypatch.setattr(stringnet, "face_term", lambda: h)
-        checks = face_term_checks()
+        checks = stringnet._face_term_residuals(*np.indices(h.shape).reshape(3, -1), h.ravel())
         oracle = face_term_checks_oracle(h)
         assert min(oracle.values()) > 1.0
         assert checks["hermiticity"] == oracle["hermiticity"]
