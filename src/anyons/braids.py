@@ -463,19 +463,14 @@ def _evaluate_words(rep: BraidRep, alphabet: list[int], letters, lengths):
     return mats
 
 
-def compile_gate(
-    target: np.ndarray,
-    max_len: int,
-    rep: BraidRep | None = None,
-) -> tuple[BraidWord, float]:
+def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     """Best braid word approximating ``target`` projectively.
 
     Searches all reduced words over ``{b_1^+-1, b_2^+-1}`` of length up to
-    ``max_len`` in the Fibonacci qubit representation, or in ``rep`` when
-    given (any unitary two-dimensional one); words containing an adjacent
-    inverse pair evaluate to a shorter word and are skipped.  Distances
-    within ``COMPILE_TIE_EPS`` of each other count as ties, broken by
-    shorter then lexicographically smaller word (letters compared as
+    ``max_len`` in the Fibonacci qubit representation; words containing an
+    adjacent inverse pair evaluate to a shorter word and are skipped.
+    Distances within ``COMPILE_TIE_EPS`` of each other count as ties, broken
+    by shorter then lexicographically smaller word (letters compared as
     signed integers).
 
     The search meets in the middle.  Each word splits one way into a
@@ -505,10 +500,7 @@ def compile_gate(
         raise InputError("max_len must be non-negative")
     if max_len > COMPILE_CAP:
         raise ResourceError(f"max_len {max_len} exceeds cap {COMPILE_CAP}")
-    if rep is None:
-        rep = fib_qubit_rep()
-    if rep.dim != 2 or not rep.unitary:
-        raise InputError("compile_gate needs a unitary two-dimensional representation")
+    rep = fib_qubit_rep()
     alphabet = [-2, -1, 1, 2]
     half = (max_len + 1) // 2
 
@@ -539,4 +531,4 @@ def compile_gate(
     # shortest, then lexicographically smallest: lexsort's last key leads
     win = tied[np.lexsort((*words[tied].T[::-1], sizes[tied]))[0]]
     word = tuple(int(g) for g in words[win, : sizes[win]])
-    return BraidWord(rep.strands or 3, word), float(dists[win])
+    return BraidWord(rep.strands, word), float(dists[win])

@@ -201,10 +201,6 @@ class FusionTree:
     internal: tuple[Label, ...]
     total: Label
 
-    def intermediates(self) -> tuple[Label, ...]:
-        """The full chain of running outcomes, ending in the total."""
-        return self.internal + (self.total,)
-
 
 # ---------------------------------------------------------------------------
 # built-in models

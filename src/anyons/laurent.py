@@ -114,10 +114,6 @@ class LaurentPoly:
         """Map of quarter-unit exponent (as string) to coefficient."""
         return {str(e): c for e, c in sorted(self.coeffs.items())}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in doc.items()})
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -17,7 +17,6 @@ here mutates shared state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,6 @@ class PauliString:
     @property
     def n_sites(self) -> int:
         return len(self.x)
-
-    def is_identity(self) -> bool:
-        return not self.x.any() and not self.z.any() and self.phase == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
@@ -94,27 +90,6 @@ class PauliString:
     def _check_compatible(self, other: "PauliString"):
         if self.d != other.d or self.n_sites != other.n_sites:
             raise InputError("Pauli strings live on different spaces")
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "x": [int(v) for v in self.x],
-            "z": [int(v) for v in self.z],
-            "phase": self.phase,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliString":
-        doc = json.loads(text)
-        return cls(
-            doc["d"],
-            np.array(doc["x"], dtype=np.int64),
-            np.array(doc["z"], dtype=np.int64),
-            doc["phase"],
-        )
 
 
 def commutation_phase(p: PauliString, q: PauliString) -> int:

@@ -30,7 +30,7 @@ hold, commuting there and everywhere with every vertex projector.
 
 The vertex constraints of the whole patch are one boolean branching mask
 of shape (64 external sectors, 6 vertices, 64 boundary configurations),
-computed by bit arithmetic: vertex ``q``'s triple has code
+computed once, read-only, by bit arithmetic: vertex ``q``'s triple has code
 ``4 a[q] + 2 g[q-1] + g[q]``, looked up in an 8-entry table of allowed
 codes.  ``constrained_configs`` and ``vertex_diagonal`` are views of it,
 and ``face_term_checks`` checks all 64 sectors at once on the face term's
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -166,13 +166,15 @@ def face_term() -> np.ndarray:
     return h / (1.0 + PHI ** 2)
 
 
+@cache
 def _branching_mask() -> np.ndarray:
     """``mask[ext, q, bnd]``: is vertex ``q`` allowed in sector ``ext`` at ``bnd``?
 
     Vertex ``q`` joins external edge ``q`` with boundary edges ``q - 1`` (mod
     6) and ``q``: (a, l, g), (b, g, h), (c, h, i), (d, i, j), (e, j, k),
     (f, k, l).  Its triple's code ``4 a[q] + 2 g[q-1] + g[q]`` indexes the
-    8-entry table of allowed codes.  Shape (64, 6, 64), boolean.
+    8-entry table of allowed codes.  Shape (64, 6, 64), boolean; built once
+    and read-only.
     """
     allowed = np.zeros(8, dtype=bool)
     for i, j, k in ALLOWED_BRANCHINGS:
@@ -181,7 +183,9 @@ def _branching_mask() -> np.ndarray:
     codes = (4 * bits[:, :, np.newaxis]
              + 2 * np.roll(bits, 1, axis=1).T[np.newaxis]
              + bits.T[np.newaxis])
-    return allowed[codes]
+    mask = allowed[codes]
+    mask.flags.writeable = False
+    return mask
 
 
 def constrained_configs(ext: int) -> list[int]:

@@ -45,13 +45,13 @@ explicit Pauli strings.
 The qubit code state is never stored: a Pauli string's expectation on it is
 read off its syndrome and flux winding (Gottesman, quant-ph/9807006;
 Aaronson and Gottesman, quant-ph/0406196), and the charge/flux
-interferometer protocol is a sum of at most 64 of them.
+interferometer protocol, with its splitter on edge ``h(0, 0)`` and stars as
+its braid and reference loops, is a sum of at most 64 of them.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,24 +158,6 @@ class TorusLattice:
         """``(n_faces, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
         return _edge_rows(self)[1]
 
-    def star_exponents(self, x: int, y: int) -> dict[int, int]:
-        """Divergence signs at a vertex: incoming edges +1, outgoing -1."""
-        edges = self.star_edges[self.vertex_index(x, y)]
-        return dict(zip(edges.tolist(), EDGE_SIGNS.tolist()))
-
-    def face_boundary_exponents(self, x: int, y: int) -> dict[int, int]:
-        """Counterclockwise circulation signs around a face."""
-        edges = self.face_edges[self.face_index(x, y)]
-        return dict(zip(edges.tolist(), EDGE_SIGNS.tolist()))
-
-    def to_json(self) -> str:
-        return json.dumps({"lx": self.lx, "ly": self.ly}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TorusLattice":
-        doc = json.loads(text)
-        return cls(doc["lx"], doc["ly"])
-
     def validate(self):
         """Structural sanity: edge incidences and star/face overlaps."""
         for edges in (self.star_edges, self.face_edges):
@@ -208,6 +190,8 @@ class Syndrome:
     face: dict[int, int]
 
     def __post_init__(self):
+        if self.d < 2:
+            raise InputError("qudit dimension must be >= 2")
         object.__setattr__(
             self, "vertex", {v: e % self.d for v, e in self.vertex.items() if e % self.d}
         )
@@ -643,7 +627,6 @@ def dyon_braiding_phase(
     d: int,
     dyon1: tuple[int, int],
     dyon2: tuple[int, int],
-    lat: TorusLattice | None = None,
 ) -> int:
     """Phase exponent (units pi/d, mod 2d) for winding dyon1 around dyon2.
 
@@ -651,7 +634,8 @@ def dyon_braiding_phase(
     open charge and flux strings ending inside a region, dyon1 = (r, s) is
     wound along the counterclockwise charge loop (primal) and flux loop
     (dual) bounding that region, and the braiding phase is the commutation
-    phase of the loop with the creation strings.  The result is asserted
+    phase of the loop with the creation strings, all on a 4x4 torus, the
+    smallest that separates them.  The result is asserted
     against the closed form ``2 (r s' + s r') mod 2d`` before returning;
     a mismatch raises :class:`InvariantViolation`.
     """
@@ -659,10 +643,7 @@ def dyon_braiding_phase(
         raise InputError("qudit dimension must be >= 2")
     r, s = dyon1[0] % d, dyon1[1] % d
     rp, sp = dyon2[0] % d, dyon2[1] % d
-    if lat is None:
-        lat = TorusLattice(4, 4)
-    if lat.lx < 4 or lat.ly < 4:
-        raise InputError("need at least a 4x4 torus to separate the strings")
+    lat = TorusLattice(4, 4)
 
     # Counterclockwise primal loop around the 2x2 block of faces with
     # lower-left corner (1, 1); it strictly encloses vertex (2, 2).
@@ -736,27 +717,21 @@ def _code_state_expectation(lat: TorusLattice, op: PauliString) -> complex:
     return 1j ** op.phase
 
 
-def interferometer_run(
-    lat: TorusLattice,
-    braid: bool,
-    beta: float,
-    splitter_edge: int | None = None,
-    loop: PauliString | None = None,
-) -> float:
+def interferometer_run(lat: TorusLattice, braid: bool, beta: float) -> float:
     """Charge/flux interferometer on the toric-code ground state; returns ``<Z_l>``.
 
-    The splitter ``exp(-i pi/4 Z_l)`` splits the ground state into a
-    vacuum branch and a defect-pair branch; a dwell phase ``exp(i beta)``
-    is imprinted on the defect branch (standing in for the dynamical phase
-    accumulated while the pair exists); if ``braid``, a closed contractible
-    dual loop encircling exactly one defect of the pair is applied;
-    the inverse splitter then interferes the branches, giving
-    ``<Z_l> = sin(beta)`` without the braid and ``sin(beta + pi)`` with it.
+    The splitter ``exp(-i pi/4 Z_l)`` on the edge ``l = h(0, 0)`` splits the
+    ground state into a vacuum branch and a defect-pair branch; a dwell
+    phase ``exp(i beta)`` is imprinted on the defect branch (standing in for
+    the dynamical phase accumulated while the pair exists); if ``braid``,
+    the star at the pair's head vertex, a closed contractible dual loop
+    encircling exactly that defect, is applied; the inverse splitter then
+    interferes the branches, giving ``<Z_l> = sin(beta)`` without the braid
+    and ``sin(beta + pi)`` with it.
 
-    The reference (no-braid) run applies the same loop translated so that
-    it encloses no defect, which is the topologically trivial braid.  A
-    ``loop`` that does not pick up exactly a pi phase against the splitter
-    string raises :class:`InputError` (protocol geometry).
+    The reference (no-braid) run applies the same star at the vertex
+    farthest from both defects, a loop that encloses no defect, which is
+    the topologically trivial braid.
 
     The circuit ``U = S' L D S`` (splitters ``c -+ i s Z_l``, dwell
     ``(1 + A)/2 + exp(i beta) (1 - A)/2`` with ``A`` the star at the defect,
@@ -769,28 +744,14 @@ def interferometer_run(
     n = lat.n_edges
     if n > LATTICE_EDGE_CAP:
         raise ResourceError(f"{n} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
-    if splitter_edge is None:
-        splitter_edge = lat.h_edge(0, 0)
+    splitter_edge = lat.h_edge(0, 0)
     zvec = np.zeros(n, dtype=np.int64)
     zvec[splitter_edge] = 1
     z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
 
     tail, head = lat.edge_endpoints(splitter_edge)
-    centres = [head]  # the dwell star, at the defect
-    if loop is None:
-        # the minimal dual loop around one endpoint, or the same loop shape
-        # enclosing no defect
-        centres.append(head if braid else _vertex_far_from(lat, tail, head))
-    stars, _ = build_stabilizers(lat, 2, vertices=centres, faces=())
-    if loop is None:
-        loop = stars[1]
-    if not syndrome(lat, loop).is_empty():
-        raise InputError("braiding loop is not closed")
-    phase = commutation_phase(loop, z_l)
-    if braid and phase != 2:
-        raise InputError("loop does not enclose exactly one defect of the pair")
-    if not braid and phase != 0:
-        raise InputError("reference loop must enclose no defect")
+    loop_centre = head if braid else _vertex_far_from(lat, tail, head)
+    (dwell_star, loop), _ = build_stabilizers(lat, 2, vertices=[head, loop_centre], faces=())
 
     c = math.cos(math.pi / 4)
     s = math.sin(math.pi / 4)
@@ -798,7 +759,7 @@ def interferometer_run(
     dwell = np.exp(1j * beta)
     circuit = (  # (coefficient, Pauli string) terms of S, D, L, S' in order
         ((c, one), (-1j * s, z_l)),
-        (((1 + dwell) / 2, one), ((1 - dwell) / 2, stars[0])),
+        (((1 + dwell) / 2, one), ((1 - dwell) / 2, dwell_star)),
         ((1.0, loop),),
         ((c, one), (1j * s, z_l)),
     )
@@ -815,17 +776,15 @@ def interferometer_run(
 
 
 def _vertex_far_from(lat: TorusLattice, *avoid: int) -> int:
-    coords = [lat.vertex_coords(v) for v in avoid]
-
-    def min_dist(v):
-        x, y = lat.vertex_coords(v)
-        return min(
-            min((x - cx) % lat.lx, (cx - x) % lat.lx)
-            + min((y - cy) % lat.ly, (cy - y) % lat.ly)
-            for cx, cy in coords
-        )
-
-    return max(range(lat.n_vertices), key=lambda v: (min_dist(v), -v))
+    """The vertex whose torus distance to the nearest of ``avoid`` is largest,
+    the lowest index among ties."""
+    x, y = np.arange(lat.lx), np.arange(lat.ly)
+    dist = np.full((lat.ly, lat.lx), lat.lx + lat.ly)
+    for cx, cy in map(lat.vertex_coords, avoid):
+        dx, dy = (x - cx) % lat.lx, (y - cy) % lat.ly
+        dx, dy = np.minimum(dx, lat.lx - dx), np.minimum(dy, lat.ly - dy)
+        np.minimum(dist, dy[:, None] + dx, out=dist)
+    return int(np.argmax(dist))  # row-major: the vertex index order
 
 
 def extract_mutual_statistics(braid_expectation: float, ref_expectation: float) -> float:

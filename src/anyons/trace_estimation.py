@@ -1,6 +1,7 @@
 """Hadamard-test estimation of normalised traces of unitary products.
 
-The quantum protocol keeps a register in the completely mixed state and one
+The quantum protocol, one clean qubit (DQC1: Knill and Laflamme,
+quant-ph/9802037), keeps a register in the completely mixed state and one
 work qubit in ``|+>``; applying the work-controlled product of unitaries
 and measuring the work qubit in the x and y bases yields +-1 outcomes whose
 means estimate the real and imaginary parts of ``Tr[prod_j U_j] / D``.
@@ -11,8 +12,7 @@ state ``|s>`` (the mixed register) and one uniform number for each of the
 two outcomes, which is +1 when the uniform lies below the exact bias
 ``(1 + Re <s|U|s>) / 2`` (x basis) or ``(1 + Im <s|U|s>) / 2`` (y basis).
 That is equivalent in distribution to state-vector simulation of the
-circuit.  Passing ``basis_state`` replaces the mixed register with the pure
-state ``|s>`` and estimates the unnormalised diagonal element ``<s|U|s>``.
+circuit.
 
 The draws are reduced at once to the two counts of +1 outcomes; the mean and
 standard error of each +-1 stream are closed forms of its count.  The
@@ -22,8 +22,7 @@ outcome; the uniforms are drawn, compared with their shot's bias and
 counted in steps of 2^13 inside three buffers reused across steps, so a
 call allocates no temporaries per step.  Memory is two bytes per shot (the
 register states) plus those buffers, and ``shots`` is capped at
-:data:`SHOTS_CAP`.  With ``basis_state`` there are no register states: the
-uniforms are compared with its one bias, and memory is the buffers alone.
+:data:`SHOTS_CAP`.
 
 Both functions refuse a product that overflows (is not finite) with
 ``InputError`` before any draw, as :func:`anyons.braids.evaluate` does.
@@ -102,12 +101,7 @@ def _product(matrices: list[np.ndarray], from_identity: bool = False) -> np.ndar
     return prod
 
 
-def hadamard_test_trace(
-    matrices: list[np.ndarray],
-    shots: int,
-    seed: int,
-    basis_state: int | None = None,
-) -> TraceEstimate:
+def hadamard_test_trace(matrices: list[np.ndarray], shots: int, seed: int) -> TraceEstimate:
     """Simulate the mixed-state Hadamard test for the product of ``matrices``.
 
     Per shot, one x-basis and one y-basis outcome are drawn (two independent
@@ -138,32 +132,27 @@ def hadamard_test_trace(
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    bias_x, bias_y = (1.0 + diag.real) / 2.0, (1.0 + diag.imag) / 2.0
-    if basis_state is None:
-        # int64 draws stored as uint16 (dim <= DIM_CAP): drawing uint16
-        # directly would consume the stream differently
-        states = np.empty(shots, dtype=np.uint16)
-        for lo in range(0, shots, _BLOCK):
-            states[lo:lo + _BLOCK] = rng.integers(0, dim, size=min(_BLOCK, shots - lo))
-    else:
-        if not (0 <= basis_state < dim):
-            raise InputError(f"basis state {basis_state} out of range")
-        states, bias_x, bias_y = None, bias_x[basis_state], bias_y[basis_state]
-    kx = _plus_count(rng, bias_x, shots, states)
-    ky = _plus_count(rng, bias_y, shots, states)
+    # int64 draws stored as uint16 (dim <= DIM_CAP): drawing uint16
+    # directly would consume the stream differently
+    states = np.empty(shots, dtype=np.uint16)
+    for lo in range(0, shots, _BLOCK):
+        states[lo:lo + _BLOCK] = rng.integers(0, dim, size=min(_BLOCK, shots - lo))
+    kx = _plus_count(rng, (1.0 + diag.real) / 2.0, states)
+    ky = _plus_count(rng, (1.0 + diag.imag) / 2.0, states)
 
     value = complex((2 * kx - shots) / shots, (2 * ky - shots) / shots)
     return TraceEstimate(value, _stderr(kx, shots), _stderr(ky, shots), shots, seed)
 
 
-def _plus_count(rng, bias, shots: int, states: np.ndarray | None) -> int:
-    """How many of the next ``shots`` uniforms lie below their shot's bias:
-    ``bias[states[shot]]``, or the scalar ``bias`` itself without ``states``.
+def _plus_count(rng, bias: np.ndarray, states: np.ndarray) -> int:
+    """How many of the next ``len(states)`` uniforms lie below their shot's
+    bias ``bias[states[shot]]``.
 
     The uniforms come in steps of :data:`_STEP`; the draws, the gathered
     biases and the comparisons go into three buffers reused across steps,
-    and the stream is that of one ``rng.random(shots)``.
+    and the stream is that of one ``rng.random(len(states))``.
     """
+    shots = len(states)
     size = min(_STEP, shots)
     uniforms, biases = np.empty(size), np.empty(size)
     below = np.empty(size, dtype=bool)
@@ -172,10 +161,7 @@ def _plus_count(rng, bias, shots: int, states: np.ndarray | None) -> int:
         n = min(_STEP, shots - lo)
         u, b, hit = uniforms[:n], biases[:n], below[:n]
         rng.random(out=u)
-        if states is None:
-            b = bias
-        else:
-            np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
+        np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
         count += int(np.count_nonzero(np.less(u, b, out=hit)))
     return count
 

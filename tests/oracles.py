@@ -29,7 +29,9 @@ Everything here deliberately avoids the code paths it checks:
 * the interferometer oracle projects a dense 2^n qubit state vector onto
   the code space and applies the protocol's operators to it one by one
   (the implementation expands the circuit into Pauli strings and reads
-  each one's code-state expectation off its syndrome and flux winding);
+  each one's code-state expectation off its syndrome and flux winding),
+  and finds the reference loop's vertex by a Python ``max`` over vertices
+  (the implementation takes one ``np.argmax`` over a distance array);
 * the string-net face-operator oracle scatters the F table into a dense
   ``(2,)*6`` tensor and forms all 2^18 sector-block entries of ``B^1`` by
   one six-factor ``np.einsum`` (the implementation joins the F rows around
@@ -73,7 +75,6 @@ from anyons.stringnet import branching_allowed, face_term
 from anyons.toric import (
     EDGE_SIGNS,
     Syndrome,
-    _vertex_far_from,
     build_stabilizers,
     dual_path_edges,
     dyon_braiding_phase,
@@ -136,7 +137,7 @@ def _word_levels(rep, max_len: int):
             ]
 
 
-def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, float]:
+def brute_force_compile(target, max_len: int) -> tuple[BraidWord, float]:
     """Exhaustive gate compilation: every reduced word over ``s1^+-1, s2^+-1``.
 
     Words are scanned by length, then lexicographically (letters as signed
@@ -146,14 +147,14 @@ def brute_force_compile(target, max_len: int, rep=None) -> tuple[BraidWord, floa
     level's distances come from one stacked ``projective_distance`` call,
     whose every value equals the single-matrix one.
     """
-    rep = fib_qubit_rep() if rep is None else rep
+    rep = fib_qubit_rep()
     best = None
     for level in _word_levels(rep, max_len):
         dists = projective_distance(target, np.array([mat for _, mat in level]))
         for (letters, _), dist in zip(level, dists):
             if best is None or dist < best[0] - COMPILE_TIE_EPS:
                 best = (float(dist), letters)
-    return BraidWord(rep.strands or 3, best[1]), best[0]
+    return BraidWord(rep.strands, best[1]), best[0]
 
 
 def distinct_words_oracle(max_len: int) -> list[tuple[int, ...]]:
@@ -473,23 +474,36 @@ def ground_state(lat, d: int = 2, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     return psi
 
 
-def interferometer_oracle(lat, braid: bool, beta: float, splitter_edge=None,
-                          loop=None, psi=None) -> float:
-    """``<Z_l>`` of the interferometer protocol on the dense ground state.
+def vertex_far_from_oracle(lat, *avoid: int) -> int:
+    """The vertex farthest from the nearest of ``avoid``, the lowest index
+    among ties, by one Python ``max`` over the vertices (the implementation
+    takes one ``np.argmax`` of elementwise minimum distances)."""
+    coords = [lat.vertex_coords(v) for v in avoid]
 
-    Takes the same loop defaults as ``interferometer_run`` and checks no
-    geometry; ``psi`` may pass in a precomputed :func:`ground_state`.
+    def min_dist(v):
+        x, y = lat.vertex_coords(v)
+        return min(
+            min((x - cx) % lat.lx, (cx - x) % lat.lx)
+            + min((y - cy) % lat.ly, (cy - y) % lat.ly)
+            for cx, cy in coords
+        )
+
+    return max(range(lat.n_vertices), key=lambda v: (min_dist(v), -v))
+
+
+def interferometer_oracle(lat, braid: bool, beta: float, psi=None) -> float:
+    """``<Z_l>`` of the interferometer protocol on the dense ground state,
+    with the splitter and loops of ``interferometer_run``; ``psi`` may pass
+    in a precomputed :func:`ground_state`.
     """
     n = lat.n_edges
-    if splitter_edge is None:
-        splitter_edge = lat.h_edge(0, 0)
+    splitter_edge = lat.h_edge(0, 0)
     zvec = np.zeros(n, dtype=np.int64)
     zvec[splitter_edge] = 1
     z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
     tail, head = lat.edge_endpoints(splitter_edge)
     stars, _ = build_stabilizers(lat, 2)
-    if loop is None:
-        loop = stars[head] if braid else stars[_vertex_far_from(lat, tail, head)]
+    loop = stars[head] if braid else stars[vertex_far_from_oracle(lat, tail, head)]
     psi = ground_state(lat) if psi is None else psi
     c = math.cos(math.pi / 4)
     s = math.sin(math.pi / 4)
@@ -575,10 +589,7 @@ def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:
 
 
 def hadamard_test_trace_oracle(
-    matrices: list[np.ndarray],
-    shots: int,
-    seed: int,
-    basis_state: int | None = None,
+    matrices: list[np.ndarray], shots: int, seed: int
 ) -> TraceEstimate:
     """The per-shot +-1 sampler that ``hadamard_test_trace`` reduces to counts.
 
@@ -607,12 +618,7 @@ def hadamard_test_trace_oracle(
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if basis_state is None:
-        states = rng.integers(0, dim, size=shots)
-    else:
-        if not (0 <= basis_state < dim):
-            raise InputError(f"basis state {basis_state} out of range")
-        states = np.full(shots, basis_state)
+    states = rng.integers(0, dim, size=shots)
     bias_re = np.real(diag[states])
     bias_im = np.imag(diag[states])
     x_out = np.where(rng.random(shots) < (1.0 + bias_re) / 2.0, 1.0, -1.0)

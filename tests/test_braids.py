@@ -376,12 +376,6 @@ class TestCompileGate:
         with pytest.raises(InputError, match="unitary"):
             compile_gate(target, 3)
 
-    def test_non_unitary_representation_rejected(self):
-        with pytest.raises(InputError):
-            compile_gate(np.eye(2), 2, rep=tl_b3_rep(2.0))
-        with pytest.raises(InputError):
-            compile_gate(np.eye(2), 2, rep=abelian_rep(0.5))
-
 
 def _assert_matches_exhaustive(target, max_len):
     from oracles import brute_force_compile

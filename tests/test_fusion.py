@@ -166,7 +166,7 @@ class TestEnumerateTrees:
         trees = enumerate_fusion_trees(FIB, inputs, total)
         assert len(trees) == fusion_space_dim(FIB, inputs, total)
         for tree in trees:
-            chain = (inputs[0],) + tree.intermediates()
+            chain = (inputs[0], *tree.internal, total)
             for prev, leaf, nxt in zip(chain, inputs[1:], chain[1:]):
                 assert FIB.n(prev, leaf, nxt) > 0
 

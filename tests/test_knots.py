@@ -260,7 +260,3 @@ class TestLaurentPoly:
             assert main(["bracket", "--braid", "B3: s1 s1 s2^-1", "--t", t]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
-
-    def test_json_round_trip(self):
-        p = LaurentPoly({-3: 2, 0: -1, 5: 7})
-        assert LaurentPoly.from_json_dict(p.to_json_dict()) == p

@@ -35,7 +35,7 @@ class TestAlgebraAgainstDense:
         rng = np.random.default_rng(d * 7 + n)
         for _ in range(15):
             p = random_pauli(rng, d, n)
-            assert (p * p.inverse()).is_identity()
+            assert p * p.inverse() == PauliString.identity(d, n)
             assert np.allclose(
                 pauli_dense(p.inverse()), np.linalg.inv(pauli_dense(p)), atol=1e-10
             )
@@ -108,20 +108,6 @@ class TestDenseStateBackend:
     def test_d3_rejected(self):
         with pytest.raises(InputError):
             apply_to_state(PauliString(3, [1], [0]), np.ones(3, dtype=complex))
-
-
-class TestSerialization:
-    def test_pauli_round_trip(self):
-        rng = np.random.default_rng(2)
-        for d in (2, 3):
-            p = random_pauli(rng, d, 5)
-            assert PauliString.from_json(p.to_json()) == p
-
-    def test_lattice_round_trip(self):
-        from anyons.toric import TorusLattice
-
-        lat = TorusLattice(3, 5)
-        assert TorusLattice.from_json(lat.to_json()) == lat
 
 
 class TestRankModP:

@@ -271,6 +271,14 @@ class TestBranchingMask:
         ])
         assert np.array_equal(mask, expected)
 
+    def test_built_once_and_read_only(self):
+        mask = _branching_mask()
+        assert _branching_mask() is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0, 0] = not mask[0, 0, 0]
+        assert vertex_diagonal(0, 0).flags.writeable  # a copy, not the mask
+
     def test_views_match_every_triple(self):
         for ext in range(64):
             triples = [vertex_triples(ext, bnd) for bnd in range(64)]

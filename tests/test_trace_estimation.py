@@ -105,13 +105,6 @@ class TestHadamardTest:
         mean_ratio = float(np.mean(ratios))
         assert 0.4 <= mean_ratio <= 0.6
 
-    def test_pure_state_variant(self):
-        mats = fib_matrices([1])
-        diag = mats[0][1, 1]
-        est = hadamard_test_trace(mats, shots=40_000, seed=5, basis_state=1)
-        assert abs(est.value.real - diag.real) <= 4 * max(est.stderr_re, 1e-3)
-        assert abs(est.value.imag - diag.imag) <= 4 * max(est.stderr_im, 1e-3)
-
     def test_non_unitary_product_rejected(self):
         from anyons.braids import tl_b3_rep
 
@@ -139,8 +132,6 @@ class TestHadamardTest:
             hadamard_test_trace([np.eye(2)], shots=0, seed=0)
         with pytest.raises(ResourceError):
             hadamard_test_trace([np.eye(2 ** 11)], shots=1, seed=0)
-        with pytest.raises(InputError):
-            hadamard_test_trace([np.eye(2)], shots=1, seed=0, basis_state=5)
         with pytest.raises(InputError):
             hadamard_test_trace([], shots=1, seed=0)
 
@@ -175,13 +166,12 @@ class TestOutcomeCounts:
         mats = [_diagonal_product(dim)]
         for shots in (1, 2, 7, 8191, 8192, 8193, 16_385, 65535, 65536, 65537,
                       100_000, 300_001):
-            for basis_state in (None, dim - 1):
-                got = hadamard_test_trace(mats, shots, shots + dim, basis_state)
-                want = hadamard_test_trace_oracle(mats, shots, shots + dim, basis_state)
-                assert got.value == want.value
-                assert got.stderr_re == pytest.approx(want.stderr_re, rel=1e-12, abs=0)
-                assert got.stderr_im == pytest.approx(want.stderr_im, rel=1e-12, abs=0)
-                assert (got.shots, got.seed) == (want.shots, want.seed)
+            got = hadamard_test_trace(mats, shots, shots + dim)
+            want = hadamard_test_trace_oracle(mats, shots, shots + dim)
+            assert got.value == want.value
+            assert got.stderr_re == pytest.approx(want.stderr_re, rel=1e-12, abs=0)
+            assert got.stderr_im == pytest.approx(want.stderr_im, rel=1e-12, abs=0)
+            assert (got.shots, got.seed) == (want.shots, want.seed)
 
     def test_memory_peak_at_ten_million_shots(self):
         # 20 MB of uint16 register states plus one block of draws
@@ -193,15 +183,3 @@ class TestOutcomeCounts:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
-
-    def test_basis_state_keeps_no_per_shot_array(self):
-        # one bias for every shot: only the step buffers, no register states
-        mats = [np.diag([1, 1j])]
-        hadamard_test_trace(mats, 10, 3, basis_state=1)  # one-time lazy imports
-        tracemalloc.start()
-        try:
-            hadamard_test_trace(mats, 10 ** 7, 3, basis_state=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
