@@ -251,7 +251,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--d", type=int, required=True)
 
     sp = command("interferometer", "charge/flux interferometer", _cmd_interferometer,
-                 ["interferometer_run", "build_stabilizers", "syndrome"])
+                 ["interferometer_run", "build_stabilizers"])
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--beta", type=_finite_float, required=True)

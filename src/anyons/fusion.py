@@ -19,6 +19,7 @@ as ``((l1 x l2) x l3) x ...``; other bracketings are reachable by F-moves
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -206,8 +207,12 @@ class FusionTree:
 # built-in models
 
 
+@functools.cache
 def fibonacci_model() -> AnyonModel:
-    """Fibonacci anyons: labels 0 (vacuum) and 1 (tau), with 1 x 1 = 0 + 1."""
+    """Fibonacci anyons: labels 0 (vacuum) and 1 (tau), with 1 x 1 = 0 + 1.
+
+    Models are immutable, so every call returns the one instance built first.
+    """
     fusion = {
         (0, 0, 0): 1,
         (0, 1, 1): 1,

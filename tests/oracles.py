@@ -27,11 +27,14 @@ Everything here deliberately avoids the code paths it checks:
   product, and the unitarity oracle multiplies every ``FSymbolTable.block``
   (the implementation joins index arrays of admissible tuples only);
 * the interferometer oracle projects a dense 2^n qubit state vector onto
-  the code space and applies the protocol's operators to it one by one
-  (the implementation expands the circuit into Pauli strings and reads
-  each one's code-state expectation off its syndrome and flux winding),
-  and finds the reference loop's vertex by a Python ``max`` over vertices
-  (the implementation takes one ``np.argmax`` over a distance array);
+  the code space and applies the protocol's operators to it one by one,
+  and the pair-loop oracle expands the circuit into explicit Pauli strings
+  and reads each of the 64 term pairs' code-state expectation off its own
+  syndrome and homology class (the implementation computes the three
+  generators' syndromes, flux windings and symplectic products once and
+  evaluates the 64 pairs as arithmetic on generator subsets); both find
+  the reference loop's vertex by a Python ``max`` over vertices (the
+  implementation takes one ``np.argmax`` over a distance array);
 * the string-net face-operator oracle scatters the F table into a dense
   ``(2,)*6`` tensor and forms all 2^18 sector-block entries of ``B^1`` by
   one six-factor ``np.einsum`` (the implementation joins the F rows around
@@ -78,7 +81,9 @@ from anyons.toric import (
     build_stabilizers,
     dual_path_edges,
     dyon_braiding_phase,
+    homology_class,
     string_operator,
+    syndrome,
     vertex_path_edges,
 )
 from anyons.trace_estimation import DIM_CAP, TraceEstimate
@@ -513,6 +518,54 @@ def interferometer_oracle(lat, braid: bool, beta: float, psi=None) -> float:
     psi = apply_to_state(loop, psi)  # braid (or its trivial translate)
     psi = c * psi + 1j * s * apply_to_state(z_l, psi)  # inverse splitter
     expect = expectation(z_l, psi)
+    assert abs(expect.imag) < 1e-12
+    return float(expect.real)
+
+
+def code_state_expectation(lat, op: PauliString) -> complex:
+    """``<g|P|g>`` on the qubit code state ``|g> ~ prod_v (1 + A_v)|0...0>``.
+
+    ``|g>`` is fixed by every star and by every Z string without a star
+    syndrome.  So for ``P = i^k X^x Z^z`` the value is 0 when ``z`` has a
+    star syndrome (``P`` anticommutes with a star), else ``i^k`` when
+    ``X^x`` is a star product (no plaquette syndrome, no flux winding), else 0.
+    """
+    if not syndrome(lat, op).is_empty() or homology_class(lat, op)["flux"] != (0, 0):
+        return 0j
+    return 1j ** op.phase
+
+
+def interferometer_pairs_oracle(lat, braid: bool, beta: float) -> float:
+    """``<Z_l>`` of the interferometer protocol as ``interferometer_run``'s sum
+    of 64 code-state expectations, in the same order and with the same
+    coefficient arithmetic, each term pair built as an explicit Pauli string
+    ``P^-1 Z_l Q`` and read by :func:`code_state_expectation`."""
+    n = lat.n_edges
+    splitter_edge = lat.h_edge(0, 0)
+    zvec = np.zeros(n, dtype=np.int64)
+    zvec[splitter_edge] = 1
+    z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
+    tail, head = lat.edge_endpoints(splitter_edge)
+    loop_centre = head if braid else vertex_far_from_oracle(lat, tail, head)
+    (dwell_star, loop), _ = build_stabilizers(lat, 2, vertices=[head, loop_centre], faces=())
+    c = math.cos(math.pi / 4)
+    s = math.sin(math.pi / 4)
+    one = PauliString.identity(2, n)
+    dwell = np.exp(1j * beta)
+    circuit = (  # (coefficient, Pauli string) terms of S, D, L, S' in order
+        ((c, one), (-1j * s, z_l)),
+        (((1 + dwell) / 2, one), ((1 - dwell) / 2, dwell_star)),
+        ((1.0, loop),),
+        ((c, one), (1j * s, z_l)),
+    )
+    terms = [(1.0, one)]
+    for factor in circuit:
+        terms = [(a * b, q * p) for b, p in terms for a, q in factor]
+    expect = sum(
+        np.conj(a) * b * code_state_expectation(lat, p.inverse() * z_l * q)
+        for a, p in terms
+        for b, q in terms
+    )
     assert abs(expect.imag) < 1e-12
     return float(expect.real)
 

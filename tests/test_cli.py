@@ -57,6 +57,9 @@ GOLDEN_CASES = {
     ],
     "jones_two_unlink.json": ["jones", "--braid", "B2:"],
     "toric_2x2_d2.json": ["toric", "--lx", "2", "--ly", "2", "--d", "2"],
+    "interferometer_3x3_braid.json": [
+        "interferometer", "--lx", "3", "--ly", "3", "--beta", "0.785398", "--braid", "yes",
+    ],
 }
 
 
@@ -275,6 +278,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
         assert out == "" and "F enumeration" in err
+
+    def test_interferometer_refuses_a_beta_that_cannot_resolve_the_statistics(self, capsys):
+        def argv(beta):
+            return ["interferometer", "--lx", "3", "--ly", "3", "--beta", beta, "--braid", "yes"]
+
+        for beta in ("0", "-0.0"):  # both runs vanish: no sign to compare
+            assert main(argv(beta)) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "beta" in err
+        for beta in (repr(math.pi), "1e-13"):
+            res = run(argv(beta))
+            assert res.status == 0 and res.payload["phi_1_1"] == math.pi
 
     def test_toric_caps_admit_the_baseline_sizes(self):
         assert 13 ** 4 <= toric.BRAIDING_TABLE_CAP < 17 ** 4

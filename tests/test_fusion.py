@@ -31,6 +31,13 @@ from anyons.fusion import (
     total_dimension_entropy,
     zd_model,
 )
+from anyons.fsymbols import (
+    f_unitarity_residual,
+    fibonacci_data,
+    hexagon_residual,
+    pentagon_residual,
+    trivial_data,
+)
 
 from oracles import brute_force_tree_count
 
@@ -276,6 +283,23 @@ class TestModels:
         assert named_model("toric").labels == ("1", "e", "m", "em")
         with pytest.raises(InputError):
             named_model("nope")
+
+    def test_fibonacci_is_one_instance_that_compares_as_before(self):
+        assert fibonacci_model() is FIB and named_model("fibonacci") is FIB
+        assert fibonacci_data()[0] is FIB
+        built = AnyonModel((0, 1), 0, {0: 0, 1: 1}, dict(FIB_FUSION), name="fibonacci")
+        assert built == FIB and built is not FIB
+        doubled = AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): 2})
+        assert FIB != zd_model(2) and FIB != doubled
+        _, f, r = fibonacci_data()
+        assert pentagon_residual(built, f) < 1e-12 and hexagon_residual(built, f, r) < 1e-12
+        other_f, other_r = trivial_data(zd_model(2))
+        for check in (lambda: pentagon_residual(FIB, other_f),
+                      lambda: f_unitarity_residual(FIB, other_f),
+                      lambda: hexagon_residual(FIB, f, other_r),
+                      lambda: hexagon_residual(zd_model(2), f, r)):
+            with pytest.raises(InputError, match="different model"):
+                check()
 
     def test_json_round_trip(self):
         for model in (FIB, zd_model(3), toric_model()):

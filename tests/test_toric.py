@@ -19,7 +19,6 @@ from anyons.toric import (
     LATTICE_EDGE_CAP,
     Syndrome,
     TorusLattice,
-    _code_state_expectation,
     _incidence_rank,
     _star_face_overlaps,
     _vertex_far_from,
@@ -43,10 +42,12 @@ from anyons.toric import (
 from oracles import (
     braiding_table_oracle,
     check_blocks,
+    code_state_expectation,
     correct_oracle,
     expectation,
     ground_state,
     interferometer_oracle,
+    interferometer_pairs_oracle,
     pauli_dense,
     rank_mod_p,
     syndrome_oracle,
@@ -572,6 +573,39 @@ class TestInterferometer:
                 avoid = rng.integers(0, lat.n_vertices, 3).tolist()
                 assert _vertex_far_from(lat, *avoid) == vertex_far_from_oracle(lat, *avoid)
 
+    def test_two_vanishing_runs_cannot_resolve_the_statistics(self):
+        lat = TorusLattice(3, 3)
+        runs = [interferometer_run(lat, braid, 0.0) for braid in (True, False)]
+        assert runs == [0.0, 0.0]
+        for braided, reference in (runs, (-0.0, 0.0), (0.0, -0.0)):
+            with pytest.raises(InputError):
+                extract_mutual_statistics(braided, reference)
+        for beta in (math.pi, 1e-13):  # tiny runs still carry their signs
+            braided, reference = (interferometer_run(lat, braid, beta) for braid in (True, False))
+            assert braided != 0 and extract_mutual_statistics(braided, reference) == math.pi
+
+    def test_work_per_run(self, monkeypatch):
+        """A run computes each generator once: no syndrome and no Pauli string
+        per term pair (the pair loop makes 64 and 214)."""
+        calls = {"syndrome": 0, "pauli": 0}
+        syndrome_, post_init = toric.syndrome, PauliString.__post_init__
+
+        def counted_syndrome(*args):
+            calls["syndrome"] += 1
+            return syndrome_(*args)
+
+        def counted_post_init(self):
+            calls["pauli"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(toric, "syndrome", counted_syndrome)
+        monkeypatch.setattr(PauliString, "__post_init__", counted_post_init)
+        for size in (3, 32):
+            for braid in (True, False):
+                calls.update(syndrome=0, pauli=0)
+                interferometer_run(TorusLattice(size, size), braid, 0.3)
+                assert calls["syndrome"] <= 4 and calls["pauli"] <= 4, (size, braid, calls)
+
     def test_non_finite_beta_rejected(self):
         with pytest.raises(InputError):
             interferometer_run(TorusLattice(2, 2), braid=True, beta=float("nan"))
@@ -610,7 +644,7 @@ class TestCodeStateExpectation:
                 x[edges] = rng.integers(0, 2, len(edges))
                 z[edges] = rng.integers(0, 2, len(edges))
                 op = op * PauliString(2, x, z)
-            value = _code_state_expectation(lat, op)
+            value = code_state_expectation(lat, op)
             assert abs(value - expectation(op, psi)) < 1e-12
             values.append(value)
         assert sum(v != 0 for v in values) >= 100
@@ -624,6 +658,36 @@ SMALL_LATTICES = [(lx, ly) for lx in range(2, 6) for ly in range(2, 6) if 2 * lx
 @functools.cache
 def _dense_ground_state(lx, ly):
     return ground_state(TorusLattice(lx, ly))
+
+
+PAIR_ORACLE_BETAS = (0.0, -0.0, 0.3, 0.785398, 1.2, 2.0, math.pi, -1.0, 1e-300, 1e6)
+
+
+class TestInterferometerAgainstPairOracle:
+    """The subset arithmetic gives the pair loop's float bit for bit: same
+    terms, same coefficient products, same summation order."""
+
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 3), (2, 5), (4, 7), (8, 8), (16, 16), (32, 32)])
+    def test_same_bytes_on_the_beta_grid(self, lx, ly):
+        lat = TorusLattice(lx, ly)
+        for beta in PAIR_ORACLE_BETAS:
+            for braid in (True, False):
+                assert repr(interferometer_run(lat, braid, beta)) == repr(
+                    interferometer_pairs_oracle(lat, braid, beta)), (beta, braid)
+
+    @pytest.mark.parametrize("lx,ly", [(3, 3), (4, 7)])
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(allow_nan=False, allow_infinity=False), braid=st.booleans())
+    def test_same_bytes_on_any_finite_beta(self, lx, ly, beta, braid):
+        lat = TorusLattice(lx, ly)
+        assert repr(interferometer_run(lat, braid, beta)) == repr(
+            interferometer_pairs_oracle(lat, braid, beta))
+
+    def test_same_bytes_at_the_edge_cap(self):
+        lat = TorusLattice(128, 128)
+        for braid in (True, False):
+            assert repr(interferometer_run(lat, braid, 0.785398)) == repr(
+                interferometer_pairs_oracle(lat, braid, 0.785398))
 
 
 class TestInterferometerAgainstOracle:
