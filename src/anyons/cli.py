@@ -137,11 +137,29 @@ def _parse_gate(text: str) -> np.ndarray:
 
 
 def _fr_data_for(model_name: str):
-    if model_name == "fibonacci":
+    """The model and F/R tables ``--model`` names: a model file is read and
+    its trivial tables built on every call; a built-in model's data is one
+    cached instance, shared by every call that names the model."""
+    if model_name.startswith("@"):
+        model = _parse_model(model_name)
+        return (model, *fsymbols.trivial_data(model))
+    return _builtin_fr_data(fusion.named_model(model_name).name)
+
+
+@functools.lru_cache(maxsize=8)
+def _builtin_fr_data(name: str):
+    """The model and F/R tables of the built-in model of canonical name
+    ``name``: Fibonacci's own data, any other model's trivial data.
+
+    Holds at most 8 entries, read-only tables whose ``entries`` view the
+    CLI never reads.  The largest is z_d:64's, about 17 MB (64^3 admissible
+    rows and their values); at worst, z_d:57 to z_d:64, the tables hold
+    about 115 MB, and 132 MB with their models.
+    """
+    if name == "fibonacci":
         return fsymbols.fibonacci_data()
-    model = _parse_model(model_name)
-    f, r = fsymbols.trivial_data(model)
-    return model, f, r
+    model = fusion.named_model(name)
+    return (model, *fsymbols.trivial_data(model))
 
 
 def _rep_for(args) -> braids.BraidRep:
@@ -156,11 +174,13 @@ def _rep_for(args) -> braids.BraidRep:
 
 @functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
-    """The parser, and the one registry of subcommands: each subparser carries
-    its handler and the package operations it reaches (directly or through
-    the functions it calls) as the defaults ``handler`` and ``operations``."""
+    """The parser, and the one registry of subcommands: ``subcommands`` maps
+    each name to its subparser, which carries its handler and the package
+    operations it reaches (directly or through the functions it calls) as
+    the defaults ``handler`` and ``operations``."""
     p = _Parser(prog="anyons", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub.choices
 
     def command(name, help, handler, operations):
         sp = sub.add_parser(name, help=help)
@@ -508,14 +528,33 @@ def _cmd_su2k(args) -> dict:
     }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it, in one pass.
+
+    An ``argv`` whose first token names a subcommand goes straight to that
+    subcommand's parser, which is all the top-level parser would do with it
+    after scanning every token; any other ``argv`` (empty, an unknown
+    command, ``-h``) goes to the top-level parser, for its messages and
+    exit status.
+    """
+    parser = _build_parser()
+    if argv and argv[0] in parser.subcommands:
+        args = parser.subcommands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str]) -> CommandResult:
     """Dispatch one invocation; never raises package errors.
 
-    A payload that is not strict JSON (a NaN or an infinity leaked into
-    it) is an invariant violation, exit 3, never printed.
+    An invocation that names a subcommand is parsed by that subcommand's
+    parser directly (:func:`_parse_args`).  A payload that is not strict
+    JSON (a NaN or an infinity leaked into it) is an invariant violation,
+    exit 3, never printed.
     """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         payload = {"schema": SCHEMA, **args.handler(args)}
     except ResourceError as exc:
         return CommandResult(2, error=str(exc))

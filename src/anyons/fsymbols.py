@@ -43,7 +43,7 @@ import json
 import math
 import numbers
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -349,8 +349,10 @@ def _max_deviation(k: int, lhs_key, lhs: np.ndarray, rhs_key, rhs: np.ndarray) -
 # concrete data
 
 
+@lru_cache(maxsize=1)
 def fibonacci_data() -> tuple[AnyonModel, FSymbolTable, RSymbolTable]:
-    """The Fibonacci anyon solution of the pentagon and hexagon equations.
+    """The Fibonacci anyon solution of the pentagon and hexagon equations,
+    one cached instance (15 F rows and 5 R rows, read-only).
 
     All admissible F entries with a vacuum label among ``(a, b, c, d)`` are 1;
     the only non-trivial block is the real symmetric matrix

@@ -58,8 +58,9 @@ FUSION_WORK_CAP = 10 ** 7
 
 #: Largest ``d`` that :func:`named_model` builds for ``z_d:<d>``.  Building a
 #: model fills its d^3 tensor and checks it with array comparisons, and the
-#: quantum dimensions iterate a d x d matrix: z_d:64 builds in about 5 ms
-#: and its dimensions take about 1 ms (2-core x86, Python 3.11, numpy 2.4).
+#: quantum dimensions iterate a d x d matrix: z_d:64 builds once per process,
+#: in about 5 ms (2.4 MB held), and its dimensions take about 0.5 ms (2-core
+#: x86, Python 3.11, numpy 2.4).
 #: The cap stays at 64 because there the F enumeration of
 #: :mod:`anyons.fsymbols` (d^3 tuples) meets its ``PENTAGON_TUPLE_CAP``.
 Z_D_CAP = 64
@@ -207,11 +208,11 @@ class FusionTree:
 # built-in models
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def fibonacci_model() -> AnyonModel:
     """Fibonacci anyons: labels 0 (vacuum) and 1 (tau), with 1 x 1 = 0 + 1.
 
-    Models are immutable, so every call returns the one instance built first.
+    Every call returns one cached instance.
     """
     fusion = {
         (0, 0, 0): 1,
@@ -223,8 +224,16 @@ def fibonacci_model() -> AnyonModel:
     return AnyonModel((0, 1), 0, {0: 0, 1: 1}, fusion, name="fibonacci")
 
 
+@functools.lru_cache(maxsize=8)
 def zd_model(d: int) -> AnyonModel:
-    """Abelian Z_d model: labels 0..d-1 fusing additively mod d."""
+    """Abelian Z_d model: labels 0..d-1 fusing additively mod d.
+
+    Every call with one ``d`` returns one cached instance.  The cache holds
+    at most 8 models: z_d:64 holds about 2.4 MB and the largest, z_d:128
+    (:data:`LABEL_CAP` labels), about 18 MB, so z_d:121 to z_d:128 hold
+    about 136 MB at worst, and the eight largest built-ins of
+    :func:`named_model` (d <= :data:`Z_D_CAP`) about 17 MB.
+    """
     if d < 1:
         raise InputError("z_d model needs d >= 1")
     fusion = {(a, b, (a + b) % d): 1 for a in range(d) for b in range(d)}
@@ -232,8 +241,10 @@ def zd_model(d: int) -> AnyonModel:
                       name=f"z_d:{d}")
 
 
+@functools.lru_cache(maxsize=1)
 def toric_model() -> AnyonModel:
-    """Z_2 gauge theory anyons of the toric code: 1, e, m, em."""
+    """Z_2 gauge theory anyons of the toric code: 1, e, m, em; every call
+    returns one cached instance."""
     labels = ("1", "e", "m", "em")
     charge = {"1": (0, 0), "e": (1, 0), "m": (0, 1), "em": (1, 1)}
     inv = {v: k for k, v in charge.items()}
@@ -247,7 +258,8 @@ def toric_model() -> AnyonModel:
 
 
 def named_model(name: str) -> AnyonModel:
-    """Look up a built-in model: ``fibonacci``, ``z_d:<d>`` or ``toric``."""
+    """Look up a built-in model: ``fibonacci``, ``z_d:<d>`` or ``toric``,
+    one cached instance per model."""
     if name == "fibonacci":
         return fibonacci_model()
     if name == "toric":

@@ -442,12 +442,17 @@ def syndrome(lat: TorusLattice, error: PauliString) -> Syndrome:
     ``k = -sum_j s_j z_{e_j}`` for a star and ``k = sum_j s_j x_{e_j}`` for
     a plaquette: one gather and one row sum per stabilizer type, O(n).
     """
-    if error.n_sites != lat.n_edges:
-        raise InputError("error operator does not match the lattice")
-    vertex, face = _defect_exponents(lat, error.x, error.z, error.d)
+    vertex, face = _operator_defects(lat, error)
     syn = Syndrome._reduced(error.d, _nonzero(vertex), _nonzero(face))
     syn.check_sum_rule()
     return syn
+
+
+def _operator_defects(lat: TorusLattice, op: PauliString):
+    """:func:`_defect_exponents` of one operator on ``lat``'s edges."""
+    if op.n_sites != lat.n_edges:
+        raise InputError("error operator does not match the lattice")
+    return _defect_exponents(lat, op.x, op.z, op.d)
 
 
 def _defect_exponents(lat: TorusLattice, x: np.ndarray, z: np.ndarray, d: int):
@@ -612,7 +617,7 @@ def homology_class(
     cuts.  Stabilizer products give (0, 0); the canonical charge loop along
     the x direction gives charge winding (1, 0).
     """
-    if not syndrome(lat, loop).is_empty():
+    if any(exponents.any() for exponents in _operator_defects(lat, loop)):
         raise InputError("operator has a non-empty syndrome; not a closed loop")
     charge_wx, charge_wy, flux_wx, flux_wy = map(int, _windings(lat, loop.x, loop.z, loop.d))
     return {"charge": (charge_wx, charge_wy), "flux": (flux_wx, flux_wy)}
@@ -623,11 +628,23 @@ def _windings(lat: TorusLattice, x: np.ndarray, z: np.ndarray, d: int):
     exponent vectors ``x``, ``z`` laid out as in :func:`_defect_exponents`
     (one number per operator each): the signed sums over the four cuts of
     :func:`homology_class`."""
+    charge_x, charge_y, flux_x, flux_y = _cut_edges(lat)
+    return (z[charge_x].sum(axis=0) % d,
+            z[charge_y].sum(axis=0) % d,
+            -x[flux_x].sum(axis=0) % d,
+            x[flux_y].sum(axis=0) % d)
+
+
+@functools.lru_cache(maxsize=8)
+def _cut_edges(lat: TorusLattice) -> tuple[np.ndarray, ...]:
+    """The read-only edges of the four cuts :func:`_windings` sums over,
+    shared by every lattice of one shape (4 KB at 128x128)."""
     xs, ys = np.arange(lat.lx), np.arange(lat.ly)
-    return (z[lat.h_edge(lat.lx - 1, ys)].sum(axis=0) % d,
-            z[lat.v_edge(xs, lat.ly - 1)].sum(axis=0) % d,
-            -x[lat.v_edge(0, ys)].sum(axis=0) % d,
-            x[lat.h_edge(xs, 0)].sum(axis=0) % d)
+    cuts = (lat.h_edge(lat.lx - 1, ys), lat.v_edge(xs, lat.ly - 1),
+            lat.v_edge(0, ys), lat.h_edge(xs, 0))
+    for edges in cuts:
+        edges.flags.writeable = False
+    return cuts
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anyons
-from anyons import cli, fusion, toric
-from anyons.cli import main, render, run
+from anyons import cli, fsymbols, fusion, toric
+from anyons.cli import CommandResult, main, render, run
+from anyons.errors import InputError
 from anyons.trace_estimation import SHOTS_CAP
 
 
 def _subcommands() -> dict:
     """Each subcommand's parser, by name, as the CLI registers it."""
-    (action,) = [a for a in cli._build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+    return cli._build_parser().subcommands
 
 
 # Which package operations each subcommand reaches, read from the parser.
@@ -669,6 +668,124 @@ class TestAllSubcommandsEmitJson:
         assert res.status == 0, res.error
         payload = json.loads(render(res))
         assert payload["schema"] == 1
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the Namespace, the InputError text, or the
+    exit status and stdout of a help request."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parse(argv)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    except SystemExit as exc:
+        return f"exit {exc.code}: {out.getvalue()}"
+
+
+def _top_level(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+#: Argument errors of each kind, each a subcommand's own.
+ARGUMENT_ERRORS = [
+    *(argv + ["--bogus", "1"] for argv in SMOKE_INVOCATIONS),  # an unknown flag
+    ["fusion-dim", "--model", "fibonacci", "--inputs", "1,1"],  # a missing required flag
+    ["compile", "--target", "H"],
+    ["braid-check", "--rep", "spin"],  # a bad choices value
+    ["bracket", "--braid", "B2: s1", "--method", "sum"],
+    ["interferometer", "--lx", "3", "--ly", "3", "--beta", "0.5", "--braid", "maybe"],
+    ["trace-est", "--braid", "B3: s1", "--shots", "10", "--seed", "-1"],  # a bad type
+    ["interferometer", "--lx", "3", "--ly", "3", "--beta", "nan", "--braid", "yes"],
+    ["toric", "--lx", "two", "--ly", "2", "--d", "2"],
+    ["qdims", "--model", "fibonacci", "--tolerance", "-1"],
+]
+
+
+class TestDirectDispatch:
+    """``_parse_args`` hands an argv that starts with a subcommand to that
+    subcommand's parser; it must read every argv as the top-level parser does."""
+
+    @pytest.mark.parametrize("argv", [*GOLDEN_CASES.values(), *SMOKE_INVOCATIONS],
+                             ids=" ".join)
+    def test_same_namespace(self, argv):
+        args = cli._parse_args(argv)
+        assert isinstance(args, argparse.Namespace) and args.command == argv[0]
+        assert args == _top_level(argv)
+
+    @pytest.mark.parametrize("argv", ARGUMENT_ERRORS, ids=" ".join)
+    def test_same_input_error(self, argv):
+        direct = _parsed(cli._parse_args, argv)
+        assert direct.startswith("InputError: ")
+        assert direct == _parsed(_top_level, argv)
+        assert run(argv) == CommandResult(1, error=direct.removeprefix("InputError: "))
+
+    @pytest.mark.parametrize("name", sorted(_subcommands()))
+    def test_every_bare_subcommand(self, name):  # its required flags missing, or all defaults
+        assert _parsed(cli._parse_args, [name]) == _parsed(_top_level, [name])
+
+    @pytest.mark.parametrize("argv", [["pentagon", "-h"], ["toric", "--help"]], ids=" ".join)
+    def test_same_subcommand_help(self, argv):
+        direct = _parsed(cli._parse_args, argv)
+        assert direct.startswith(f"exit 0: usage: anyons {argv[0]} ")
+        assert direct == _parsed(_top_level, argv)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["qdim", "--model", "fibonacci"], "argument command: invalid choice: 'qdim'"),
+        (["--model", "fibonacci", "qdims"], "argument command: invalid choice: 'fibonacci'"),
+    ], ids=str)
+    def test_other_argv_goes_to_the_top_level_parser(self, argv, message):
+        direct = _parsed(cli._parse_args, argv)
+        assert direct.startswith(f"InputError: {message}")
+        assert direct == _parsed(_top_level, argv)
+        assert run(argv).status == 1
+
+    def test_top_level_help(self):
+        direct = _parsed(cli._parse_args, ["-h"])
+        assert direct.startswith("exit 0: usage: anyons [-h]\n")
+        assert direct == _parsed(_top_level, ["-h"])
+
+
+class TestBuiltInsAreShared:
+    NAMES = ("fibonacci", "toric", "z_d:5")
+
+    def test_one_instance_per_built_in(self):
+        for name in self.NAMES:
+            assert fusion.named_model(name) is fusion.named_model(name)
+            assert cli._fr_data_for(name) is cli._fr_data_for(name)
+            assert cli._fr_data_for(name)[0] is fusion.named_model(name)
+        assert fusion.named_model("z_d:05") is fusion.zd_model(5) is fusion.named_model("z_d:5")
+        assert cli._fr_data_for("z_d:05") is cli._fr_data_for("z_d:5")
+        assert fsymbols.fibonacci_data() is fsymbols.fibonacci_data()
+
+    def test_model_files_are_read_on_every_call(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(fusion.zd_model(3).to_json())
+        first, second = cli._fr_data_for(f"@{path}"), cli._fr_data_for(f"@{path}")
+        assert first[0] == second[0] and first[0] is not second[0]
+        assert first[1] is not second[1] and first[2] is not second[2]
+        path.write_text(fusion.zd_model(4).to_json())
+        assert cli._fr_data_for(f"@{path}")[0].labels == (0, 1, 2, 3)
+
+    def test_shared_data_is_read_only(self):
+        for name in self.NAMES:
+            model, f, r = cli._fr_data_for(name)
+            with pytest.raises(ValueError, match="read-only"):
+                model.N[0, 0, 0] = 2
+            for table in (f, r):
+                for array in (table.rows, table.values):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0
+                with pytest.raises(AttributeError):
+                    table.values = table.values.copy()
+
+    def test_every_cache_is_bounded(self):
+        caches = (fusion.fibonacci_model, fusion.zd_model, fusion.toric_model,
+                  fsymbols.fibonacci_data, cli._builtin_fr_data, toric._cut_edges)
+        for cache in caches:
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and 1 <= maxsize <= 8, cache
 
 
 class TestProcessLevel:

@@ -98,6 +98,22 @@ def fib_data():
     return fibonacci_data()
 
 
+def clear_table_caches():
+    """Forget the cached built-in tables, so that the next build enumerates."""
+    fibonacci_data.cache_clear()
+    cli._builtin_fr_data.cache_clear()
+
+
+@pytest.fixture
+def uncached_tables():
+    """For a test that patches how tables are built: it starts from no cached
+    table and leaves none of its own behind, so no result depends on test
+    order."""
+    clear_table_caches()
+    yield
+    clear_table_caches()
+
+
 class TestFibonacciValues:
     def test_f_matrix_block(self, fib_data):
         _, f, _ = fib_data
@@ -215,6 +231,7 @@ class TestTablesHoldTheirRows:
     """The residuals read the rows and values a table built once."""
 
     @pytest.mark.parametrize("name", ["fibonacci", "z_d:3", "random su2_3"])
+    @pytest.mark.usefixtures("uncached_tables")
     def test_residuals_never_enumerate(self, monkeypatch, name):
         if name == "fibonacci":
             model, f, r = fibonacci_data()
@@ -260,6 +277,7 @@ class TestTablesHoldTheirRows:
         with pytest.raises(TypeError):
             f.entries[(0, 0, 0, 0, 0, 0)] = 2.0
 
+    @pytest.mark.usefixtures("uncached_tables")
     def test_one_enumeration_per_table(self, monkeypatch, fib_data):
         model, f, _ = fib_data
         text = f.to_json()
@@ -270,18 +288,27 @@ class TestTablesHoldTheirRows:
             calls.append(model)
             return enumerate_tuples(model)
 
+        def pentagon(name):
+            return lambda: cli.run(["pentagon", "--model", name])
+
         monkeypatch.setattr(fsymbols, "_admissible_tuples", counted)
+        clear_table_caches()  # a first build enumerates, a repeat build never
         builds = {
             "fibonacci_data": (fibonacci_data, 1),
+            "fibonacci_data again": (fibonacci_data, 0),
             "trivial_data z_d:3": (lambda: trivial_data(zd_model(3)), 1),
             "from_json": (lambda: FSymbolTable.from_json(text), 1),
-            "pentagon --model z_d:4": (lambda: cli.run(["pentagon", "--model", "z_d:4"]), 1),
+            "pentagon --model z_d:4": (pentagon("z_d:4"), 1),
+            "pentagon --model z_d:4 again": (pentagon("z_d:4"), 0),
+            "pentagon --model z_d:04": (pentagon("z_d:04"), 0),  # the same model
+            "hexagon --model z_d:4": (lambda: cli.run(["hexagon", "--model", "z_d:4"]), 0),
+            "pentagon --model fibonacci": (pentagon("fibonacci"), 0),
             "gauge_transform": (lambda: gauge_transform(f, {(1, 1, 0): 1j}), 0),
         }
         got = {}
         for name, (build, _) in builds.items():
             calls.clear()
-            build()
+            assert getattr(build(), "status", 0) == 0, name  # a CLI run succeeds
             got[name] = len(calls)
         assert got == {name: want for name, (_, want) in builds.items()}
 
@@ -654,6 +681,7 @@ class TestTableValidation:
 
 
 class TestCaps:
+    @pytest.mark.usefixtures("uncached_tables")
     def test_pentagon_cap_refuses_before_the_join(self, monkeypatch):
         model = zd_model(4)  # 4^4 = 256 tuples per pentagon side
         f, r = trivial_data(model)
