@@ -21,15 +21,21 @@ Three representations are provided:
   space of four tau anyons (left-associated tree basis).
 
 :func:`compile_gate` finds the reduced word over the Fibonacci generators
-that best approximates a target single-qubit gate projectively.  It holds
-one word per projective SU(2) element of up to half the length as arrays
-(int8 letters, unit quaternions) and meets in the middle: every join of
-those words is scored by blocked real dot products of prefix frames with
+that best approximates a target single-qubit gate projectively.  It meets in
+the middle over a codebook of one word per projective SU(2) element of up to
+half the length, held as arrays (int8 letters, unit quaternions): every join
+of those words is scored by blocked real dot products of prefix frames with
 suffix quaternions, and only the near-ties are rescored exactly.
+
+Built once per process and read-only: the Fibonacci representation (one
+cached instance) and the codebook of each half length (at most 8 of them,
+all together under 64 KB; the largest, 7 letters, is 690 elements of 4,373
+words, about 32 KB).  Neither depends on the target.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -259,6 +265,7 @@ def tl_b3_rep(t: complex) -> BraidRep:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def fib_qubit_rep() -> BraidRep:
     """Fibonacci qubit representation of B_3 on the 4-anyon fusion space.
 
@@ -266,11 +273,17 @@ def fib_qubit_rep() -> BraidRep:
     trivial total charge, labelled by the intermediate charge 0 or 1.
     ``b_1 = R = diag(exp(4 pi i/5), -exp(2 pi i/5))`` and
     ``b_2 = F(1111) R F(1111)^{-1}``.
+
+    Built once per process: every call returns one cached instance, whose
+    four generator and inverse arrays (2x2 each) are read-only.
     """
     f = FIB_F1111.astype(complex)
     b1 = np.diag(FIB_R11)
     b2 = f @ b1 @ np.linalg.inv(f)
-    return BraidRep(dim=2, strands=3, generators={1: b1, 2: b2}, name="fib")
+    rep = BraidRep(dim=2, strands=3, generators={1: b1, 2: b2}, name="fib")
+    for m in (*rep._gens.values(), *rep._invs.values()):
+        m.flags.writeable = False
+    return rep
 
 
 def evaluate(rep: BraidRep, word: BraidWord) -> np.ndarray:
@@ -369,23 +382,38 @@ def _su2(m: np.ndarray) -> tuple[complex, complex]:
 _ELEMENT_GRID = 1e-9
 
 
-def _distinct_words(rep: BraidRep, alphabet: list[int], max_len: int):
-    """The first reduced word of each projective element, up to ``max_len`` letters.
+#: The Fibonacci alphabet ``b_2^-1, b_1^-1, b_1, b_2``, ascending as signed
+#: integers.
+_ALPHABET = (-2, -1, 1, 2)
 
-    Returns ``(letters, lengths, a, b)``: ``letters`` is int8 of shape
-    ``(n, max_len)`` padded with 0, and ``(a, b)`` are the words' SU(2)
-    images (see :func:`_su2`), in enumeration order (length, then letters).
-    Each level of reduced words is one batched product of the previous
-    level with every letter that does not cancel a word's last one; taken
-    in (word, letter) order, the level stays sorted.  Words whose
+
+@functools.lru_cache(maxsize=8)
+def _distinct_words(max_len: int):
+    """The first reduced Fibonacci word of each projective element, up to
+    ``max_len`` letters: the codebook :func:`compile_gate` scores against.
+
+    Returns read-only ``(letters, lengths, quats)``: ``letters`` is int8 of
+    shape ``(n, max_len)`` padded with 0, and ``quats`` of shape ``(4, n)``
+    holds the words' SU(2) images (see :func:`_su2`) as unit quaternions
+    ``(Re a, Im a, Re b, Im b)``, in enumeration order (length, then
+    letters).  Each level of reduced words is one batched product of the
+    previous level with every letter that does not cancel a word's last one;
+    taken in (word, letter) order, the level stays sorted.  Words whose
     quaternions agree up to sign on :data:`_ELEMENT_GRID` are one element,
     and only the first of them is kept: the rounded quaternions, each signed
     so its first non-zero component is positive, are sorted stably (one
     ``np.lexsort``, far cheaper than ``np.unique`` over rows), so the first
     row of each run of equal keys is its element's first word.
+
+    The codebook depends on ``max_len`` alone, so each is built once per
+    process.  The cache holds at most 8, one per ``max_len`` that
+    :func:`compile_gate` asks for (0 to 7, as ``ceil(COMPILE_CAP / 2) = 7``).
+    The largest, 7 letters, is 690 elements of 4,373 words, about 32 KB,
+    and all 8 take under 64 KB.
     """
-    alpha = np.array(alphabet, dtype=np.int8)
-    gen_a, gen_b = map(np.array, zip(*(_su2(rep.generator(g)) for g in alphabet)))
+    alpha = np.array(_ALPHABET, dtype=np.int8)
+    rep = fib_qubit_rep()
+    gen_a, gen_b = map(np.array, zip(*(_su2(rep.generator(g)) for g in _ALPHABET)))
     letters = [np.zeros((1, max_len), dtype=np.int8)]
     a, b = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
     last = np.zeros(1, dtype=np.int8)
@@ -406,7 +434,11 @@ def _distinct_words(rep: BraidRep, alphabet: list[int], max_len: int):
     order = np.lexsort(keys)  # stable
     run = np.any(np.diff(keys[:, order]) != 0, axis=0)
     first = np.sort(order[np.concatenate([[True], run])])
-    return letters[first], lengths[first], a[first], b[first]
+    a, b = a[first], b[first]
+    codebook = (letters[first], lengths[first], np.stack([a.real, a.imag, b.real, b.imag]))
+    for array in codebook:
+        array.flags.writeable = False
+    return codebook
 
 
 #: Entries per block of split scores (float64), which bounds the search's
@@ -414,7 +446,7 @@ def _distinct_words(rep: BraidRep, alphabet: list[int], max_len: int):
 _SCORE_BLOCK = 2 ** 20
 
 
-def _split_blocks(letters, lengths, half, max_len, alphabet):
+def _split_blocks(letters, lengths, half, max_len):
     """Every canonical (prefix, suffix) split, as blocks of index arrays.
 
     Yields ``(prefixes, suffixes)``: each prefix in ``prefixes`` followed by
@@ -429,7 +461,7 @@ def _split_blocks(letters, lengths, half, max_len, alphabet):
         return
     full = everyone[lengths == half]
     first = letters[1:n_suffix, 0]
-    for g in alphabet:
+    for g in _ALPHABET:
         rows = full[letters[full, half - 1] == g]
         cols = 1 + np.flatnonzero(first != -g)
         step = max(1, _SCORE_BLOCK // len(cols))
@@ -449,17 +481,19 @@ def _near(best: float) -> float:
     return 1.0 - (reach * reach + 1e-12) / 2.0
 
 
-def _evaluate_words(rep: BraidRep, alphabet: list[int], letters, lengths):
-    """:func:`evaluate` of every row of ``letters``, as one stack.
+def _evaluate_words(letters, lengths):
+    """:func:`evaluate` of every row of ``letters`` in the Fibonacci
+    representation, as one stack.
 
     Products run leftmost letter first with the same 2x2 matrix products
     as :func:`evaluate`, so every matrix is the one it returns.
     """
-    gens = np.array([rep.generator(g) for g in alphabet])
+    rep = fib_qubit_rep()
+    gens = np.array([rep.generator(g) for g in _ALPHABET])
     mats = np.broadcast_to(rep.identity(), (len(lengths), 2, 2)).copy()
     for k in range(letters.shape[1]):
         live = np.flatnonzero(lengths > k)
-        mats[live] = mats[live] @ gens[np.searchsorted(alphabet, letters[live, k])]
+        mats[live] = mats[live] @ gens[np.searchsorted(_ALPHABET, letters[live, k])]
     return mats
 
 
@@ -487,6 +521,12 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     the suffix table.  The words within 1e-9 of the best score are
     rescored exactly with :func:`projective_distance`, then ranked by the
     tie rule.
+
+    The codebook of each ``half`` is built once per process and is
+    read-only (:func:`_distinct_words`; at most 8 codebooks, together under
+    64 KB, the largest, ``half = 7``, 690 elements of 4,373 words and about
+    32 KB).  A call computes only the target's frames, the blocked scores
+    and the exact rescoring of the near-ties.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -500,19 +540,18 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
         raise InputError("max_len must be non-negative")
     if max_len > COMPILE_CAP:
         raise ResourceError(f"max_len {max_len} exceeds cap {COMPILE_CAP}")
-    rep = fib_qubit_rep()
-    alphabet = [-2, -1, 1, 2]
     half = (max_len + 1) // 2
 
-    letters, lengths, a, b = _distinct_words(rep, alphabet, half)
+    letters, lengths, quats = _distinct_words(half)
+    a, b = np.empty((2, len(lengths)), dtype=complex)  # the SU(2) images, bit for bit
+    a.real, a.imag, b.real, b.imag = quats
     ta, tb = _su2(target)
     fa = a.conj() * ta + b * tb.conjugate()  # P^dag target
     fb = a.conj() * tb - b * ta.conjugate()
     frames = np.stack([fa.real, fa.imag, fb.real, fb.imag], axis=1)
-    quats = np.stack([a.real, a.imag, b.real, b.imag])
 
     best, found = 0.0, []
-    for prefixes, suffixes in _split_blocks(letters, lengths, half, max_len, alphabet):
+    for prefixes, suffixes in _split_blocks(letters, lengths, half, max_len):
         scores = frames[prefixes] @ quats[:, suffixes]
         top = max(scores.max(), -scores.min())
         if top < _near(best):
@@ -526,9 +565,9 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     prefixes, suffixes = prefixes[keep], suffixes[keep]
     words = np.concatenate([letters[prefixes], letters[suffixes, : max_len - half]], axis=1)
     sizes = lengths[prefixes] + lengths[suffixes]
-    dists = projective_distance(target, _evaluate_words(rep, alphabet, words, sizes))
+    dists = projective_distance(target, _evaluate_words(words, sizes))
     tied = np.flatnonzero(dists <= dists.min() + COMPILE_TIE_EPS)
     # shortest, then lexicographically smallest: lexsort's last key leads
     win = tied[np.lexsort((*words[tied].T[::-1], sizes[tied]))[0]]
     word = tuple(int(g) for g in words[win, : sizes[win]])
-    return BraidWord(rep.strands, word), float(dists[win])
+    return BraidWord(3, word), float(dists[win])

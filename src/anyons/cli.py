@@ -172,7 +172,7 @@ def _rep_for(args) -> braids.BraidRep:
     raise InputError(f"unknown representation {args.rep!r}")
 
 
-@functools.cache  # built once per process; parsing leaves it unchanged
+@functools.lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     """The parser, and the one registry of subcommands: ``subcommands`` maps
     each name to its subparser, which carries its handler and the package

@@ -24,7 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Sequence
+from types import MappingProxyType
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,19 +80,21 @@ class AnyonModel:
     fusion : sparse multiplicity tensor ``{(a, b, c): N^c_ab}``; absent
         entries are zero.  A multiplicity must fit in int64.
 
+    The model holds ``dual`` and ``fusion`` as read-only views of its own
+    copies, so a model shared by many callers cannot change under them.
     Built once from those, and neither compared, printed nor serialised:
 
-    index : the label order as a map ``{labels[i]: i}``.
+    index : the label order as a read-only map ``{labels[i]: i}``.
     N : the same tensor as a read-only int64 array of shape ``(k, k, k)``
         over label indices, ``N[index[a], index[b], index[c]] = N^c_ab``.
     """
 
     labels: tuple[Label, ...]
     vacuum: Label
-    dual: dict[Label, Label]
-    fusion: dict[tuple[Label, Label, Label], int]
+    dual: Mapping[Label, Label]
+    fusion: Mapping[tuple[Label, Label, Label], int]
     name: str = field(default="", compare=False)
-    index: dict[Label, int] = field(init=False, repr=False, compare=False)
+    index: Mapping[Label, int] = field(init=False, repr=False, compare=False)
     N: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,7 +126,9 @@ class AnyonModel:
             except OverflowError:
                 raise InputError(f"multiplicity {m} at {(a, b, c)} does not fit in int64") from None
         N.flags.writeable = False
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "dual", MappingProxyType(dict(self.dual)))
+        object.__setattr__(self, "fusion", MappingProxyType(dict(self.fusion)))
+        object.__setattr__(self, "index", MappingProxyType(index))
         object.__setattr__(self, "N", N)
         self._check_invariants()
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -166,7 +166,7 @@ def face_term() -> np.ndarray:
     return h / (1.0 + PHI ** 2)
 
 
-@cache
+@lru_cache(maxsize=1)
 def _branching_mask() -> np.ndarray:
     """``mask[ext, q, bnd]``: is vertex ``q`` allowed in sector ``ext`` at ``bnd``?
 

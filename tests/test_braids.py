@@ -1,6 +1,8 @@
 """Braid words, the text grammar, representations, gate compilation."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,7 +351,7 @@ class TestCompileGate:
         # 4,373 reduced words of up to 7 letters, each its first word
         from oracles import distinct_words_oracle
 
-        letters, lengths, _, _ = _distinct_words(fib_qubit_rep(), [-2, -1, 1, 2], 7)
+        letters, lengths, _ = _distinct_words(7)
         words = [tuple(int(g) for g in row[:n]) for row, n in zip(letters, lengths)]
         assert len(words) == 690
         assert words == distinct_words_oracle(7)
@@ -368,6 +370,51 @@ class TestCompileGate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_each_codebook_is_built_once_per_process(self):
+        _distinct_words.cache_clear()
+        target = _NAMED_GATES["H"]
+        for max_len in (12, 3, 8, 12, 11, 4, 7):  # halves 6, 2, 4, 6, 6, 2, 4
+            compile_gate(target, max_len)
+        info = _distinct_words.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        compile_gate(_NAMED_GATES["T"], 8)
+        assert _distinct_words.cache_info().misses == 3
+        assert fib_qubit_rep() is fib_qubit_rep()
+
+    def test_shared_codebooks_give_a_fresh_process_result(self):
+        # one process compiles at 12, 3, 8, 12 over warm and cold codebooks;
+        # a fresh process per max_len must print the same words and distances
+        from oracles import brute_force_compile
+
+        targets = ["H", "T", "X", "Y"]
+        order = (12, 3, 8, 12)
+        _distinct_words.cache_clear()
+        runs = []
+        for max_len in order:
+            runs.append((max_len, []))
+            for name in targets:
+                word, dist = compile_gate(_NAMED_GATES[name], max_len)
+                runs[-1][1].append(f"{word.letters} {dist.hex()}")
+                if max_len <= 10:
+                    oracle_word, oracle_dist = brute_force_compile(_NAMED_GATES[name], max_len)
+                    assert word.letters == oracle_word.letters
+                    assert dist == pytest.approx(oracle_dist, abs=1e-12)
+        script = (
+            "import sys\n"
+            "from anyons.braids import compile_gate\n"
+            "from anyons.cli import _NAMED_GATES\n"
+            "for name in sys.argv[2:]:\n"
+            "    word, dist = compile_gate(_NAMED_GATES[name], int(sys.argv[1]))\n"
+            "    print(word.letters, dist.hex())\n"
+        )
+        fresh = {}
+        for max_len, lines in runs:
+            if max_len not in fresh:
+                fresh[max_len] = subprocess.run(
+                    [sys.executable, "-c", script, str(max_len), *targets],
+                    capture_output=True, text=True, check=True).stdout.splitlines()
+            assert lines == fresh[max_len], max_len
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [1e308 + 1e308j, np.inf, np.nan, 1.5])

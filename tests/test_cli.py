@@ -3,10 +3,13 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
+import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anyons
-from anyons import cli, fsymbols, fusion, toric
+from anyons import braids, cli, fsymbols, fusion, toric
 from anyons.cli import CommandResult, main, render, run
 from anyons.errors import InputError
 from anyons.trace_estimation import SHOTS_CAP
@@ -59,6 +62,7 @@ GOLDEN_CASES = {
     "interferometer_3x3_braid.json": [
         "interferometer", "--lx", "3", "--ly", "3", "--beta", "0.785398", "--braid", "yes",
     ],
+    "compile_h_max_len_12.json": ["compile", "--target", "H", "--max-len", "12"],
 }
 
 
@@ -773,19 +777,50 @@ class TestBuiltInsAreShared:
             model, f, r = cli._fr_data_for(name)
             with pytest.raises(ValueError, match="read-only"):
                 model.N[0, 0, 0] = 2
+            label = model.labels[0]
+            for mapping, key in ((model.fusion, next(iter(model.fusion))),
+                                 (model.dual, label), (model.index, label)):
+                with pytest.raises(TypeError):
+                    mapping[key] = 0
             for table in (f, r):
                 for array in (table.rows, table.values):
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = 0
                 with pytest.raises(AttributeError):
                     table.values = table.values.copy()
+        rep = braids.fib_qubit_rep()
+        codebooks = (braids._distinct_words(half) for half in (0, 3, 7))
+        for array in (*(rep.generator(g) for g in (-2, -1, 1, 2)), *itertools.chain(*codebooks)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_every_cache_is_bounded(self):
-        caches = (fusion.fibonacci_model, fusion.zd_model, fusion.toric_model,
-                  fsymbols.fibonacci_data, cli._builtin_fr_data, toric._cut_edges)
+        caches, decorated = _package_caches()
+        assert len(caches) == decorated  # every decorated function was found
+        names = {f"{cache.__module__}.{cache.__qualname__}" for cache in caches}
+        assert {"anyons.braids._distinct_words", "anyons.braids.fib_qubit_rep",
+                "anyons.fusion.zd_model", "anyons.cli._builtin_fr_data"} <= names
         for cache in caches:
             maxsize = cache.cache_info().maxsize
             assert isinstance(maxsize, int) and 1 <= maxsize <= 8, cache
+
+
+_CACHE_DECORATOR = re.compile(r"^\s*@(?:functools\.)?(?:lru_cache|cache)\b", re.MULTILINE)
+
+
+def _package_caches():
+    """Every ``functools`` cache of a module-level function or class method in
+    ``src/anyons``, and the number of cache decorators in its source."""
+    caches, decorated = [], 0
+    for path in sorted(pathlib.Path(anyons.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "anyons" if path.stem == "__init__" else f"anyons.{path.stem}")
+        decorated += len(_CACHE_DECORATOR.findall(path.read_text()))
+        scopes = [vars(module)] + [vars(value) for value in vars(module).values()
+                                   if isinstance(value, type) and value.__module__ == module.__name__]
+        caches += [value for scope in scopes for value in scope.values()
+                   if hasattr(value, "cache_info") and value.__module__ == module.__name__]
+    return caches, decorated
 
 
 class TestProcessLevel:

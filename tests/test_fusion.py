@@ -277,6 +277,18 @@ class TestCompositeFermion:
 
 
 class TestModels:
+    def test_shared_model_maps_are_read_only(self):
+        model = named_model("z_d:3")
+        for mapping, key in ((model.fusion, (1, 1, 2)), (model.dual, 1), (model.index, 1)):
+            with pytest.raises(TypeError):
+                mapping[key] = 0
+        assert model.n(1, 1, 2) == model.N[1, 1, 2] == 1
+        fusion_map = {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)}
+        built = AnyonModel((0, 1, 2), 0, {0: 0, 1: 2, 2: 1}, fusion_map)
+        fusion_map[(1, 1, 2)] = 0  # the model holds its own copy
+        assert built.n(1, 1, 2) == 1 and built == model
+        assert AnyonModel.from_json(model.to_json()) == model
+
     def test_named(self):
         assert named_model("fibonacci").labels == (0, 1)
         assert named_model("z_d:4").labels == (0, 1, 2, 3)

@@ -480,13 +480,29 @@ class TestBraidingTable:
     def test_matches_the_per_entry_composition(self, d):
         assert braiding_table(d) == braiding_table_oracle(d)
 
-    def test_composes_only_the_four_unit_pairs(self, monkeypatch):
-        calls = []
-        original = toric.dyon_braiding_phase
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_equals_the_closed_form(self, d):
+        q = np.arange(d)
+        r, s, rp, sp = np.ix_(q, q, q, q)
+        assert braiding_table(d) == (2 * (r * sp + s * rp) % (2 * d)).tolist()
+
+    def test_four_unit_strings_and_one_composition(self, monkeypatch):
+        strings, compositions = [], []
+        original_string, original_phase = toric.string_operator, toric.dyon_braiding_phase
+        monkeypatch.setattr(toric, "string_operator",
+                            lambda *args: strings.append(args[2:]) or original_string(*args))
         monkeypatch.setattr(toric, "dyon_braiding_phase",
-                            lambda d, a, b: calls.append((a, b)) or original(d, a, b))
+                            lambda d, a, b: compositions.append((a, b)) or original_phase(d, a, b))
         braiding_table(5)
-        assert sorted(calls) == sorted(itertools.product(((1, 0), (0, 1)), repeat=2))
+        # the four unit strings, then the four of the (1, 1)-around-(1, 1) check
+        assert strings == [("charge", 1, 5), ("flux", 1, 5)] * 4
+        assert compositions == [((1, 1), (1, 1))]
+
+    def test_table_against_the_composition(self, monkeypatch):
+        # a bilinear extension that disagrees with the explicit composition raises
+        monkeypatch.setattr(toric, "dyon_braiding_phase", lambda d, a, b: 1)
+        with pytest.raises(InvariantViolation, match="composition"):
+            braiding_table(3)
 
     def test_unit_composition_against_the_closed_form(self, monkeypatch):
         # a unit phase that disagrees with 2 (r s' + s r') still raises
