@@ -28,9 +28,10 @@ of those words is scored by blocked real dot products of prefix frames with
 suffix quaternions, and only the near-ties are rescored exactly.
 
 Built once per process and read-only: the Fibonacci representation (one
-cached instance) and the codebook of each half length (at most 8 of them,
-all together under 64 KB; the largest, 7 letters, is 690 elements of 4,373
-words, about 32 KB).  Neither depends on the target.
+cached instance) and the codebook of each half length, which also holds
+each kept word's Fibonacci matrix (at most 8 codebooks, 152,891 bytes in
+all; the largest, 7 letters, is 690 elements of 4,373 words in 76,590
+bytes).  Neither depends on the target.
 """
 
 from __future__ import annotations
@@ -392,42 +393,49 @@ def _distinct_words(max_len: int):
     """The first reduced Fibonacci word of each projective element, up to
     ``max_len`` letters: the codebook :func:`compile_gate` scores against.
 
-    Returns read-only ``(letters, lengths, quats)``: ``letters`` is int8 of
-    shape ``(n, max_len)`` padded with 0, and ``quats`` of shape ``(4, n)``
-    holds the words' SU(2) images (see :func:`_su2`) as unit quaternions
-    ``(Re a, Im a, Re b, Im b)``, in enumeration order (length, then
-    letters).  Each level of reduced words is one batched product of the
-    previous level with every letter that does not cancel a word's last one;
-    taken in (word, letter) order, the level stays sorted.  Words whose
-    quaternions agree up to sign on :data:`_ELEMENT_GRID` are one element,
-    and only the first of them is kept: the rounded quaternions, each signed
-    so its first non-zero component is positive, are sorted stably (one
-    ``np.lexsort``, far cheaper than ``np.unique`` over rows), so the first
-    row of each run of equal keys is its element's first word.
+    Returns read-only ``(letters, lengths, quats, mats)``: ``letters`` is
+    int8 of shape ``(n, max_len)`` padded with 0, ``quats`` of shape
+    ``(4, n)`` holds the words' SU(2) images (see :func:`_su2`) as unit
+    quaternions ``(Re a, Im a, Re b, Im b)``, and ``mats`` of shape
+    ``(n, 2, 2)`` the words' Fibonacci matrices, in enumeration order
+    (length, then letters).  Each level of reduced words is one batched
+    product of the previous level with every letter that does not cancel a
+    word's last one; taken in (word, letter) order, the level stays sorted.
+    The matrices are multiplied leftmost letter first from the identity,
+    with the same 2x2 products as :func:`evaluate`, so each is the matrix
+    it returns, bit for bit.  Words whose quaternions agree up to sign on
+    :data:`_ELEMENT_GRID` are one element, and only the first of them is
+    kept: the rounded quaternions, each signed so its first non-zero
+    component is positive, are sorted stably (one ``np.lexsort``, far
+    cheaper than ``np.unique`` over rows), so the first row of each run of
+    equal keys is its element's first word.
 
     The codebook depends on ``max_len`` alone, so each is built once per
     process.  The cache holds at most 8, one per ``max_len`` that
     :func:`compile_gate` asks for (0 to 7, as ``ceil(COMPILE_CAP / 2) = 7``).
-    The largest, 7 letters, is 690 elements of 4,373 words, about 32 KB,
-    and all 8 take under 64 KB.
+    The largest, 7 letters, is 690 elements of 4,373 words in 76,590 bytes
+    (44,160 of them the matrices), and all 8 take 152,891 bytes.
     """
     alpha = np.array(_ALPHABET, dtype=np.int8)
     rep = fib_qubit_rep()
-    gen_a, gen_b = map(np.array, zip(*(_su2(rep.generator(g)) for g in _ALPHABET)))
+    gens = _fib_generators()
+    gen_a, gen_b = map(np.array, zip(*(_su2(m) for m in gens)))
     letters = [np.zeros((1, max_len), dtype=np.int8)]
     a, b = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
+    mats = [rep.identity()[None]]
     last = np.zeros(1, dtype=np.int8)
     for n in range(max_len):
         word, g = np.nonzero(last[:, None] != -alpha)
         pa, pb = a[-1][word], b[-1][word]
         a.append(pa * gen_a[g] - pb * gen_b[g].conj())
         b.append(pa * gen_b[g] + pb * gen_a[g].conj())
+        mats.append(mats[-1][word] @ gens[g])
         last = alpha[g]
         level = letters[-1][word]
         level[:, n] = last
         letters.append(level)
     lengths = np.repeat(np.arange(max_len + 1), [len(level) for level in a])
-    letters, a, b = np.concatenate(letters), np.concatenate(a), np.concatenate(b)
+    letters, a, b, mats = map(np.concatenate, (letters, a, b, mats))
 
     keys = np.rint(np.stack([a.real, a.imag, b.real, b.imag]) / _ELEMENT_GRID)
     keys *= np.sign(keys[np.argmax(keys != 0, axis=0), np.arange(len(a))])
@@ -435,7 +443,8 @@ def _distinct_words(max_len: int):
     run = np.any(np.diff(keys[:, order]) != 0, axis=0)
     first = np.sort(order[np.concatenate([[True], run])])
     a, b = a[first], b[first]
-    codebook = (letters[first], lengths[first], np.stack([a.real, a.imag, b.real, b.imag]))
+    codebook = (letters[first], lengths[first], np.stack([a.real, a.imag, b.real, b.imag]),
+                mats[first])
     for array in codebook:
         array.flags.writeable = False
     return codebook
@@ -481,20 +490,10 @@ def _near(best: float) -> float:
     return 1.0 - (reach * reach + 1e-12) / 2.0
 
 
-def _evaluate_words(letters, lengths):
-    """:func:`evaluate` of every row of ``letters`` in the Fibonacci
-    representation, as one stack.
-
-    Products run leftmost letter first with the same 2x2 matrix products
-    as :func:`evaluate`, so every matrix is the one it returns.
-    """
+def _fib_generators() -> np.ndarray:
+    """The Fibonacci generators of :data:`_ALPHABET`, stacked in its order."""
     rep = fib_qubit_rep()
-    gens = np.array([rep.generator(g) for g in _ALPHABET])
-    mats = np.broadcast_to(rep.identity(), (len(lengths), 2, 2)).copy()
-    for k in range(letters.shape[1]):
-        live = np.flatnonzero(lengths > k)
-        mats[live] = mats[live] @ gens[np.searchsorted(_ALPHABET, letters[live, k])]
-    return mats
+    return np.array([rep.generator(g) for g in _ALPHABET])
 
 
 def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
@@ -520,13 +519,16 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     is scored by blocked real matrix products of the prefix frames with
     the suffix table.  The words within 1e-9 of the best score are
     rescored exactly with :func:`projective_distance`, then ranked by the
-    tie rule.
+    tie rule.  Each rescored word's matrix starts from its prefix's
+    codebook matrix and multiplies on only the suffix letters, so the
+    rescoring takes ``max_len - half`` rounds of batched 2x2 products, and
+    every matrix is the one :func:`evaluate` returns for the word.
 
     The codebook of each ``half`` is built once per process and is
-    read-only (:func:`_distinct_words`; at most 8 codebooks, together under
-    64 KB, the largest, ``half = 7``, 690 elements of 4,373 words and about
-    32 KB).  A call computes only the target's frames, the blocked scores
-    and the exact rescoring of the near-ties.
+    read-only (:func:`_distinct_words`; at most 8 codebooks, 152,891 bytes
+    in all with their matrices, the largest, ``half = 7``, 690 elements of
+    4,373 words in 76,590 bytes).  A call computes only the target's
+    frames, the blocked scores and the exact rescoring of the near-ties.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -542,7 +544,7 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
         raise ResourceError(f"max_len {max_len} exceeds cap {COMPILE_CAP}")
     half = (max_len + 1) // 2
 
-    letters, lengths, quats = _distinct_words(half)
+    letters, lengths, quats, mats = _distinct_words(half)
     a, b = np.empty((2, len(lengths)), dtype=complex)  # the SU(2) images, bit for bit
     a.real, a.imag, b.real, b.imag = quats
     ta, tb = _su2(target)
@@ -561,11 +563,24 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
         found.append((scores[i, j], prefixes[i], suffixes[j]))
 
     scores, prefixes, suffixes = map(np.concatenate, zip(*found))
-    keep = scores >= _near(best)
+    # the near-ties, longest suffix first (no two are one word, so the
+    # order does not change the winner)
+    keep = np.flatnonzero(scores >= _near(best))
+    keep = keep[np.argsort(-lengths[suffixes[keep]])]
     prefixes, suffixes = prefixes[keep], suffixes[keep]
-    words = np.concatenate([letters[prefixes], letters[suffixes, : max_len - half]], axis=1)
-    sizes = lengths[prefixes] + lengths[suffixes]
-    dists = projective_distance(target, _evaluate_words(words, sizes))
+    rounds = max_len - half
+    words = np.concatenate([letters[prefixes], letters[suffixes, :rounds]], axis=1)
+    suffix_lengths = lengths[suffixes]
+    sizes = lengths[prefixes] + suffix_lengths
+    # each word's evaluate() matrix: its prefix's, times the suffix letters,
+    # one round per letter; the words still growing in round k lead, and
+    # the padding letters' matrices past them are never used
+    products = mats[prefixes]
+    steps = _fib_generators()[np.searchsorted(_ALPHABET, letters[suffixes, :rounds])]
+    growing = np.count_nonzero(suffix_lengths > np.arange(rounds)[:, None], axis=1)
+    for k, live in enumerate(growing.tolist()):
+        products[:live] = products[:live] @ steps[:live, k]
+    dists = projective_distance(target, products)
     tied = np.flatnonzero(dists <= dists.min() + COMPILE_TIE_EPS)
     # shortest, then lexicographically smallest: lexsort's last key leads
     win = tied[np.lexsort((*words[tied].T[::-1], sizes[tied]))[0]]

@@ -9,9 +9,11 @@ trace of the word's image in the Temperley-Lieb algebra,
 where each crossing is resolved into one of two planar patterns, ``<K|S>``
 is the product of per-crossing weights ``t^(-+1/4)``, ``L(S)`` counts the
 loops of the fully smoothed closed diagram, and ``d = -t^(-1/2) - t^(1/2)``
-is the closed-loop value.  Everything is integer Laurent arithmetic in
-quarter powers of t (:class:`anyons.laurent.LaurentPoly`); no floating
-point enters until a polynomial is evaluated.
+is the closed-loop value.  Everything is exact integer arithmetic in
+quarter powers of t: the transfer below holds each value as a plain
+``{quarter exponent: coefficient}`` map, and the closure builds the
+:class:`anyons.laurent.LaurentPoly` result; no floating point enters until
+a polynomial is evaluated.
 
 Conventions (pinned by the Markov-invariance and oracle tests):
 
@@ -31,9 +33,11 @@ Conventions (pinned by the Markov-invariance and oracle tests):
 The sum is not enumerated state by state: it is a transfer over
 Temperley-Lieb diagrams (Kauffman, Topology 26, 1987).  A diagram pairs the
 ``2n`` boundary points of the braid read so far, and the states that reach
-the same diagram are merged into one exact value.  A crossing costs O(n)
-per live diagram, so the bracket costs O(N * S * n) for ``N`` crossings,
-with ``S <= min(Catalan(n), 2^N)`` live diagrams.
+the same diagram are merged into one exact value: a monomial weight shifts
+the value's exponents and a closed loop's ``d`` is two shifted
+subtractions.  A crossing costs O(n + T) per live diagram, with ``T <= 4N
++ 1`` terms per value, so the bracket costs O(N * S * (n + N)) for ``N``
+crossings, with ``S <= min(Catalan(n), 2^N)`` live diagrams.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braids import BraidWord, evaluate, tl_b3_matrices, tl_b3_rep
+from .braids import BraidWord, evaluate, tl_b3_rep
 from .errors import InputError, ResourceError
 from .laurent import LaurentPoly
 
@@ -119,10 +123,16 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
     n = diagram.n_strands
     if n > STRAND_CAP:
         raise ResourceError(f"{n} strands exceed the bracket strand cap {STRAND_CAP}")
-    d = LaurentPoly.loop_value()
     # point j < n is the bottom of strand j, point n + j its current top;
-    # pairing[x] is the point that x is joined to
-    layer = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.one()}
+    # pairing[x] is the point that x is joined to.  A diagram's value is an
+    # exponent map {quarter exponent: coefficient} with no zero coefficient,
+    # held times t^(w/4) for the writhe w read so far: the identity pattern
+    # (weight t^(-sign/4)) leaves it as it is, the cap-cup pattern (weight
+    # t^(sign/4)) shifts it by 2 sign, and a closed loop's d = -t^(-1/2) -
+    # t^(1/2) adds two shifted subtractions.  Maps are merged in the order,
+    # and zeros dropped where, LaurentPoly sums would merge and drop them,
+    # so the closure's coefficients come in the same order as theirs.
+    layer = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
     for pos, sign in diagram.crossings:
         if 2 * len(layer) * 2 * n > TRANSFER_ENTRY_CAP:
             raise ResourceError(
@@ -131,29 +141,57 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
                 "entries"
             )
         a, b = n + pos - 1, n + pos
-        keep = LaurentPoly.monomial(-sign)  # identity pattern
-        turn = LaurentPoly.monomial(sign)  # cap-cup pattern
-        turn_loop = turn * d
-        nxt: dict[tuple[int, ...], LaurentPoly] = {}
+        turn, low, high = 2 * sign, 2 * sign - 2, 2 * sign + 2
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        # each value is read only while its own diagram is transferred, so
+        # the identity pattern may hand the map itself on to the next layer
         for pairing, value in layer.items():
-            p = list(pairing)
-            if p[a] == b:  # the cap closes a loop
-                turned = value * turn_loop
-            else:  # the cap joins the partners of the two top points
-                turned = value * turn
-                p[p[a]], p[p[b]] = p[b], p[a]
+            if pairing in nxt:
+                _add_shifted(nxt[pairing], value, 0)
+            else:
+                nxt[pairing] = value
+            if pairing[a] == b:  # the cap closes a loop
+                # t^(sign/4) d value, built whole before it is merged, as
+                # the LaurentPoly product was
+                loop: dict[int, int] = {}
+                for e, c in value.items():
+                    loop[e + low] = loop.get(e + low, 0) - c
+                    loop[e + high] = loop.get(e + high, 0) - c
+                _add_shifted(nxt[pairing], loop, 0)
+                continue
+            p = list(pairing)  # the cap joins the partners of the two top points
+            p[p[a]], p[p[b]] = p[b], p[a]
             p[a], p[b] = b, a  # the cup pairs the two new top points
-            for key, term in ((pairing, value * keep), (tuple(p), turned)):
-                nxt[key] = nxt[key] + term if key in nxt else term
+            key = tuple(p)
+            if key in nxt:
+                _add_shifted(nxt[key], value, turn)
+            else:
+                nxt[key] = {e + turn: c for e, c in value.items()}
         layer = nxt
-    by_loops: dict[int, LaurentPoly] = {}
+    by_loops: dict[int, dict[int, int]] = {}
     for pairing, value in layer.items():
         loops = _closure_loops(pairing, n)
-        by_loops[loops] = by_loops[loops] + value if loops in by_loops else value
+        if loops in by_loops:
+            _add_shifted(by_loops[loops], value, 0)
+        else:
+            by_loops[loops] = value
+    w = word.writhe()
+    d = LaurentPoly.loop_value()
     total = LaurentPoly.zero()
     for loops, value in by_loops.items():
-        total = total + value * d ** (loops - 1)
+        total = total + LaurentPoly({e - w: c for e, c in value.items()}) * d ** (loops - 1)
     return total
+
+
+def _add_shifted(acc: dict[int, int], value: dict[int, int], shift: int):
+    """``acc += t^(shift/4) value`` in place, dropping zero coefficients."""
+    for e, c in value.items():
+        e += shift
+        c += acc.get(e, 0)
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
 
 
 def jones(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
@@ -163,7 +201,7 @@ def jones(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
     far commutation, and Markov stabilisation (see module docstring for
     the prefactor convention).
     """
-    w = writhe(word)
+    w = word.writhe()
     prefactor = LaurentPoly.monomial(3 * w, (-1) ** (w % 2))
     return prefactor * kauffman_bracket(word, cap=cap)
 
@@ -187,7 +225,7 @@ def bracket_tl_b3(word: BraidWord, t: complex) -> complex:
         raise InputError("the Temperley-Lieb trace formula is for B_3 words")
     rep = tl_b3_rep(t)
     q = np.power(complex(t), 0.25)
-    _, _, d = tl_b3_matrices(t)
+    d = -(q ** 2) - q ** -2  # the loop value, as tl_b3_matrices computes it
     mat = evaluate(rep, word)
     w = word.writhe()
     return complex((q ** -1) ** w * (d ** 2 - 2) + np.trace(mat))

@@ -152,14 +152,25 @@ def brute_force_compile(target, max_len: int) -> tuple[BraidWord, float]:
     level's distances come from one stacked ``projective_distance`` call,
     whose every value equals the single-matrix one.
     """
+    return brute_force_compile_each([target], max_len)[0][-1]
+
+
+def brute_force_compile_each(targets, max_len: int) -> list[list[tuple[BraidWord, float]]]:
+    """:func:`brute_force_compile` of each target at every length limit
+    ``0..max_len``, over one scan of the words: the best after each level
+    is the result at that limit."""
     rep = fib_qubit_rep()
-    best = None
+    bests: list = [None] * len(targets)
+    results: list[list] = [[] for _ in targets]
     for level in _word_levels(rep, max_len):
-        dists = projective_distance(target, np.array([mat for _, mat in level]))
-        for (letters, _), dist in zip(level, dists):
-            if best is None or dist < best[0] - COMPILE_TIE_EPS:
-                best = (float(dist), letters)
-    return BraidWord(rep.strands, best[1]), best[0]
+        mats = np.array([mat for _, mat in level])
+        for k, target in enumerate(targets):
+            dists = projective_distance(target, mats)
+            for (letters, _), dist in zip(level, dists):
+                if bests[k] is None or dist < bests[k][0] - COMPILE_TIE_EPS:
+                    bests[k] = (float(dist), letters)
+            results[k].append((BraidWord(rep.strands, bests[k][1]), bests[k][0]))
+    return results
 
 
 def distinct_words_oracle(max_len: int) -> list[tuple[int, ...]]:

@@ -351,10 +351,43 @@ class TestCompileGate:
         # 4,373 reduced words of up to 7 letters, each its first word
         from oracles import distinct_words_oracle
 
-        letters, lengths, _ = _distinct_words(7)
+        letters, lengths, *_ = _distinct_words(7)
         words = [tuple(int(g) for g in row[:n]) for row, n in zip(letters, lengths)]
         assert len(words) == 690
         assert words == distinct_words_oracle(7)
+
+    def test_codebook_matrices_are_the_evaluate_matrices(self):
+        # the rescoring continues from these, so each must be evaluate()'s
+        # matrix of its word bit for bit
+        rep = fib_qubit_rep()
+        letters, lengths, _, mats = _distinct_words(7)
+        assert mats.shape == (690, 2, 2)
+        for row, n, mat in zip(letters, lengths, mats):
+            word = BraidWord(3, tuple(int(g) for g in row[:n]))
+            assert mat.tobytes() == evaluate(rep, word).tobytes(), word
+
+    def test_distances_are_the_evaluate_distances_bit_for_bit(self):
+        # the winner's distance, from its prefix's codebook matrix times the
+        # suffix letters, is the one evaluate() gives the whole word
+        from oracles import brute_force_compile_each
+
+        from anyons.braids import COMPILE_CAP, projective_distance
+
+        rng = np.random.default_rng(2021)
+        targets = [_NAMED_GATES[name] for name in ("H", "T", "X", "Y")]
+        targets += [_su2_matrix(rng.normal(size=4), rng.uniform(0, 2 * np.pi))
+                    for _ in range(20)]
+        oracle = brute_force_compile_each(targets, 10)
+        rep = fib_qubit_rep()
+        for target, by_length in zip(targets, oracle):
+            for max_len in range(COMPILE_CAP + 1):
+                word, dist = compile_gate(target, max_len)
+                exact = projective_distance(target, evaluate(rep, word))
+                assert dist.hex() == exact.hex(), (max_len, word)
+                if max_len <= 10:
+                    oracle_word, oracle_dist = by_length[max_len]
+                    assert word.letters == oracle_word.letters, max_len
+                    assert dist == pytest.approx(oracle_dist, abs=1e-12)
 
     def test_search_memory_is_bounded(self):
         import tracemalloc

@@ -53,6 +53,11 @@ def _write_big_model(path: pathlib.Path):
     path.write_text(json.dumps({"labels": labels, "vacuum": 0, "name": "big",
                                 "dual": [[a, a] for a in labels], "fusion": [[0, 0, 0, 1]]}))
 
+B6_24 = ("B6: s5 s4 s1^-1 s5 s3^-1 s1^-1 s2 s4 s5 s2 s3 s5 s4^-1 s1^-1 s4 s4 s2 s3^-1 "
+         "s1 s2 s3 s2 s5 s1")
+B8_24 = ("B8: s2^-1 s4^-1 s6^-1 s2^-1 s5^-1 s6^-1 s4 s4 s7 s4^-1 s1 s5 s4 s6^-1 s7^-1 "
+         "s5 s1 s3^-1 s1 s6 s2 s2 s5 s4")
+
 GOLDEN_CASES = {
     "fusion_dim_fibonacci.json": [
         "fusion-dim", "--model", "fibonacci", "--inputs", "1,1,1,1", "--total", "0",
@@ -63,6 +68,10 @@ GOLDEN_CASES = {
         "interferometer", "--lx", "3", "--ly", "3", "--beta", "0.785398", "--braid", "yes",
     ],
     "compile_h_max_len_12.json": ["compile", "--target", "H", "--max-len", "12"],
+    # 24 crossings: past the state-sum oracle, and not B3 for the trace formula
+    "bracket_b6_24_crossings.json": ["bracket", "--braid", B6_24, "--method", "statesum"],
+    "bracket_b8_24_crossings.json": ["bracket", "--braid", B8_24, "--method", "statesum"],
+    "jones_b8_24_crossings.json": ["jones", "--braid", B8_24, "--t", "0.6,0.8"],
 }
 
 
