@@ -11,13 +11,22 @@ term.
 
 import numpy as np
 
+from anyons.fsymbols import PHI
 from anyons.stringnet import (
     constrained_configs,
     face_operator,
-    face_term,
     face_term_checks,
     vertex_projector,
 )
+
+
+def sector_block(op, ext):
+    """One external sector's 64x64 boundary matrix, scattered from the support."""
+    block = np.zeros((64, 64), dtype=complex)
+    at = op.sector == ext
+    block[op.target[at], op.source[at]] = op.value[at]
+    return block
+
 
 hv, coeffs = vertex_projector()
 print("Vertex projector: rank", int(np.trace(hv).real), "of 8")
@@ -35,14 +44,16 @@ print("  B^0 is the vacuum string: identity on every boundary block")
 print("  B^1 in the trivial external sector, restricted to the allowed")
 print("  configurations {000000, 111111}:")
 allowed = constrained_configs(0)
-print(np.round(b1.block(0)[np.ix_(allowed, allowed)].real, 6))
+b1_trivial = sector_block(b1, 0)
+print(np.round(b1_trivial[np.ix_(allowed, allowed)].real, 6))
 
 print("\nH_f = (B^0 + phi B^1) / (1 + phi^2); residual report:")
 for name, value in face_term_checks().items():
     print(f"  {name:20s} {value:.3e}")
 
-h = face_term()
-sub = h[0][np.ix_(allowed, allowed)]
+h = PHI * b1_trivial  # B^0 adds 1 to the diagonal
+h[np.arange(64), np.arange(64)] += 1.0
+sub = (h / (1.0 + PHI ** 2))[np.ix_(allowed, allowed)]
 eigs = np.linalg.eigvalsh(sub)
 print(f"\nEigenvalues on the constrained trivial sector: {np.round(eigs, 12)}")
 print("The +1 eigenvector carries the quantum-dimension weights (1, phi).")

@@ -62,14 +62,7 @@ from .fusion import (
     total_dimension_entropy,
     zd_model,
 )
-from .knots import (
-    LinkDiagram,
-    bracket_tl_b3,
-    closure,
-    jones,
-    kauffman_bracket,
-    writhe,
-)
+from .knots import bracket_tl_b3, jones, kauffman_bracket
 from .laurent import LaurentPoly
 from .pauli import PauliString, commutation_phase
 from .stringnet import face_operator, face_term_checks, vertex_projector

@@ -89,14 +89,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise InputError("cannot concatenate words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
-
     def writhe(self) -> int:
         return sum(1 if g > 0 else -1 for g in self.letters)
 
@@ -155,9 +147,9 @@ class BraidRep:
 
     ``strands is None`` means the representation is defined for any strand
     count (the abelian case).  ``generator(g)`` accepts signed indices;
-    inverse generators are conjugate transposes when the representation is
-    unitary and true matrix inverses otherwise (recorded per instance so
-    the Temperley-Lieb family stays usable off its unitarity arc).
+    inverse generators are the ``inverses`` given, else the conjugate
+    transposes, so a representation that is not unitary (the Temperley-Lieb
+    family off its unitarity arc) passes its inverses.
     """
 
     def __init__(
@@ -178,10 +170,8 @@ class BraidRep:
         self._gens = {} if generators is None else dict(generators)
         if inverses is not None:
             self._invs = dict(inverses)
-        elif unitary:
-            self._invs = {i: m.conj().T for i, m in self._gens.items()}
         else:
-            self._invs = {i: np.linalg.inv(m) for i, m in self._gens.items()}
+            self._invs = {i: m.conj().T for i, m in self._gens.items()}
 
     def generator(self, g: int) -> np.ndarray:
         if g == 0:
@@ -199,6 +189,13 @@ class BraidRep:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
+
+    def check_word(self, word: BraidWord) -> None:
+        """Refuse a word on a strand count the representation is not defined for."""
+        if self.strands is not None and word.strands != self.strands:
+            raise InputError(
+                f"word on {word.strands} strands fed to a {self.strands}-strand rep"
+            )
 
 
 def abelian_rep(phi: float) -> BraidRep:
@@ -289,10 +286,7 @@ def fib_qubit_rep() -> BraidRep:
 
 def evaluate(rep: BraidRep, word: BraidWord) -> np.ndarray:
     """Ordered product of generator matrices, leftmost letter first."""
-    if rep.strands is not None and word.strands != rep.strands:
-        raise InputError(
-            f"word on {word.strands} strands fed to a {rep.strands}-strand rep"
-        )
+    rep.check_word(word)
     out = rep.identity()
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         for g in word.letters:

@@ -175,56 +175,46 @@ def _rep_for(args) -> braids.BraidRep:
 @functools.lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     """The parser, and the one registry of subcommands: ``subcommands`` maps
-    each name to its subparser, which carries its handler and the package
-    operations it reaches (directly or through the functions it calls) as
-    the defaults ``handler`` and ``operations``."""
+    each name to its subparser, which carries its handler as the default
+    ``handler``."""
     p = _Parser(prog="anyons", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     p.subcommands = sub.choices
 
-    def command(name, help, handler, operations):
+    def command(name, help, handler):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(handler=handler, operations=operations)
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = command("fusion-dim", "fusion-space dimension", _cmd_fusion_dim,
-                 ["fusion_space_dim", "fuse"])
+    sp = command("fusion-dim", "fusion-space dimension", _cmd_fusion_dim)
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True, help="comma-separated labels")
     sp.add_argument("--total", required=True)
 
-    sp = command("fusion-trees", "enumerate fusion trees", _cmd_fusion_trees,
-                 ["enumerate_fusion_trees", "fuse"])
+    sp = command("fusion-trees", "enumerate fusion trees", _cmd_fusion_trees)
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True)
     sp.add_argument("--total", required=True)
     sp.add_argument("--cap", type=_non_negative_int, default=fusion.TREE_CAP)
 
-    sp = command("qdims", "quantum dimensions", _cmd_qdims, ["quantum_dimensions"])
+    sp = command("qdims", "quantum dimensions", _cmd_qdims)
     sp.add_argument("--model", required=True)
     sp.add_argument("--tolerance", type=_positive_float, default=fusion.QDIM_TOL)
 
-    sp = command("entropy", "total quantum dimension and entropy", _cmd_entropy,
-                 ["total_dimension_entropy", "quantum_dimensions"])
+    sp = command("entropy", "total quantum dimension and entropy", _cmd_entropy)
     sp.add_argument("--model", required=True)
     sp.add_argument("--base", type=_log_base, default=None,
                     help="logarithm base (natural log when omitted)")
 
-    for name, handler, operations in (
-        ("pentagon", _cmd_pentagon,
-         ["fibonacci_data", "pentagon_residual", "f_unitarity_residual"]),
-        ("hexagon", _cmd_hexagon, ["fibonacci_data", "hexagon_residual"]),
-    ):
-        sp = command(name, f"{name} residual of built-in F/R data", handler, operations)
+    for name, handler in (("pentagon", _cmd_pentagon), ("hexagon", _cmd_hexagon)):
+        sp = command(name, f"{name} residual of built-in F/R data", handler)
         sp.add_argument("--model", default="fibonacci")
         sp.add_argument("--f-json", default=None,
                         help="serialized F table file (overrides --model data)")
     sp.add_argument("--r-json", default=None,  # on the hexagon's parser, the last one
                     help="serialized R table file")
 
-    sp = command("braid-check", "braid-relation residual of a rep", _cmd_braid_check, [
-        "abelian_rep", "tl_b3_rep", "fib_qubit_rep", "relation_residual", "parse_braid",
-        "evaluate"])
+    sp = command("braid-check", "braid-relation residual of a rep", _cmd_braid_check)
     sp.add_argument("--rep", choices=("abelian", "tl", "fib"), required=True)
     sp.add_argument("--strands", type=int, default=3)
     sp.add_argument("--phi", type=_finite_float, default=np.pi,
@@ -233,16 +223,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--braid", default=None,
                     help="optional braid word to evaluate (round-trip check)")
 
-    sp = command("compile", "meet-in-the-middle braid-word gate compilation",
-                 _cmd_compile, ["compile_gate"])
+    sp = command("compile", "meet-in-the-middle braid-word gate compilation", _cmd_compile)
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", type=int, required=True)
 
-    for name, handler, operations in (
-        ("jones", _cmd_jones, ["parse_braid", "closure", "writhe", "jones", "kauffman_bracket"]),
-        ("bracket", _cmd_bracket, ["parse_braid", "kauffman_bracket", "bracket_tl_b3"]),
-    ):
-        sp = command(name, f"exact {name} of a braid closure", handler, operations)
+    for name, handler in (("jones", _cmd_jones), ("bracket", _cmd_bracket)):
+        sp = command(name, f"exact {name} of a braid closure", handler)
         sp.add_argument("--braid", required=True)
         sp.add_argument("--t", default=None,
                         help="also evaluate at this complex t (re,im)")
@@ -253,8 +239,7 @@ def _build_parser() -> _Parser:
                          "Temperley-Lieb transfer); tl: the B_3 trace "
                          "formula evaluated at --t")
 
-    sp = command("trace-est", "Hadamard-test trace estimate", _cmd_trace_est,
-                 ["exact_normalized_trace", "hadamard_test_trace", "evaluate"])
+    sp = command("trace-est", "Hadamard-test trace estimate", _cmd_trace_est)
     sp.add_argument("--braid", required=True)
     sp.add_argument("--rep", choices=("fib", "tl", "abelian"), default="fib")
     sp.add_argument("--t", default="1,0")
@@ -262,36 +247,29 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shots", type=int, required=True)
     sp.add_argument("--seed", type=_seed, required=True)
 
-    sp = command("toric", "toric-code summary", _cmd_toric, [
-        "ground_space_dim", "stabilizers_commute", "stabilizer_products_are_identity",
-        "braiding_table", "dyon_braiding_phase", "commutation_phase", "string_operator",
-        "syndrome", "correct", "homology_class"])
+    sp = command("toric", "toric-code summary", _cmd_toric)
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
 
-    sp = command("interferometer", "charge/flux interferometer", _cmd_interferometer,
-                 ["interferometer_run", "build_stabilizers"])
+    sp = command("interferometer", "charge/flux interferometer", _cmd_interferometer)
     sp.add_argument("--lx", type=int, required=True)
     sp.add_argument("--ly", type=int, required=True)
     sp.add_argument("--beta", type=_finite_float, required=True)
     sp.add_argument("--braid", choices=("yes", "no"), required=True)
 
-    command("stringnet-check", "Levin-Wen face-term residuals", _cmd_stringnet_check,
-            ["vertex_projector", "face_operator", "face_term_checks"])
+    command("stringnet-check", "Levin-Wen face-term residuals", _cmd_stringnet_check)
 
-    sp = command("honeycomb", "honeycomb-model phase and coupling", _cmd_honeycomb,
-                 ["honeycomb_phase", "honeycomb_effective_coupling"])
+    sp = command("honeycomb", "honeycomb-model phase and coupling", _cmd_honeycomb)
     sp.add_argument("--jx", type=_finite_float, required=True)
     sp.add_argument("--jy", type=_finite_float, required=True)
     sp.add_argument("--jz", type=_finite_float, required=True)
 
-    sp = command("cf-statistics", "composite-fermion statistics", _cmd_cf_statistics,
-                 ["composite_fermion_statistics"])
+    sp = command("cf-statistics", "composite-fermion statistics", _cmd_cf_statistics)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
 
-    sp = command("su2k", "SU(2)_k fusion admissibility", _cmd_su2k, ["su2k_admissible"])
+    sp = command("su2k", "SU(2)_k fusion admissibility", _cmd_su2k)
     sp.add_argument("--j1", required=True)
     sp.add_argument("--j2", required=True)
     sp.add_argument("--j", required=True)
@@ -385,7 +363,7 @@ def _cmd_compile(args) -> dict:
 def _cmd_jones(args) -> dict:
     word = braids.parse_braid(args.braid)
     poly = knots.jones(word, cap=args.cap)
-    out = {"poly": poly.to_json_dict(), "writhe": knots.writhe(word)}
+    out = {"poly": poly.to_json_dict(), "writhe": word.writhe()}
     if args.t is not None:
         out["value"] = _cpx(poly.evaluate(_parse_complex(args.t)))
     return out
@@ -408,6 +386,7 @@ def _cmd_bracket(args) -> dict:
 def _cmd_trace_est(args) -> dict:
     word = braids.parse_braid(args.braid)
     rep = _rep_for(args)
+    rep.check_word(word)
     matrices = [rep.generator(g) for g in word.letters]
     if not matrices:
         matrices = [rep.identity()]

@@ -164,22 +164,20 @@ class FSymbolTable(_Table):
         rows, non_square = _admissible_tuples(model)
         self._read(model, rows, entries, "F table missing admissible entry", non_square=non_square)
 
-    def value(self, a, b, c, d, i, j) -> complex:
-        key = (a, b, c, d, i, j)
-        return self.entries[key] if f_admissible(self.model, *key) else 0.0
-
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
         """The matrix ``F(abcd)^i_j`` with its admissible row/column labels;
-        an unknown label raises InputError."""
+        an unknown label raises InputError.
+
+        Every (row, column) pair of a block is admissible, and the block's
+        table rows are sorted by ``(i, j)``, so its values are the matrix in
+        row-major order.
+        """
         m = self.model
         A, B, C, D = (m.index[m.require_label(x)] for x in (a, b, c, d))
         rows = [m.labels[i] for i in np.flatnonzero(np.logical_and(m.N[A, B], m.N[:, C, D]))]
         cols = [m.labels[j] for j in np.flatnonzero(np.logical_and(m.N[B, C], m.N[A, :, D]))]
-        mat = np.array(
-            [[self.value(a, b, c, d, i, j) for j in cols] for i in rows],
-            dtype=complex,
-        ).reshape(len(rows), len(cols))
-        return rows, cols, mat
+        at = np.flatnonzero((self.rows[:, :4] == (A, B, C, D)).all(axis=1))
+        return rows, cols, self.values[at].reshape(len(rows), len(cols))
 
 
 class RSymbolTable(_Table):
@@ -190,10 +188,6 @@ class RSymbolTable(_Table):
 
     def __init__(self, model: AnyonModel, entries: dict):
         self._read(model, _vertices(model), entries, "R table missing allowed entry")
-
-    def value(self, a, b, c) -> complex:
-        key = (a, b, c)
-        return self.entries[key] if _allowed(self.model, *key) else 0.0
 
 
 def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:

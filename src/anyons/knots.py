@@ -42,8 +42,6 @@ crossings, with ``S <= min(Catalan(n), 2^N)`` live diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .braids import BraidWord, evaluate, tl_b3_rep
@@ -63,32 +61,6 @@ STRAND_CAP = 1000
 #: crossings on many strands keep all 2^N diagrams distinct; the largest
 #: such word under this cap (B29, 14 crossings) peaks at 16 MB.
 TRANSFER_ENTRY_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class LinkDiagram:
-    """Markov closure of a braid word: crossings plus implicit closure arcs."""
-
-    n_strands: int
-    crossings: tuple[tuple[int, int], ...]  # (position 1..n-1, sign +-1)
-
-    def __post_init__(self):
-        for pos, sign in self.crossings:
-            if not (1 <= pos < self.n_strands) or sign not in (-1, 1):
-                raise InputError(f"bad crossing {(pos, sign)}")
-
-
-def closure(word: BraidWord) -> LinkDiagram:
-    """The link diagram obtained by Markov-closing ``word``."""
-    return LinkDiagram(
-        word.strands,
-        tuple((abs(g), 1 if g > 0 else -1) for g in word.letters),
-    )
-
-
-def writhe(word: BraidWord) -> int:
-    """Sum of crossing signs of the closure."""
-    return word.writhe()
 
 
 def _closure_loops(pairing: tuple[int, ...], n: int) -> int:
@@ -116,11 +88,10 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
     :data:`STRAND_CAP` or a layer of diagrams could exceed
     :data:`TRANSFER_ENTRY_CAP`.
     """
-    diagram = closure(word)
-    n_cross = len(diagram.crossings)
+    n_cross = len(word.letters)
     if n_cross > cap:
         raise ResourceError(f"{n_cross} crossings exceed the bracket cap {cap}")
-    n = diagram.n_strands
+    n = word.strands
     if n > STRAND_CAP:
         raise ResourceError(f"{n} strands exceed the bracket strand cap {STRAND_CAP}")
     # point j < n is the bottom of strand j, point n + j its current top;
@@ -133,14 +104,15 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
     # and zeros dropped where, LaurentPoly sums would merge and drop them,
     # so the closure's coefficients come in the same order as theirs.
     layer = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
-    for pos, sign in diagram.crossings:
+    for g in word.letters:
         if 2 * len(layer) * 2 * n > TRANSFER_ENTRY_CAP:
             raise ResourceError(
                 f"a layer of up to {2 * len(layer)} Temperley-Lieb diagrams on "
                 f"{n} strands exceeds the transfer cap of {TRANSFER_ENTRY_CAP} "
                 "entries"
             )
-        a, b = n + pos - 1, n + pos
+        sign = 1 if g > 0 else -1  # crossing between strands |g| and |g| + 1
+        a, b = n + abs(g) - 1, n + abs(g)
         turn, low, high = 2 * sign, 2 * sign - 2, 2 * sign + 2
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         # each value is read only while its own diagram is transferred, so

@@ -32,10 +32,10 @@ The vertex constraints of the whole patch are one boolean branching mask
 of shape (64 external sectors, 6 vertices, 64 boundary configurations),
 computed once, read-only, by bit arithmetic: vertex ``q``'s triple has code
 ``4 a[q] + 2 g[q-1] + g[q]``, looked up in an 8-entry table of allowed
-codes.  ``constrained_configs`` and ``vertex_diagonal`` are views of it,
-and ``face_term_checks`` checks all 64 sectors at once on the face term's
-support: the vertex-allowed entries scattered into one padded
-``(64, 18, 18)`` stack, and the vertex signatures of each entry's two ends.
+codes.  ``constrained_configs`` is a view of it, and ``face_term_checks``
+checks all 64 sectors at once on the face term's support: the
+vertex-allowed entries scattered into one padded ``(64, 18, 18)`` stack,
+and the vertex signatures of each entry's two ends.
 The F join never reads the mask, so the commutation check still tests
 that F admissibility agrees with the branching rule.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -90,11 +90,6 @@ def vertex_projector() -> tuple[np.ndarray, dict[tuple[int, ...], Fraction]]:
     return matrix, coeffs
 
 
-def _check_sector(ext: int) -> None:
-    if not (0 <= ext < 64):
-        raise InputError("external sector index must be in [0, 64)")
-
-
 @dataclass(frozen=True)
 class FaceOperatorMatrix:
     """A face operator as its support: entry ``i`` is ``value[i]`` at
@@ -106,19 +101,6 @@ class FaceOperatorMatrix:
     target: np.ndarray
     source: np.ndarray
     value: np.ndarray
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """The support scattered into shape (64, 64, 64): [external, target, source]."""
-        out = np.zeros((64, 64, 64), dtype=complex)
-        out[self.sector, self.target, self.source] = self.value
-        out.flags.writeable = False
-        return out
-
-    def block(self, external: int) -> np.ndarray:
-        """Boundary-space matrix for one external-edge configuration."""
-        _check_sector(external)
-        return self.blocks[external]
 
 
 def face_operator(s: int) -> FaceOperatorMatrix:
@@ -155,17 +137,6 @@ def face_operator(s: int) -> FaceOperatorMatrix:
                               s_cur[chain] @ bits, value)
 
 
-def face_term() -> np.ndarray:
-    """``H_f`` blocks, shape (64, 64, 64): ``(B^0 + phi B^1) / (1 + phi^2)``.
-
-    ``B^0`` enters as the 1 it adds to every block diagonal.
-    """
-    h = PHI * face_operator(1).blocks
-    diag = np.arange(64)
-    h[:, diag, diag] += 1.0
-    return h / (1.0 + PHI ** 2)
-
-
 @lru_cache(maxsize=1)
 def _branching_mask() -> np.ndarray:
     """``mask[ext, q, bnd]``: is vertex ``q`` allowed in sector ``ext`` at ``bnd``?
@@ -190,16 +161,9 @@ def _branching_mask() -> np.ndarray:
 
 def constrained_configs(ext: int) -> list[int]:
     """Boundary configurations satisfying all six vertex constraints."""
-    _check_sector(ext)
+    if not (0 <= ext < 64):
+        raise InputError("external sector index must be in [0, 64)")
     return np.flatnonzero(_branching_mask()[ext].all(axis=0)).tolist()
-
-
-def vertex_diagonal(ext: int, vertex: int) -> np.ndarray:
-    """Diagonal of one vertex projector on the boundary space of a sector."""
-    _check_sector(ext)
-    if not (0 <= vertex < 6):
-        raise InputError("vertex index must be in [0, 6)")
-    return _branching_mask()[ext, vertex].astype(float)
 
 
 def face_term_checks() -> dict[str, float]:
@@ -211,9 +175,9 @@ def face_term_checks() -> dict[str, float]:
     * ``vertex_commutation``: max-entry norm of ``[H_f, H_v]`` over the
       whole boundary block, for each of the six vertex projectors.
 
-    ``H_f``'s support is ``B^1``'s off-diagonal entries and ``B^0``'s, every
-    block diagonal entry, valued as in :func:`face_term`; no dense face term
-    is built.
+    ``H_f = (B^0 + phi B^1) / (1 + phi^2)``; its support is ``B^1``'s
+    off-diagonal entries and ``B^0``'s, every block diagonal entry.  No
+    dense face term is built.
     """
     b0, b1 = face_operator(0), face_operator(1)
     off = b1.target != b1.source

@@ -107,10 +107,6 @@ class TorusLattice:
         return self.lx * self.ly
 
     @property
-    def n_faces(self) -> int:
-        return self.lx * self.ly
-
-    @property
     def n_edges(self) -> int:
         return 2 * self.lx * self.ly
 
@@ -121,8 +117,6 @@ class TorusLattice:
 
     def vertex_coords(self, index: int) -> tuple[int, int]:
         return index % self.lx, index // self.lx
-
-    face_coords = vertex_coords
 
     def h_edge(self, x: int, y: int) -> int:
         return (y % self.ly) * self.lx + (x % self.lx)
@@ -160,7 +154,7 @@ class TorusLattice:
 
     @cached_property
     def face_edges(self) -> np.ndarray:
-        """``(n_faces, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
+        """``(lx * ly, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
         return _edge_rows(self)[1]
 
     def validate(self):

@@ -71,10 +71,10 @@ from anyons.braids import (
     projective_distance,
 )
 from anyons.errors import InputError, InvariantViolation, ResourceError
-from anyons.fsymbols import fibonacci_data
+from anyons.fsymbols import PHI, fibonacci_data
 from anyons.laurent import LaurentPoly
 from anyons.pauli import PauliString, commutation_phase
-from anyons.stringnet import branching_allowed, face_term
+from anyons.stringnet import branching_allowed
 from anyons.toric import (
     EDGE_SIGNS,
     Syndrome,
@@ -342,14 +342,25 @@ def hexagon_oracle(model, f, r) -> float:
 
 
 def f_unitarity_oracle(model, f) -> float:
-    """``max |F F^dag - 1|`` block by block over every ``(a, b, c, d)``."""
+    """``max |F F^dag - 1|`` block by block over every ``(a, b, c, d)``.
+
+    Block ``F(abcd)`` is cut from the dense table: its rows are the ``i``
+    with ``(a, b -> i)`` and ``(i, c -> d)`` allowed, its columns the ``j``
+    with ``(b, c -> j)`` and ``(a, j -> d)`` allowed.
+    """
+    fv = _dense(model, f.entries, 6)
+    allowed = model.N > 0
     worst = 0.0
-    for abcd in itertools.product(model.labels, repeat=4):
-        rows, cols, mat = f.block(*abcd)
-        if not rows and not cols:
+    for abcd in itertools.product(range(len(model.labels)), repeat=4):
+        a, b, c, d = abcd
+        rows = np.flatnonzero(allowed[a, b] & allowed[:, c, d])
+        cols = np.flatnonzero(allowed[b, c] & allowed[a, :, d])
+        if not len(rows) and not len(cols):
             continue
         if len(rows) != len(cols):
-            raise InvariantViolation(f"F block {abcd} is not square")
+            labels = tuple(model.labels[x] for x in abcd)
+            raise InvariantViolation(f"F block {labels} is not square")
+        mat = fv[abcd][np.ix_(rows, cols)]
         gram = mat @ mat.conj().T - np.eye(len(rows))
         worst = max(worst, float(np.max(np.abs(gram))))
     return worst
@@ -611,6 +622,24 @@ def face_operator_oracle() -> np.ndarray:
     return tensor.reshape(64, 64, 64)
 
 
+def face_term_oracle() -> np.ndarray:
+    """``H_f = (B^0 + phi B^1) / (1 + phi^2)`` as dense blocks, shape
+    (64, 64, 64), from :func:`face_operator_oracle`'s ``B^1``; ``B^0`` adds
+    1 to every block diagonal."""
+    h = PHI * face_operator_oracle()
+    diag = np.arange(64)
+    h[:, diag, diag] += 1.0
+    return h / (1.0 + PHI ** 2)
+
+
+def scatter(op) -> np.ndarray:
+    """A face operator's support scattered into dense blocks, shape
+    (64, 64, 64): [external, target, source]."""
+    out = np.zeros((64, 64, 64), dtype=complex)
+    out[op.sector, op.target, op.source] = op.value
+    return out
+
+
 def dense_face_operator(blocks: np.ndarray) -> np.ndarray:
     """The full 4096x4096 matrix of sector blocks (external qubits are the high bits)."""
     out = np.zeros((4096, 4096), dtype=complex)
@@ -622,8 +651,8 @@ def dense_face_operator(blocks: np.ndarray) -> np.ndarray:
 
 def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:
     """``face_term_checks`` one sector, one vertex and one triple at a time,
-    on the face term or on the ``(64, 64, 64)`` blocks ``h`` given."""
-    h = face_term() if h is None else h
+    on :func:`face_term_oracle` or on the ``(64, 64, 64)`` blocks ``h`` given."""
+    h = face_term_oracle() if h is None else h
     herm = 0.0
     proj = 0.0
     comm = 0.0

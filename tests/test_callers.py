@@ -1,34 +1,34 @@
 """Every function and class in ``src/anyons`` has a caller in the program.
 
 A name defined in ``src/anyons/*.py`` (``__init__.py`` and dunders aside)
-must occur, as a whole word, somewhere in ``src/anyons`` (without
-``__init__.py``) or ``demos/`` other than on its own ``def``/``class`` line.
-A helper only the tests use belongs in ``tests/oracles.py`` or nowhere: the
-package exports in ``__init__.py`` do not count as callers.  Mentions in
-docstrings and comments count, as they do for ``grep -rw``.
+counts as called only where code names it: an ``ast.Name`` or
+``ast.Attribute`` node, somewhere in ``src/anyons`` (without
+``__init__.py``) or ``demos/``.  Mentions in docstrings, comments and
+strings do not count, nor do imports and the package exports in
+``__init__.py``: a helper only the tests use belongs in
+``tests/oracles.py`` or nowhere.  Methods are told apart by name only, so a
+method that shares its name with a called one passes.
 """
 
+import ast
 import pathlib
-import re
-from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-_DEFINITION = re.compile(r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)", re.MULTILINE)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def uncalled_names(root: pathlib.Path) -> list[str]:
-    """Names defined in ``root/src/anyons`` that no other line of the program names."""
+    """Names defined in ``root/src/anyons`` that no code of the program names."""
     modules = sorted(p for p in (root / "src" / "anyons").glob("*.py") if p.name != "__init__.py")
-    texts = [p.read_text() for p in modules + sorted((root / "demos").glob("*.py"))]
-    definitions = Counter(name for text in texts for name in _DEFINITION.findall(text))
-    defined = {name for text in texts[:len(modules)] for name in _DEFINITION.findall(text)}
-    return [
-        name for name in sorted(defined)
-        if not (name.startswith("__") and name.endswith("__"))
-        and sum(len(re.findall(rf"(?<!\w){name}(?!\w)", text)) for text in texts)
-        == definitions[name]
-    ]
+    trees = [ast.parse(p.read_text()) for p in modules + sorted((root / "demos").glob("*.py"))]
+    defined = {node.name for tree in trees[:len(modules)] for node in ast.walk(tree)
+               if isinstance(node, _DEFINITIONS)}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(name for name in defined - named
+                  if not (name.startswith("__") and name.endswith("__")))
 
 
 def test_every_definition_has_a_caller():
@@ -47,11 +47,14 @@ def test_the_scan_flags_a_name_only_its_definition_mentions(tmp_path):
         "    def unused_method(self):\n"
         "        return used()\n\n\n"
         "def used():\n"
-        "    return 1\n\n\n"
+        '    """Calls nothing; ``documented()`` is only named here."""\n'
+        "    return 1  # nor is documented() called here\n\n\n"
+        "def documented():\n"
+        "    return 'documented'\n\n\n"
         "def lonely():\n"
         "    return used_too()\n\n\n"
         "def used_too():\n"
         "    return 2\n"
     )
     (demos / "demo.py").write_text("from anyons import Shape\nShape()\n")
-    assert uncalled_names(tmp_path) == ["lonely", "unused_method"]
+    assert uncalled_names(tmp_path) == ["documented", "lonely", "unused_method"]

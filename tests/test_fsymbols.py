@@ -117,31 +117,31 @@ def uncached_tables():
 class TestFibonacciValues:
     def test_f_matrix_block(self, fib_data):
         _, f, _ = fib_data
-        assert f.value(1, 1, 1, 1, 0, 0) == pytest.approx(1 / PHI)
-        assert f.value(1, 1, 1, 1, 0, 1) == pytest.approx(1 / math.sqrt(PHI))
-        assert f.value(1, 1, 1, 1, 1, 0) == pytest.approx(1 / math.sqrt(PHI))
-        assert f.value(1, 1, 1, 1, 1, 1) == pytest.approx(-1 / PHI)
+        assert f.entries[1, 1, 1, 1, 0, 0] == pytest.approx(1 / PHI)
+        assert f.entries[1, 1, 1, 1, 0, 1] == pytest.approx(1 / math.sqrt(PHI))
+        assert f.entries[1, 1, 1, 1, 1, 0] == pytest.approx(1 / math.sqrt(PHI))
+        assert f.entries[1, 1, 1, 1, 1, 1] == pytest.approx(-1 / PHI)
 
     def test_one_dimensional_entries(self, fib_data):
         _, f, _ = fib_data
-        assert f.value(0, 0, 0, 0, 0, 0) == 1
-        assert f.value(1, 1, 0, 1, 1, 1) == 1
-        assert f.value(0, 1, 1, 1, 1, 1) == 1
-        assert f.value(1, 1, 1, 0, 1, 1) == 1
-        assert f.value(1, 0, 1, 1, 1, 1) == 1
+        assert f.entries[0, 0, 0, 0, 0, 0] == 1
+        assert f.entries[1, 1, 0, 1, 1, 1] == 1
+        assert f.entries[0, 1, 1, 1, 1, 1] == 1
+        assert f.entries[1, 1, 1, 0, 1, 1] == 1
+        assert f.entries[1, 0, 1, 1, 1, 1] == 1
 
     def test_r_values(self, fib_data):
         _, _, r = fib_data
-        assert r.value(1, 1, 0) == pytest.approx(np.exp(4j * np.pi / 5))
-        assert r.value(1, 1, 1) == pytest.approx(-np.exp(2j * np.pi / 5))
-        assert r.value(0, 0, 0) == 1 and r.value(0, 1, 1) == 1
+        assert r.entries[1, 1, 0] == pytest.approx(np.exp(4j * np.pi / 5))
+        assert r.entries[1, 1, 1] == pytest.approx(-np.exp(2j * np.pi / 5))
+        assert r.entries[0, 0, 0] == 1 and r.entries[0, 1, 1] == 1
 
     def test_non_admissible_is_zero(self, fib_data):
-        _, f, _ = fib_data
-        assert f.value(0, 0, 0, 1, 0, 0) == 0.0
-        assert f.value(1, 1, 1, 1, 0, 2) == 0.0  # unknown label never admissible
-        _, _, r = fib_data
-        assert r.value(0, 1, 0) == 0.0 and r.value(1, 1, 2) == 0.0
+        # a zero F or R symbol is one the table does not hold
+        _, f, r = fib_data
+        assert (0, 0, 0, 1, 0, 0) not in f.entries
+        assert (1, 1, 1, 1, 0, 2) not in f.entries  # unknown label never admissible
+        assert (0, 1, 0) not in r.entries and (1, 1, 2) not in r.entries
 
     def test_block(self, fib_data):
         _, f, _ = fib_data

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from anyons.braids import BraidWord, format_braid, parse_braid
 from anyons.cli import main
 from anyons.errors import InputError, ResourceError
-from anyons.knots import (
-    bracket_tl_b3,
-    closure,
-    jones,
-    kauffman_bracket,
-    writhe,
-)
+from anyons.knots import bracket_tl_b3, jones, kauffman_bracket
 from anyons.laurent import LaurentPoly
 
 from oracles import (
@@ -47,11 +41,6 @@ def random_words(rng, n_strands, max_len, count, positive_only=False):
 
 
 class TestClosureWrithe:
-    def test_closure_fields(self):
-        diagram = closure(parse_braid("B3: s1 s2^-1"))
-        assert diagram.n_strands == 3
-        assert diagram.crossings == ((1, 1), (2, -1))
-
     def test_unlink_components(self):
         assert braid_permutation_cycles(BraidWord(3)) == 3
 
@@ -60,9 +49,9 @@ class TestClosureWrithe:
         assert braid_permutation_cycles(parse_braid("B2: s1 s1 s1")) == 1  # trefoil
 
     def test_writhe(self):
-        assert writhe(parse_braid("B2: s1 s1 s1")) == 3
-        assert writhe(BraidWord(2)) == 0
-        assert writhe(parse_braid("B3: s1 s2^-1")) == 0
+        assert parse_braid("B2: s1 s1 s1").writhe() == 3
+        assert BraidWord(2).writhe() == 0
+        assert parse_braid("B3: s1 s2^-1").writhe() == 0
 
 
 # mixed-sign braid words on 1-6 strands with up to 9 crossings

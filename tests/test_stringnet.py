@@ -16,15 +16,15 @@ from anyons.stringnet import (
     branching_allowed,
     constrained_configs,
     face_operator,
-    face_term,
     face_term_checks,
-    vertex_diagonal,
     vertex_projector,
 )
 from oracles import (
     dense_face_operator,
     face_operator_oracle,
     face_term_checks_oracle,
+    face_term_oracle,
+    scatter,
     vertex_triples,
 )
 
@@ -33,8 +33,8 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def six_f_product(ext, tgt, src):
     """F(a l 1 g')^g_{l'} F(b g 1 h')^h_{g'} ... F(f k 1 l')^l_{k'}, read
-    through FSymbolTable.value and multiplied first to last (bits most
-    significant first)."""
+    from the F table's entries (0 where a tuple is not admissible) and
+    multiplied first to last (bits most significant first)."""
     _, ftab, _ = fibonacci_data()
 
     def bits(n):
@@ -43,7 +43,7 @@ def six_f_product(ext, tgt, src):
     e, s, t = bits(ext), bits(src), bits(tgt)
     want = 1.0
     for q in range(6):
-        want *= ftab.value(e[q], s[q - 1], 1, t[q], s[q], t[q - 1])
+        want *= ftab.entries.get((e[q], s[q - 1], 1, t[q], s[q], t[q - 1]), 0.0)
     return want
 
 
@@ -99,47 +99,58 @@ def b1():
     return face_operator(1)
 
 
+@pytest.fixture(scope="module")
+def b1_blocks(b1):
+    return scatter(b1)
+
+
+@pytest.fixture(scope="module")
+def h(b0, b1):
+    """The face term's blocks, scattered from the two supports."""
+    return (scatter(b0) + PHI * scatter(b1)) / (1.0 + PHI ** 2)
+
+
 class TestFaceOperators:
     def test_b0_diagonal_projector(self, b0):
+        blocks = scatter(b0)
         for ext in (0, 17, 63):
-            block = b0.block(ext)
-            assert np.allclose(block, np.eye(64))
+            assert np.allclose(blocks[ext], np.eye(64))
 
     def test_b0_fixes_all_zero_configuration(self, b0):
-        assert b0.block(0)[0, 0] == 1.0
+        assert scatter(b0)[0, 0, 0] == 1.0
 
-    def test_b1_all_zero_sector_matrix(self, b1):
+    def test_b1_all_zero_sector_matrix(self, b1_blocks):
         # constrained boundary space of the trivial external sector is
         # span{000000, 111111}; B^1 acts there as [[0, 1], [1, 1]]
         allowed = constrained_configs(0)
         assert allowed == [0, 63]
-        block = b1.block(0)[np.ix_(allowed, allowed)]
+        block = b1_blocks[0][np.ix_(allowed, allowed)]
         assert np.allclose(block, np.array([[0.0, 1.0], [1.0, 1.0]]), atol=1e-12)
 
-    def test_b1_matrix_element_product_of_six_f(self, b1):
+    def test_b1_matrix_element_product_of_six_f(self, b1_blocks):
         # from the all-zero boundary (ext all-zero) every factor is a
         # one-dimensional F entry equal to 1, forcing target 111111
-        col = b1.block(0)[:, 0]
+        col = b1_blocks[0][:, 0]
         assert col[63] == pytest.approx(1.0)
         assert np.abs(np.delete(col, 63)).max() == 0.0
 
-    def test_b1_annihilates_vertex_disallowed(self, b1):
+    def test_b1_annihilates_vertex_disallowed(self, b1_blocks):
         for ext in range(0, 64, 7):
             allowed = set(constrained_configs(ext))
             bad = [b for b in range(64) if b not in allowed]
             if not bad:
                 continue
-            block = b1.block(ext)
+            block = b1_blocks[ext]
             assert np.abs(block[:, bad]).max() == 0.0
             assert np.abs(block[bad, :]).max() == 0.0
 
-    def test_b1_elements_are_six_f_values(self, b1):
+    def test_b1_elements_are_six_f_values(self, b1_blocks):
         # over the allowed configurations of several external sectors
         for ext in (0, 21, 42, 63):
             for src in constrained_configs(ext):
                 for tgt in constrained_configs(ext):
                     want = six_f_product(ext, tgt, src)
-                    assert b1.block(ext)[tgt, src] == pytest.approx(want, abs=1e-14)
+                    assert b1_blocks[ext, tgt, src] == pytest.approx(want, abs=1e-14)
 
     def test_b1_support_is_the_six_f_products(self, b1):
         assert b1.value.shape == (1584,)
@@ -159,20 +170,20 @@ class TestFaceOperators:
         assert np.array_equal(b0.source, b0.target)
         assert np.all(b0.value == 1.0)
 
-    def test_b1_bytes(self, b1):
+    def test_b1_bytes(self, b1_blocks):
         oracle = face_operator_oracle()
-        assert np.array_equal(b1.blocks, oracle)
+        assert np.array_equal(b1_blocks, oracle)
         # the einsum writes -0.0 into some parts of zero entries where the
         # scatter writes +0.0; adding +0.0 clears the sign of zeros only
-        assert (b1.blocks + 0.0).tobytes() == (oracle + 0.0).tobytes()
-        digest = hashlib.sha256(np.ascontiguousarray(b1.blocks).tobytes()).hexdigest()
+        assert (b1_blocks + 0.0).tobytes() == (oracle + 0.0).tobytes()
+        digest = hashlib.sha256(b1_blocks.tobytes()).hexdigest()
         assert digest == "514432de9f02547d58d074b82bf2f42fd7f33ea69dd7d01b5a97378cf72caed4"
 
-    def test_block_structure_exact(self, b1):
+    def test_block_structure_exact(self, b1_blocks):
         # structural block-diagonality: the operator never couples
         # different external sectors by construction
-        assert b1.blocks.shape == (64, 64, 64)
-        dense = dense_face_operator(b1.blocks)
+        assert b1_blocks.shape == (64, 64, 64)
+        dense = dense_face_operator(b1_blocks)
         assert dense.shape == (4096, 4096)
         off = dense[0:64, 64:128]
         assert np.abs(off).max() == 0.0
@@ -183,11 +194,8 @@ class TestFaceOperators:
 
 
 class TestFaceTerm:
-    def test_face_term_from_the_oracle(self):
-        h = PHI * face_operator_oracle()
-        diag = np.arange(64)
-        h[:, diag, diag] += 1.0
-        assert np.array_equal(face_term(), h / (1.0 + PHI ** 2))
+    def test_face_term_from_the_oracle(self, h):
+        assert np.array_equal(h, face_term_oracle())
 
     def test_residuals_build_no_dense_face_term(self):
         face_term_checks()  # warm: imports and first-call set-up
@@ -206,8 +214,7 @@ class TestFaceTerm:
         assert checks["projector"] < 1e-10
         assert checks["vertex_commutation"] < 1e-12
 
-    def test_eigenvalues_zero_or_one(self):
-        h = face_term()
+    def test_eigenvalues_zero_or_one(self, h):
         worst = 0.0
         for ext in range(64):
             allowed = constrained_configs(ext)
@@ -218,23 +225,15 @@ class TestFaceTerm:
             worst = max(worst, float(np.max(np.abs(eigs - np.round(eigs)))))
         assert worst < 1e-10
 
-    def test_ground_state_weights(self):
+    def test_ground_state_weights(self, h):
         # rank-1 block of the trivial sector projects onto |0^6> + phi |1^6>
-        h = face_term()
         sub = h[0][np.ix_([0, 63], [0, 63])]
         vec = np.array([1.0, PHI])
         vec /= np.linalg.norm(vec)
         assert np.allclose(sub @ vec, vec, atol=1e-12)
 
-    def test_vertex_diagonal(self):
-        dv = vertex_diagonal(0, 0)
-        assert dv.shape == (64,)
-        assert dv[0] == 1.0
-        with pytest.raises(InputError):
-            vertex_diagonal(0, 6)
+    def test_sector_out_of_range(self):
         for ext in (-1, 64):
-            with pytest.raises(InputError):
-                vertex_diagonal(ext, 0)
             with pytest.raises(InputError):
                 constrained_configs(ext)
 
@@ -277,13 +276,9 @@ class TestBranchingMask:
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0, 0] = not mask[0, 0, 0]
-        assert vertex_diagonal(0, 0).flags.writeable  # a copy, not the mask
 
     def test_views_match_every_triple(self):
         for ext in range(64):
             triples = [vertex_triples(ext, bnd) for bnd in range(64)]
             assert constrained_configs(ext) == [
                 bnd for bnd in range(64) if all(branching_allowed(*t) for t in triples[bnd])]
-            for q in range(6):
-                expected = [float(branching_allowed(*t[q])) for t in triples]
-                assert vertex_diagonal(ext, q).tolist() == expected

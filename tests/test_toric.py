@@ -139,7 +139,7 @@ class TestCheckMatrix:
     @pytest.mark.parametrize("which", ["star", "face"])
     def test_commutation_check_catches_one_flipped_sign(self, which, d):
         lat = TorusLattice(4, 3)
-        signs = np.tile(EDGE_SIGNS, (lat.n_faces, 1))
+        signs = np.tile(EDGE_SIGNS, (lat.lx * lat.ly, 1))
         signs[5, 2] = -signs[5, 2]
         args = (signs, EDGE_SIGNS) if which == "star" else (EDGE_SIGNS, signs)
         _, sums = _star_face_overlaps(lat, *args)
