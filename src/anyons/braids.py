@@ -190,11 +190,11 @@ class BraidRep:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def check_word(self, word: BraidWord) -> None:
-        """Refuse a word on a strand count the representation is not defined for."""
-        if self.strands is not None and word.strands != self.strands:
+    def check_strands(self, strands: int) -> None:
+        """Refuse a strand count the representation is not defined for."""
+        if self.strands is not None and strands != self.strands:
             raise InputError(
-                f"word on {word.strands} strands fed to a {self.strands}-strand rep"
+                f"word on {strands} strands fed to a {self.strands}-strand rep"
             )
 
 
@@ -286,7 +286,7 @@ def fib_qubit_rep() -> BraidRep:
 
 def evaluate(rep: BraidRep, word: BraidWord) -> np.ndarray:
     """Ordered product of generator matrices, leftmost letter first."""
-    rep.check_word(word)
+    rep.check_strands(word.strands)
     out = rep.identity()
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         for g in word.letters:
@@ -306,8 +306,7 @@ def relation_residual(rep: BraidRep, n_strands: int) -> float:
     """
     if n_strands < 1:
         raise InputError(f"a braid needs at least 1 strand, got {n_strands}")
-    if rep.strands is not None and n_strands != rep.strands:
-        raise InputError(f"representation is defined for {rep.strands} strands")
+    rep.check_strands(n_strands)
     relations = (n_strands - 1) * (n_strands - 2) // 2
     if relations > RELATION_CAP:
         raise ResourceError(f"{relations} braid relations exceed the cap {RELATION_CAP}")

@@ -386,7 +386,7 @@ def _cmd_bracket(args) -> dict:
 def _cmd_trace_est(args) -> dict:
     word = braids.parse_braid(args.braid)
     rep = _rep_for(args)
-    rep.check_word(word)
+    rep.check_strands(word.strands)
     matrices = [rep.generator(g) for g in word.letters]
     if not matrices:
         matrices = [rep.identity()]

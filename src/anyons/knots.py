@@ -42,10 +42,12 @@ crossings, with ``S <= min(Catalan(n), 2^N)`` live diagrams.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .braids import BraidWord, evaluate, tl_b3_rep
-from .errors import InputError, ResourceError
+from .errors import ResourceError
 from .laurent import LaurentPoly
 
 #: Default cap on crossing count of the bracket.
@@ -148,11 +150,21 @@ def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
         else:
             by_loops[loops] = value
     w = word.writhe()
-    d = LaurentPoly.loop_value()
     total = LaurentPoly.zero()
     for loops, value in by_loops.items():
-        total = total + LaurentPoly({e - w: c for e, c in value.items()}) * d ** (loops - 1)
+        total = total + LaurentPoly({e - w: c for e, c in value.items()}) * _loop_power(loops - 1)
     return total
+
+
+@functools.lru_cache(maxsize=8)
+def _loop_power(k: int) -> LaurentPoly:
+    """``d^k`` for the loop value ``d``, built by ``LaurentPoly.__pow__``.
+
+    Cached: the eight most recent powers are kept.  ``k`` is below
+    :data:`STRAND_CAP`, and the eight largest powers, ``d^992`` to
+    ``d^999``, hold under 2 MB.
+    """
+    return LaurentPoly.loop_value() ** k
 
 
 def _add_shifted(acc: dict[int, int], value: dict[int, int], shift: int):
@@ -191,10 +203,9 @@ def bracket_tl_b3(word: BraidWord, t: complex) -> complex:
     letter ``t^(+1/4)``, and the ``d^2 - 2`` gap is the difference between
     the Markov trace of the identity (three closed loops, ``d^2``) and the
     matrix trace of the 2x2 identity.  Agrees with :func:`kauffman_bracket`
-    evaluated at ``t`` for mixed-sign words as well.
+    evaluated at ``t`` for mixed-sign words as well.  A word on other than
+    three strands is refused by :func:`anyons.braids.evaluate`.
     """
-    if word.strands != 3:
-        raise InputError("the Temperley-Lieb trace formula is for B_3 words")
     rep = tl_b3_rep(t)
     q = np.power(complex(t), 0.25)
     d = -(q ** 2) - q ** -2  # the loop value, as tl_b3_matrices computes it

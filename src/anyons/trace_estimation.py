@@ -16,13 +16,16 @@ circuit.
 
 The draws are reduced at once to the two counts of +1 outcomes; the mean and
 standard error of each +-1 stream are closed forms of its count.  The
-register states are drawn in blocks of 2^16 (the chunking of integer draws
-is part of the seeded stream) and must all be drawn before the first
-outcome; the uniforms are drawn, compared with their shot's bias and
-counted in steps of 2^13 inside three buffers reused across steps, so a
-call allocates no temporaries per step.  Memory is two bytes per shot (the
-register states) plus those buffers, and ``shots`` is capped at
-:data:`SHOTS_CAP`.
+register states are drawn in blocks of 2^16, which bounds the temporaries
+and draws the same stream as one call, and must all be drawn before the
+first outcome; for a power-of-two dimension they are shifted straight out
+of the generator's raw words, as numpy's bounded integers would make them.
+Each outcome is then decided on the next raw 64-bit word, compared as an
+integer with a limit precomputed per register state: exactly the
+comparison of the uniform that ``rng.random`` would make from that word.
+The words are read and counted in steps of 2^13.  Memory is two bytes per
+shot (the register states) plus one block's or step's temporaries, and
+``shots`` is capped at :data:`SHOTS_CAP`.
 
 Both functions refuse a product that overflows (is not finite) with
 ``InputError`` before any draw, as :func:`anyons.braids.evaluate` does.
@@ -41,13 +44,18 @@ from .errors import InputError, ResourceError
 #: Cap on the product dimension accepted by the sampled estimator.
 DIM_CAP = 2 ** 10
 
-#: Cap on the shot count: at the cap the register states take 200 MB.
+#: Cap on the shot count, which bounds the register states: 2 bytes per
+#: shot, 200 MB at the cap.
 SHOTS_CAP = 10 ** 8
 
 # Register states drawn per numpy call.
 _BLOCK = 2 ** 16
 
-# Uniforms drawn, compared and counted per step, in buffers reused across steps.
+# Raw words read, compared and counted per step.  A step holds 25 bytes of
+# temporaries per word.  At 2^15 words (800 KB), the heap freed after each
+# call was handed back to the OS and page-faulted in again on the next
+# (about 448 minor faults per 10^5-shot call among the benchmark's jobs),
+# which made the calls slower than at 2^13.
 _STEP = 2 ** 13
 
 
@@ -132,11 +140,7 @@ def hadamard_test_trace(matrices: list[np.ndarray], shots: int, seed: int) -> Tr
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # int64 draws stored as uint16 (dim <= DIM_CAP): drawing uint16
-    # directly would consume the stream differently
-    states = np.empty(shots, dtype=np.uint16)
-    for lo in range(0, shots, _BLOCK):
-        states[lo:lo + _BLOCK] = rng.integers(0, dim, size=min(_BLOCK, shots - lo))
+    states = _register_states(rng, dim, shots)
     kx = _plus_count(rng, (1.0 + diag.real) / 2.0, states)
     ky = _plus_count(rng, (1.0 + diag.imag) / 2.0, states)
 
@@ -144,25 +148,55 @@ def hadamard_test_trace(matrices: list[np.ndarray], shots: int, seed: int) -> Tr
     return TraceEstimate(value, _stderr(kx, shots), _stderr(ky, shots), shots, seed)
 
 
+def _register_states(rng, dim: int, shots: int) -> np.ndarray:
+    """The ``shots`` register states, as uint16, that ``rng.integers(0, dim,
+    size=shots)`` draws.
+
+    numpy draws each state by Lemire's method, ``(x * dim) >> 32``, from the
+    next 32-bit value ``x``: the low and then the high half of each raw
+    64-bit word.  For ``dim = 2**k`` that is ``x >> (32 - k)``, and no draw
+    is ever rejected, so those states are shifted straight out of the raw
+    words; a single state draws nothing.  Other dims call ``rng.integers``,
+    whose int64 draws are stored as uint16 (``dim <= DIM_CAP``; drawing
+    uint16 directly would consume the stream differently).  Both go in
+    blocks of :data:`_BLOCK` states.
+    """
+    if dim == 1:
+        return np.zeros(shots, dtype=np.uint16)
+    states = np.empty(shots, dtype=np.uint16)
+    k = dim.bit_length() - 1
+    for lo in range(0, shots, _BLOCK):
+        n = min(_BLOCK, shots - lo)
+        if dim == 1 << k:
+            words = rng.bit_generator.random_raw((n + 1) // 2)
+            halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+            np.right_shift(halves[:n], 32 - k, out=states[lo:lo + n], casting="unsafe")
+        else:
+            states[lo:lo + n] = rng.integers(0, dim, size=n)
+    return states
+
+
 def _plus_count(rng, bias: np.ndarray, states: np.ndarray) -> int:
     """How many of the next ``len(states)`` uniforms lie below their shot's
     bias ``bias[states[shot]]``.
 
-    The uniforms come in steps of :data:`_STEP`; the draws, the gathered
-    biases and the comparisons go into three buffers reused across steps,
-    and the stream is that of one ``rng.random(len(states))``.
+    ``rng.random`` makes each uniform from one raw 64-bit word ``w`` as
+    ``(w >> 11) * 2**-53``.  Scaling by ``2**53`` is exact and ``w >> 11``
+    is an integer, so ``u < b`` holds exactly when ``w >> 11 <
+    ceil(b * 2**53)``.  The unit-modulus slack lets a bias fall just below 0
+    or just above 1, so the limits are clipped to ``[0, 2**53]``: never and
+    always.  The words are read and compared as integers in steps of
+    :data:`_STEP`, and the stream is that of one ``rng.random(len(states))``.
     """
+    limit = np.clip(np.ceil(bias * 2.0 ** 53), 0.0, 2.0 ** 53).astype(np.uint64)
     shots = len(states)
-    size = min(_STEP, shots)
-    uniforms, biases = np.empty(size), np.empty(size)
-    below = np.empty(size, dtype=bool)
     count = 0
     for lo in range(0, shots, _STEP):
-        n = min(_STEP, shots - lo)
-        u, b, hit = uniforms[:n], biases[:n], below[:n]
-        rng.random(out=u)
-        np.take(bias, states[lo:lo + n], out=b, mode="clip")  # "raise" buffers out
-        count += int(np.count_nonzero(np.less(u, b, out=hit)))
+        words = rng.bit_generator.random_raw(min(_STEP, shots - lo))
+        words >>= 11
+        # an intp index gathers several times faster than the uint16 states
+        limits = limit.take(states[lo:lo + _STEP].astype(np.intp))
+        count += int(np.count_nonzero(words < limits))
     return count
 
 

@@ -213,6 +213,14 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(fib_qubit_rep(), BraidWord(4, (1,)))
 
+    def test_evaluate_and_relation_residual_share_one_refusal(self):
+        message = "^word on 4 strands fed to a 3-strand rep$"
+        for rep in (fib_qubit_rep(), tl_b3_rep(1.0)):
+            with pytest.raises(InputError, match=message):
+                evaluate(rep, BraidWord(4, (1,)))
+            with pytest.raises(InputError, match=message):
+                relation_residual(rep, 4)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from([1, 2, -1, -2]), max_size=10))
     def test_word_times_inverse_is_identity(self, letters):

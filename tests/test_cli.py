@@ -149,6 +149,20 @@ class TestExitCodes:
         strands = braid[1]
         assert out == "" and err == f"error: word on {strands} strands fed to a 3-strand rep\n"
 
+    @pytest.mark.parametrize("argv, strands", [
+        (["braid-check", "--rep", "fib", "--strands", "4"], 4),
+        (["braid-check", "--rep", "tl", "--t", "0.5,-0.8660254", "--strands", "2"], 2),
+        (["braid-check", "--rep", "fib", "--strands", "3", "--braid", "B5: s4"], 5),
+        (["bracket", "--braid", "B2: s1", "--method", "tl", "--t", "1"], 2),
+        (["bracket", "--braid", "B4: s3^-1", "--method", "tl", "--t", "0.5,-0.8660254"], 4),
+    ])
+    def test_one_strand_count_refusal_on_every_path(self, argv, strands, capsys):
+        # relation_residual, evaluate and the Temperley-Lieb trace formula
+        # refuse a strand count through the one check trace-est uses
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: word on {strands} strands fed to a 3-strand rep\n"
+
     def test_trace_est_abelian_rep_takes_any_strand_count(self):
         res = run(["trace-est", "--rep", "abelian", "--braid", "B5: s1 s4^-1",
                    "--shots", "10", "--seed", "1"])

@@ -251,6 +251,8 @@ class TestTraceFormula:
     def test_strand_mismatch(self):
         with pytest.raises(InputError):
             bracket_tl_b3(BraidWord(2, (1,)), 1.0)
+        with pytest.raises(InputError, match="^word on 4 strands fed to a 3-strand rep$"):
+            bracket_tl_b3(BraidWord(4, (3,)), 1.0)
 
 
 class TestLaurentPoly:

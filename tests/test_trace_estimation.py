@@ -1,5 +1,6 @@
 """Hadamard-test trace estimation against the exact normalised trace."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from anyons.braids import fib_qubit_rep
 from anyons.errors import InputError, ResourceError
 from anyons.trace_estimation import (
+    _plus_count,
+    _register_states,
     exact_normalized_trace,
     hadamard_test_trace,
 )
@@ -155,26 +158,90 @@ def _diagonal_product(dim: int) -> np.ndarray:
     return np.diag(z / np.abs(z) * rng.uniform(0.0, 1.0, size=dim))
 
 
+def _dyadic_product(dim: int) -> np.ndarray:
+    """A diagonal matrix whose biases 0, 1/4, 1/2, 3/4 and 1 are dyadic."""
+    entries = [0, 1, -1, 0.5, -0.5, 1j, -1j]
+    return np.diag(np.resize(np.array(entries, dtype=complex), dim))
+
+
+def _slack_product(dim: int) -> np.ndarray:
+    """A diagonal matrix with moduli in (1, 1 + 1e-9], so that its biases
+    fall just below 0 or just above 1."""
+    entries = np.array([1, -1, 1j, -1j, 1 - 1j], dtype=complex)
+    entries *= np.array([1 + 5e-10, 1 + 1e-9, 1 + 2e-16, 1 + 1e-9, 2 ** -0.5])
+    return np.diag(np.resize(entries, dim))
+
+
+class _RawWords:
+    """A generator stand-in whose bit generator yields ``words`` in order."""
+
+    def __init__(self, words: np.ndarray):
+        self.bit_generator = self
+        self._words, self._read = words, 0
+
+    def random_raw(self, n: int) -> np.ndarray:
+        out = self._words[self._read:self._read + n].copy()
+        self._read += n
+        return out
+
+
 class TestOutcomeCounts:
     """The counting sampler against the per-shot sampler it replaced."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 1000])
     def test_same_draws_as_the_per_shot_oracle(self, dim):
-        # shot counts on both sides of the 2^13 counting step and the 2^16
-        # register-state block, at dims whose register draws take Lemire
-        # rejections
-        mats = [_diagonal_product(dim)]
-        for shots in (1, 2, 7, 8191, 8192, 8193, 16_385, 65535, 65536, 65537,
-                      100_000, 300_001):
-            got = hadamard_test_trace(mats, shots, shots + dim)
-            want = hadamard_test_trace_oracle(mats, shots, shots + dim)
-            assert got.value == want.value
-            assert got.stderr_re == pytest.approx(want.stderr_re, rel=1e-12, abs=0)
-            assert got.stderr_im == pytest.approx(want.stderr_im, rel=1e-12, abs=0)
-            assert (got.shots, got.seed) == (want.shots, want.seed)
+        # shot counts on both sides of the 2^13 counting step, of four steps
+        # and of the 2^16 register-state block, at dims whose register draws
+        # take Lemire rejections; besides generic biases, dyadic ones (exact
+        # at 2^-53) and ones just outside [0, 1], which the unit-modulus
+        # slack admits
+        for mats in ([_diagonal_product(dim)], [_dyadic_product(dim)],
+                     [_slack_product(dim)]):
+            for shots in (1, 2, 7, 8191, 8192, 8193, 16_385, 32767, 32768, 32769,
+                          65535, 65536, 65537, 100_000, 300_001):
+                got = hadamard_test_trace(mats, shots, shots + dim)
+                want = hadamard_test_trace_oracle(mats, shots, shots + dim)
+                assert got.value == want.value
+                assert got.stderr_re == pytest.approx(want.stderr_re, rel=1e-12, abs=0)
+                assert got.stderr_im == pytest.approx(want.stderr_im, rel=1e-12, abs=0)
+                assert (got.shots, got.seed) == (want.shots, want.seed)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 256, 1000, 1024])
+    def test_register_states_are_those_of_rng_integers(self, dim):
+        # the power-of-two dims shift states out of the raw words; every dim
+        # must leave the stream where rng.integers leaves it
+        for shots in (1, 2, 7, 65535, 65536, 65537, 131_075):
+            got_rng = np.random.Generator(np.random.Philox(key=shots + dim))
+            want_rng = np.random.Generator(np.random.Philox(key=shots + dim))
+            got = _register_states(got_rng, dim, shots)
+            assert got.dtype == np.uint16
+            assert np.array_equal(got, want_rng.integers(0, dim, size=shots))
+            assert np.array_equal(got_rng.bit_generator.random_raw(3),
+                                  want_rng.bit_generator.random_raw(3))
+
+    def test_raw_words_make_the_uniforms_of_rng_random(self):
+        raw = np.random.Generator(np.random.Philox(key=7)).bit_generator.random_raw(1000)
+        uniforms = np.random.Generator(np.random.Philox(key=7)).random(1000)
+        assert np.array_equal((raw >> 11) * 2.0 ** -53, uniforms)
+
+    def test_integer_limits_decide_as_the_uniforms_would(self):
+        # words whose uniforms lie on and next to each bias, so that a limit
+        # one off, a <= in place of < or a clip below 2^53 shows
+        biases = np.array([0.0, -2.5e-10, -5e-324, 5e-324, 2.0 ** -54, 2.0 ** -53,
+                           0.1, 0.25, 1 / 3, 0.5, 2 ** -0.5, 1 - 2.0 ** -53, 1.0,
+                           np.nextafter(1.0, 2.0), 1 + 2.5e-10])
+        for state, bias in enumerate(biases):
+            edge = min(max(math.ceil(bias * 2.0 ** 53), 0), 2 ** 53)
+            for k in range(max(edge - 2, 0), min(edge + 2, 2 ** 53)):
+                for low in (0, 2047):
+                    word = np.array([k << 11 | low], dtype=np.uint64)
+                    got = _plus_count(_RawWords(word), biases, np.array([state], dtype=np.uint16))
+                    assert got == int(k * 2.0 ** -53 < bias), (bias, k, low)
 
     def test_memory_peak_at_ten_million_shots(self):
-        # 20 MB of uint16 register states plus one block of draws
+        # 20 MB of uint16 register states, plus one block's raw words for the
+        # two-state register (256 KB) or one step's raw words, intp index
+        # and limits (64 KB each)
         mats = fib_matrices([1, 2, 1])
         tracemalloc.start()
         try:
