@@ -11,23 +11,18 @@ of +1 outcomes.
 
 import numpy as np
 
-from anyons import (
-    exact_normalized_trace,
-    fib_qubit_rep,
-    hadamard_test_trace,
-    parse_braid,
-)
+from anyons import evaluate, fib_qubit_rep, hadamard_test_trace, parse_braid
 
 rep = fib_qubit_rep()
 word = parse_braid("B3: s1 s2 s1")
-matrices = [rep.generator(g) for g in word.letters]
+unitary = evaluate(rep, word)  # the braid's product of generator matrices
 
-exact = exact_normalized_trace(matrices)
+exact = complex(np.trace(unitary) / len(unitary))
 print(f"exact normalised trace of the braid product: {exact:.6f}")
 
 print("\nSampled estimates (same braid, increasing shots, seed 7):")
 for shots in (100, 1_000, 10_000, 100_000):
-    est = hadamard_test_trace(matrices, shots=shots, seed=7)
+    est = hadamard_test_trace(unitary, shots=shots, seed=7)
     err = abs(est.value - exact)
     print(f"  {shots:>7d} shots: {est.value:+.4f}  |error| {err:.4f}  "
           f"stderr ({est.stderr_re:.4f}, {est.stderr_im:.4f})")
@@ -35,7 +30,7 @@ for shots in (100, 1_000, 10_000, 100_000):
 print("\nStandard error halves when shots quadruple:")
 ratios = []
 for seed in range(30):
-    lo = hadamard_test_trace(matrices, shots=2_000, seed=seed)
-    hi = hadamard_test_trace(matrices, shots=8_000, seed=seed + 100)
+    lo = hadamard_test_trace(unitary, shots=2_000, seed=seed)
+    hi = hadamard_test_trace(unitary, shots=8_000, seed=seed + 100)
     ratios.append(hi.stderr_re / lo.stderr_re)
 print(f"  mean stderr ratio over 30 seeds: {np.mean(ratios):.3f} (ideal 0.5)")

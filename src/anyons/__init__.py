@@ -86,10 +86,6 @@ from .toric import (
     syndrome,
     vertex_path_edges,
 )
-from .trace_estimation import (
-    TraceEstimate,
-    exact_normalized_trace,
-    hadamard_test_trace,
-)
+from .trace_estimation import TraceEstimate, hadamard_test_trace
 
 __version__ = "0.1.0"

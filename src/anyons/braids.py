@@ -78,7 +78,7 @@ class BraidWord:
 
     def __post_init__(self):
         if self.strands < 1:
-            raise InputError("a braid needs at least one strand")
+            raise InputError(f"a braid needs at least 1 strand, got {self.strands}")
         object.__setattr__(self, "letters", tuple(int(g) for g in self.letters))
         for g in self.letters:
             if g == 0 or abs(g) >= self.strands:
@@ -101,7 +101,8 @@ def parse_braid(text: str) -> BraidWord:
     """Parse the ``Bn: s1 s2^-1 ...`` grammar.
 
     Raises :class:`BraidSyntaxError` (with the byte offset of the problem)
-    on malformed input, and :class:`InputError` on out-of-range generators.
+    on malformed input, and :class:`InputError` on out-of-range generators
+    or, from :class:`BraidWord`, a strand count below 1.
     """
     pos = 0
     while pos < len(text) and text[pos].isspace():
@@ -110,8 +111,6 @@ def parse_braid(text: str) -> BraidWord:
     if not m:
         raise BraidSyntaxError("expected header like 'B3:'", pos)
     strands = int(m.group(1))
-    if strands < 1:
-        raise BraidSyntaxError("strand count must be >= 1", pos)
     pos = m.end()
     letters: list[int] = []
     while True:
@@ -304,8 +303,7 @@ def relation_residual(rep: BraidRep, n_strands: int) -> float:
     in the max-entry norm.  Raises :class:`ResourceError` before building
     any generator when there are more than :data:`RELATION_CAP` relations.
     """
-    if n_strands < 1:
-        raise InputError(f"a braid needs at least 1 strand, got {n_strands}")
+    BraidWord(n_strands)  # refuses fewer than one strand
     rep.check_strands(n_strands)
     relations = (n_strands - 1) * (n_strands - 2) // 2
     if relations > RELATION_CAP:

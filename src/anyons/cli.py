@@ -384,14 +384,9 @@ def _cmd_bracket(args) -> dict:
 
 
 def _cmd_trace_est(args) -> dict:
-    word = braids.parse_braid(args.braid)
-    rep = _rep_for(args)
-    rep.check_strands(word.strands)
-    matrices = [rep.generator(g) for g in word.letters]
-    if not matrices:
-        matrices = [rep.identity()]
-    exact = trace_estimation.exact_normalized_trace(matrices)
-    est = trace_estimation.hadamard_test_trace(matrices, args.shots, args.seed)
+    u = braids.evaluate(_rep_for(args), braids.parse_braid(args.braid))
+    exact = np.trace(u) / len(u)
+    est = trace_estimation.hadamard_test_trace(u, args.shots, args.seed)
     return {
         "re": est.value.real,
         "im": est.value.imag,
@@ -407,8 +402,8 @@ def _cmd_toric(args) -> dict:
     lat = toric.TorusLattice(args.lx, args.ly)
     d = args.d
     # bad input (exit 1) before the work caps (exit 2); the trial division
-    # of the prime test is cheap below 2**31, and larger d is over the cap
-    if d < 2 ** 31 and not toric._is_prime(d):
+    # of the prime test is cheap below its cap, and larger d is over the cap
+    if d < toric.PRIME_TEST_CAP and not toric._is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
     # the braiding cap (on d), then the lattice edge cap, each checked
     # before its work

@@ -33,7 +33,8 @@ from .errors import InputError, NumericError, ResourceError
 
 Label = Hashable
 
-#: Fixed-point iteration defaults for :func:`quantum_dimensions`.
+#: Fixed-point iteration of :func:`quantum_dimensions`: the default
+#: tolerance and the iteration limit.
 QDIM_TOL = 1e-12
 QDIM_MAX_ITER = 100_000
 
@@ -374,7 +375,6 @@ def enumerate_fusion_trees(
 def quantum_dimensions(
     model: AnyonModel,
     tol: float = QDIM_TOL,
-    max_iter: int = QDIM_MAX_ITER,
 ) -> dict[Label, float]:
     """The unique positive solution of ``d_a d_b = sum_c N^c_ab d_c``.
 
@@ -393,7 +393,7 @@ def quantum_dimensions(
     M = model.N.sum(axis=0).astype(float)
     iv = model.index[model.vacuum]
     v = np.ones(k)
-    for _ in range(max_iter):
+    for _ in range(QDIM_MAX_ITER):
         nxt = M @ v
         nxt /= nxt[iv]
         if np.abs(nxt - v).max() < tol:
@@ -402,7 +402,7 @@ def quantum_dimensions(
         v = nxt
     else:
         raise NumericError(
-            f"quantum dimensions did not converge in {max_iter} iterations"
+            f"quantum dimensions did not converge in {QDIM_MAX_ITER} iterations"
         )
     dims = {a: float(v[i]) for i, a in enumerate(model.labels)}
     resid = product_rule_residual(model, dims)

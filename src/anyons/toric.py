@@ -79,6 +79,12 @@ LATTICE_EDGE_CAP = 2 * 128 * 128
 #: to end on the same host, most of it the import.
 BRAIDING_TABLE_CAP = 13 ** 4
 
+#: Bound on the ``d`` whose primality :func:`ground_space_dim` tests by trial
+#: division, about sqrt(d) steps of 88 ns: 4 ms below the bound, and
+#: minutes at d near 2^61.  A larger ``d`` is refused with
+#: :class:`ResourceError` before the test.
+PRIME_TEST_CAP = 2 ** 31
+
 #: Exponent signs of the four edges in each row of ``star_edges`` (two
 #: incoming, then two outgoing) and ``face_edges`` (two counterclockwise,
 #: then two clockwise boundary edges).
@@ -336,9 +342,13 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
     diagonal (stars have no Z part, plaquettes no X part), so its rank is
     ``rank(Hx) + rank(Hz)``, each from the graph of the primal (dual)
     lattice in O(n): 6-8 ms at a 3.4 MB tracemalloc peak for 128x128
-    (2-core x86 host, numpy 2.4).  Over :data:`LATTICE_EDGE_CAP` edges it
-    raises :class:`ResourceError` before any edge array is built.
+    (2-core x86 host, numpy 2.4).  A ``d`` of :data:`PRIME_TEST_CAP` or more
+    raises :class:`ResourceError` before the prime test, and over
+    :data:`LATTICE_EDGE_CAP` edges it raises one before any edge array is
+    built.
     """
+    if d >= PRIME_TEST_CAP:
+        raise ResourceError(f"d = {d} is over the prime-test cap {PRIME_TEST_CAP}")
     if not _is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
     if lat.n_edges > LATTICE_EDGE_CAP:

@@ -1,34 +1,31 @@
-"""Hadamard-test estimation of normalised traces of unitary products.
+"""Hadamard-test estimation of the normalised trace of a unitary.
 
 The quantum protocol, one clean qubit (DQC1: Knill and Laflamme,
 quant-ph/9802037), keeps a register in the completely mixed state and one
-work qubit in ``|+>``; applying the work-controlled product of unitaries
-and measuring the work qubit in the x and y bases yields +-1 outcomes whose
-means estimate the real and imaginary parts of ``Tr[prod_j U_j] / D``.
+work qubit in ``|+>``; applying the work-controlled unitary ``U`` and
+measuring the work qubit in the x and y bases yields +-1 outcomes whose
+means estimate the real and imaginary parts of ``Tr U / D``.
 
-The simulation here reproduces the protocol's outcome statistics without
-building the controlled circuit: per shot it draws a uniformly random basis
-state ``|s>`` (the mixed register) and one uniform number for each of the
-two outcomes, which is +1 when the uniform lies below the exact bias
-``(1 + Re <s|U|s>) / 2`` (x basis) or ``(1 + Im <s|U|s>) / 2`` (y basis).
-That is equivalent in distribution to state-vector simulation of the
-circuit.
+The simulation here takes ``U`` (for a braid, the matrix that
+:func:`anyons.braids.evaluate` returns) and gives back two counts of +1
+outcomes, without building the controlled circuit: per shot it draws a
+uniformly random basis state ``|s>`` (the mixed register) and one uniform
+number for each of the two outcomes, which is +1 when the uniform lies below
+the exact bias ``(1 + Re <s|U|s>) / 2`` (x basis) or ``(1 + Im <s|U|s>) / 2``
+(y basis).  That is equivalent in distribution to state-vector simulation of
+the circuit.  The mean and standard error of each +-1 stream are closed
+forms of its count.
 
-The draws are reduced at once to the two counts of +1 outcomes; the mean and
-standard error of each +-1 stream are closed forms of its count.  The
-register states are drawn in blocks of 2^16, which bounds the temporaries
-and draws the same stream as one call, and must all be drawn before the
-first outcome; for a power-of-two dimension they are shifted straight out
-of the generator's raw words, as numpy's bounded integers would make them.
-Each outcome is then decided on the next raw 64-bit word, compared as an
-integer with a limit precomputed per register state: exactly the
-comparison of the uniform that ``rng.random`` would make from that word.
+The register states are drawn in blocks of 2^16, which bounds the
+temporaries and draws the same stream as one call, and must all be drawn
+before the first outcome; for a power-of-two dimension they are shifted
+straight out of the generator's raw words, as numpy's bounded integers would
+make them.  Each outcome is then decided on the next raw 64-bit word,
+compared as an integer with a limit precomputed per register state: exactly
+the comparison of the uniform that ``rng.random`` would make from that word.
 The words are read and counted in steps of 2^13.  Memory is two bytes per
 shot (the register states) plus one block's or step's temporaries, and
 ``shots`` is capped at :data:`SHOTS_CAP`.
-
-Both functions refuse a product that overflows (is not finite) with
-``InputError`` before any draw, as :func:`anyons.braids.evaluate` does.
 """
 
 from __future__ import annotations
@@ -78,48 +75,19 @@ class TraceEstimate:
     seed: int
 
 
-def exact_normalized_trace(matrices: list[np.ndarray]) -> complex:
-    """``Tr[prod_j U_j] / D`` for an ordered list of square matrices."""
-    prod = _product(matrices, from_identity=True)
-    return complex(np.trace(prod) / len(prod))
-
-
-def _product(matrices: list[np.ndarray], from_identity: bool = False) -> np.ndarray:
-    """Ordered product of equal square ``matrices``, leftmost first.
-
-    ``from_identity`` multiplies onto the identity first, which keeps the
-    signed zeros of :func:`exact_normalized_trace` as they always were.
-    Raises ``InputError`` on an empty list, unequal shapes or a product
-    that overflows.
-    """
-    if not matrices:
-        raise InputError("need at least one matrix")
-    dim = matrices[0].shape[0]
-    for m in matrices:
-        if m.shape != (dim, dim):
-            raise InputError("matrices must be square and of equal dimension")
-    prod = np.asarray(matrices[0], dtype=complex)
-    if from_identity:
-        prod = np.eye(dim, dtype=complex) @ prod
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        for m in matrices[1:]:
-            prod = prod @ m
-    if not np.all(np.isfinite(prod)):
-        raise InputError("the matrix product is not finite (an entry overflows or is NaN)")
-    return prod
-
-
-def hadamard_test_trace(matrices: list[np.ndarray], shots: int, seed: int) -> TraceEstimate:
-    """Simulate the mixed-state Hadamard test for the product of ``matrices``.
+def hadamard_test_trace(unitary: np.ndarray, shots: int, seed: int) -> TraceEstimate:
+    """Simulate the mixed-state Hadamard test for the square matrix ``unitary``.
 
     Per shot, one x-basis and one y-basis outcome are drawn (two independent
     Bernoullis with the exact biases for that shot's register state); the
     estimate is ``mean(x) + i mean(y)``, computed from the counts of +1
     outcomes.  Reproducible for a fixed ``seed``; the real and imaginary
-    parts always lie in [-1, 1].  A ``seed`` that is not an integer in
-    ``[0, 2**128)`` (the Philox key range) raises ``InputError``, and
-    ``shots`` above :data:`SHOTS_CAP` and dimensions above :data:`DIM_CAP`
-    raise ``ResourceError``, all before any work.
+    parts always lie in [-1, 1].  Everything is checked before any draw: a
+    ``seed`` that is not an integer in ``[0, 2**128)`` (the Philox key
+    range), ``shots`` below 1, a matrix that is empty or not square, a
+    non-finite entry and a diagonal entry past unit modulus raise
+    ``InputError``; ``shots`` above :data:`SHOTS_CAP` and dimensions above
+    :data:`DIM_CAP` raise ``ResourceError``.
     """
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
             or not 0 <= seed < 2 ** 128):
@@ -129,14 +97,19 @@ def hadamard_test_trace(matrices: list[np.ndarray], shots: int, seed: int) -> Tr
         raise InputError("shots must be >= 1")
     if shots > SHOTS_CAP:
         raise ResourceError(f"shots {shots} exceed cap {SHOTS_CAP}")
-    if matrices and matrices[0].shape[0] > DIM_CAP:
-        raise ResourceError(f"dimension {matrices[0].shape[0]} exceeds cap {DIM_CAP}")
-    diag = np.diagonal(_product(matrices))
-    dim = len(diag)
-    if not np.all(np.abs(diag) <= 1.0 + 1e-9):  # also refuses NaN
+    unitary = np.asarray(unitary)
+    if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1] or unitary.size == 0:
+        raise InputError(f"need a non-empty square matrix, got shape {unitary.shape}")
+    dim = len(unitary)
+    if dim > DIM_CAP:
+        raise ResourceError(f"dimension {dim} exceeds cap {DIM_CAP}")
+    if not np.all(np.isfinite(unitary)):
+        raise InputError("the matrix has a non-finite entry")
+    diag = np.diagonal(unitary)
+    if not np.all(np.abs(diag) <= 1.0 + 1e-9):
         raise InputError(
             "matrix elements exceed unit modulus; the Hadamard test needs "
-            "a unitary product"
+            "a unitary"
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -681,33 +681,24 @@ def face_term_checks_oracle(h: np.ndarray | None = None) -> dict[str, float]:
     }
 
 
-def hadamard_test_trace_oracle(
-    matrices: list[np.ndarray], shots: int, seed: int
-) -> TraceEstimate:
+def hadamard_test_trace_oracle(unitary: np.ndarray, shots: int, seed: int) -> TraceEstimate:
     """The per-shot +-1 sampler that ``hadamard_test_trace`` reduces to counts.
 
-    It draws the same Philox stream (all register states, then the x
-    uniforms, then the y uniforms) but keeps every outcome as a float and
-    takes numpy's mean and ``std(ddof=1)``; memory grows with ``shots``.
+    It reads the diagonal of ``unitary`` and draws the same Philox stream
+    (all register states, then the x uniforms, then the y uniforms) but
+    keeps every outcome as a float and takes numpy's mean and
+    ``std(ddof=1)``; memory grows with ``shots``.
     """
     if shots < 1:
         raise InputError("shots must be >= 1")
-    if not matrices:
-        raise InputError("need at least one matrix")
-    dim = matrices[0].shape[0]
+    dim = len(unitary)
     if dim > DIM_CAP:
         raise ResourceError(f"dimension {dim} exceeds cap {DIM_CAP}")
-    for m in matrices:
-        if m.shape != (dim, dim):
-            raise InputError("matrices must be square and of equal dimension")
-    prod = np.eye(dim, dtype=complex)
-    for m in matrices:
-        prod = prod @ m
-    diag = np.diagonal(prod)
+    diag = np.diagonal(unitary)
     if np.max(np.abs(diag)) > 1.0 + 1e-9:
         raise InputError(
             "matrix elements exceed unit modulus; the Hadamard test needs "
-            "a unitary product"
+            "a unitary"
         )
 
     rng = np.random.Generator(np.random.Philox(key=seed))

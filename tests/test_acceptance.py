@@ -20,7 +20,7 @@ from anyons.knots import kauffman_bracket
 from anyons.laurent import LaurentPoly
 from anyons.stringnet import face_term_checks
 from anyons.toric import build_stabilizers, extract_mutual_statistics
-from anyons.trace_estimation import exact_normalized_trace, hadamard_test_trace
+from anyons.trace_estimation import hadamard_test_trace
 
 from oracles import bracket_oracle
 
@@ -173,20 +173,19 @@ def test_criterion_08_jones_invariance():
 
 def test_criterion_09_trace_estimator():
     with criterion(9, "Hadamard-test estimator accuracy and scaling"):
-        rep = A.fib_qubit_rep()
-        mats = [rep.generator(g) for g in (1, 2, 1)]
-        exact = exact_normalized_trace(mats)
+        u = A.evaluate(A.fib_qubit_rep(), A.BraidWord(3, (1, 2, 1)))
+        exact = np.trace(u) / len(u)
         hits = 0
         for seed in range(100):
-            est = hadamard_test_trace(mats, shots=100_000, seed=seed)
+            est = hadamard_test_trace(u, shots=100_000, seed=seed)
             ok_re = abs(est.value.real - exact.real) <= 3 * est.stderr_re
             ok_im = abs(est.value.imag - exact.imag) <= 3 * est.stderr_im
             hits += ok_re and ok_im
         assert hits >= 99, f"only {hits}/100 seeds within 3 stderr"
         ratios = []
         for seed in range(50):
-            lo = hadamard_test_trace(mats, shots=25_000, seed=seed)
-            hi = hadamard_test_trace(mats, shots=100_000, seed=seed + 10_000)
+            lo = hadamard_test_trace(u, shots=25_000, seed=seed)
+            hi = hadamard_test_trace(u, shots=100_000, seed=seed + 10_000)
             ratios.append(hi.stderr_re / lo.stderr_re)
             ratios.append(hi.stderr_im / lo.stderr_im)
         mean_ratio = float(np.mean(ratios))

@@ -67,6 +67,21 @@ GOLDEN_CASES = {
     "bracket_b6_24_crossings.json": ["bracket", "--braid", B6_24, "--method", "statesum"],
     "bracket_b8_24_crossings.json": ["bracket", "--braid", B8_24, "--method", "statesum"],
     "jones_b8_24_crossings.json": ["jones", "--braid", B8_24, "--t", "0.6,0.8"],
+    # seeded draws on each representation, and the identity of an empty word
+    "trace_est_fib_b3_100000_shots.json": [
+        "trace-est", "--rep", "fib", "--braid", "B3: s1 s2 s1", "--shots", "100000", "--seed", "7",
+    ],
+    "trace_est_tl_b3_4096_shots.json": [
+        "trace-est", "--rep", "tl", "--t", "0.70710678,-0.70710678", "--braid",
+        "B3: s1 s2^-1 s1 s2^-1", "--shots", "4096", "--seed", "3",
+    ],
+    "trace_est_abelian_b5_1000_shots.json": [
+        "trace-est", "--rep", "abelian", "--phi", "1.0", "--braid", "B5: s1 s4^-1",
+        "--shots", "1000", "--seed", "1",
+    ],
+    "trace_est_fib_empty_b3_10_shots.json": [
+        "trace-est", "--rep", "fib", "--braid", "B3:", "--shots", "10", "--seed", "0",
+    ],
 }
 
 
@@ -162,6 +177,17 @@ class TestExitCodes:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: word on {strands} strands fed to a 3-strand rep\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["braid-check", "--rep", "abelian", "--strands", "0"],
+        ["jones", "--braid", "B0:"],
+        ["trace-est", "--rep", "abelian", "--braid", "B0:", "--shots", "10", "--seed", "1"],
+    ], ids=" ".join)
+    def test_one_at_least_one_strand_refusal(self, argv, capsys):
+        # BraidWord makes the only check, for relation_residual and parse_braid
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a braid needs at least 1 strand, got 0\n"
 
     def test_trace_est_abelian_rep_takes_any_strand_count(self):
         res = run(["trace-est", "--rep", "abelian", "--braid", "B5: s1 s4^-1",

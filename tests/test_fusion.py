@@ -235,11 +235,12 @@ class TestQuantumDimensions:
             v = model.index[model.vacuum]
             assert (M[v] > 0).all() and (M[:, v] > 0).all()
 
-    def test_no_convergence_is_numeric_error(self):
+    def test_no_convergence_is_numeric_error(self, monkeypatch):
         from anyons.errors import NumericError
 
-        with pytest.raises(NumericError):
-            quantum_dimensions(FIB, max_iter=0)
+        monkeypatch.setattr(fusion, "QDIM_MAX_ITER", 0)
+        with pytest.raises(NumericError, match="in 0 iterations"):
+            quantum_dimensions(FIB)
 
 
 class TestEntropy:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from anyons.toric import (
     BRAIDING_TABLE_CAP,
     EDGE_SIGNS,
     LATTICE_EDGE_CAP,
+    PRIME_TEST_CAP,
     Syndrome,
     TorusLattice,
     _incidence_rank,
@@ -274,6 +276,18 @@ class TestGroundSpaceDim:
     def test_non_prime_rejected(self):
         with pytest.raises(InputError):
             ground_space_dim(TorusLattice(2, 2), 4)
+
+    @pytest.mark.parametrize("d", [PRIME_TEST_CAP, 2 ** 61 - 1, 2 ** 127 - 1])
+    def test_d_over_the_prime_test_cap_refused_at_once(self, d):
+        # trial division of the Mersenne prime 2^61 - 1 would take minutes
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="prime-test cap"):
+            ground_space_dim(TorusLattice(2, 2), d)
+        assert time.perf_counter() - start < 0.1
+
+    def test_largest_d_under_the_prime_test_cap(self):
+        # 2^31 - 1 is prime: the full trial division runs
+        assert ground_space_dim(TorusLattice(2, 2), PRIME_TEST_CAP - 1) == (PRIME_TEST_CAP - 1) ** 2
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_largest_lattice_admitted(self, d):
