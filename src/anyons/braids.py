@@ -101,8 +101,8 @@ def parse_braid(text: str) -> BraidWord:
     """Parse the ``Bn: s1 s2^-1 ...`` grammar.
 
     Raises :class:`BraidSyntaxError` (with the byte offset of the problem)
-    on malformed input, and :class:`InputError` on out-of-range generators
-    or, from :class:`BraidWord`, a strand count below 1.
+    on malformed input; :class:`BraidWord` then raises :class:`InputError`
+    on a strand count below 1 or an out-of-range generator.
     """
     pos = 0
     while pos < len(text) and text[pos].isspace():
@@ -124,8 +124,6 @@ def parse_braid(text: str) -> BraidWord:
         k = int(m.group(1))
         if k < 1:
             raise BraidSyntaxError("generator index must be >= 1", pos)
-        if k >= strands:
-            raise InputError(f"generator s{k} out of range for {strands} strands")
         letters.append(-k if m.group(2) else k)
         pos = m.end()
     return BraidWord(strands, tuple(letters))

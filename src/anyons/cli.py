@@ -66,13 +66,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
-
-
 def _seed(text: str) -> int:
     """argparse type of ``--seed``: the key range of the Philox generator."""
     value = int(text)
@@ -195,7 +188,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--inputs", required=True)
     sp.add_argument("--total", required=True)
-    sp.add_argument("--cap", type=_non_negative_int, default=fusion.TREE_CAP)
 
     sp = command("qdims", "quantum dimensions", _cmd_qdims)
     sp.add_argument("--model", required=True)
@@ -232,7 +224,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--braid", required=True)
         sp.add_argument("--t", default=None,
                         help="also evaluate at this complex t (re,im)")
-        sp.add_argument("--cap", type=_non_negative_int, default=knots.CROSSING_CAP)
     sp.add_argument("--method", choices=("statesum", "tl"),  # on the bracket's parser
                     default="statesum",
                     help="statesum: the exact Laurent bracket (by a "
@@ -287,7 +278,7 @@ def _cmd_fusion_dim(args) -> dict:
 def _cmd_fusion_trees(args) -> dict:
     model = _parse_model(args.model)
     *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
-    trees = fusion.enumerate_fusion_trees(model, inputs, total, cap=args.cap)
+    trees = fusion.enumerate_fusion_trees(model, inputs, total)
     return {
         "count": len(trees),
         "trees": [[str(x) for x in t.internal] for t in trees],
@@ -362,7 +353,7 @@ def _cmd_compile(args) -> dict:
 
 def _cmd_jones(args) -> dict:
     word = braids.parse_braid(args.braid)
-    poly = knots.jones(word, cap=args.cap)
+    poly = knots.jones(word)
     out = {"poly": poly.to_json_dict(), "writhe": word.writhe()}
     if args.t is not None:
         out["value"] = _cpx(poly.evaluate(_parse_complex(args.t)))
@@ -376,7 +367,7 @@ def _cmd_bracket(args) -> dict:
             raise InputError("--method tl needs --t")
         value = knots.bracket_tl_b3(word, _parse_complex(args.t))
         return {"method": "tl", "value": _cpx(value)}
-    poly = knots.kauffman_bracket(word, cap=args.cap)
+    poly = knots.kauffman_bracket(word)
     out = {"method": "statesum", "poly": poly.to_json_dict()}
     if args.t is not None:
         out["value"] = _cpx(poly.evaluate(_parse_complex(args.t)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
@@ -38,8 +38,7 @@ Label = Hashable
 QDIM_TOL = 1e-12
 QDIM_MAX_ITER = 100_000
 
-#: Cap on the number of trees :func:`enumerate_fusion_trees` will list; its
-#: ``cap`` argument can lower it, not raise it.
+#: Cap on the number of trees :func:`enumerate_fusion_trees` will list.
 TREE_CAP = 200_000
 
 #: Most labels an :class:`AnyonModel` may have, checked before its
@@ -68,7 +67,7 @@ FUSION_WORK_CAP = 10 ** 7
 Z_D_CAP = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnyonModel:
     """A finite commutative fusion ring.
 
@@ -79,26 +78,31 @@ class AnyonModel:
     vacuum : the identity label.
     dual : antiparticle map, ``dual[a] x a`` must contain the vacuum.
     fusion : sparse multiplicity tensor ``{(a, b, c): N^c_ab}``; absent
-        entries are zero.  A multiplicity must fit in int64.
+        entries are zero.  A multiplicity must fit in int64.  Read once into
+        ``N`` and not held.
 
-    The model holds ``dual`` and ``fusion`` as read-only views of its own
-    copies, so a model shared by many callers cannot change under them.
-    Built once from those, and neither compared, printed nor serialised:
+    The model holds ``dual`` as a read-only view of its own copy, so a
+    model shared by many callers cannot change under them.  Built once, and
+    neither printed nor serialised:
 
     index : the label order as a read-only map ``{labels[i]: i}``.
-    N : the same tensor as a read-only int64 array of shape ``(k, k, k)``
-        over label indices, ``N[index[a], index[b], index[c]] = N^c_ab``.
+    N : the fusion rules, held only here, as a read-only int64 array of
+        shape ``(k, k, k)`` over label indices,
+        ``N[index[a], index[b], index[c]] = N^c_ab``.
+
+    Two models are equal when their labels, vacuum, dual and ``N`` are; the
+    name is not compared.
     """
 
     labels: tuple[Label, ...]
     vacuum: Label
     dual: Mapping[Label, Label]
-    fusion: Mapping[tuple[Label, Label, Label], int]
-    name: str = field(default="", compare=False)
-    index: Mapping[Label, int] = field(init=False, repr=False, compare=False)
-    N: np.ndarray = field(init=False, repr=False, compare=False)
+    fusion: InitVar[Mapping[tuple[Label, Label, Label], int]]
+    name: str = ""
+    index: Mapping[Label, int] = field(init=False, repr=False)
+    N: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, fusion):
         try:
             index = {label: i for i, label in enumerate(self.labels)}
         except TypeError:
@@ -116,7 +120,7 @@ class AnyonModel:
         if k > LABEL_CAP:
             raise ResourceError(f"{k} labels exceed the cap of {LABEL_CAP}")
         N = np.zeros((k, k, k), dtype=np.int64)
-        for (a, b, c), m in self.fusion.items():
+        for (a, b, c), m in fusion.items():
             if not isinstance(m, (int, np.integer)) or m < 0:
                 raise InputError(f"multiplicity at {(a, b, c)} is not a non-negative integer")
             try:
@@ -128,10 +132,18 @@ class AnyonModel:
                 raise InputError(f"multiplicity {m} at {(a, b, c)} does not fit in int64") from None
         N.flags.writeable = False
         object.__setattr__(self, "dual", MappingProxyType(dict(self.dual)))
-        object.__setattr__(self, "fusion", MappingProxyType(dict(self.fusion)))
         object.__setattr__(self, "index", MappingProxyType(index))
         object.__setattr__(self, "N", N)
         self._check_invariants()
+
+    def __eq__(self, other) -> bool:
+        if self is other:  # a cached built-in, compared by every F/R residual
+            return True
+        if not isinstance(other, AnyonModel):
+            return NotImplemented
+        # equal labels give equal shapes, so byte equality of N is exact
+        return (self.labels == other.labels and self.vacuum == other.vacuum
+                and self.dual == other.dual and self.N.tobytes() == other.N.tobytes())
 
     def _check_invariants(self):
         # byte equality of int64 arrays is exact and, at a few labels, cheaper
@@ -157,8 +169,8 @@ class AnyonModel:
             raise InputError(f"{a!r} does not annihilate with its dual")
 
     def n(self, a: Label, b: Label, c: Label) -> int:
-        """Multiplicity ``N^c_ab``, read from the ``fusion`` dict."""
-        return self.fusion.get((a, b, c), 0)
+        """Multiplicity ``N^c_ab``, read from ``N``."""
+        return int(self.N[self.index[a], self.index[b], self.index[c]])
 
     def require_label(self, a: Label) -> Label:
         if a not in self.index:
@@ -331,21 +343,17 @@ def enumerate_fusion_trees(
     model: AnyonModel,
     inputs: Sequence[Label],
     total: Label,
-    cap: int = TREE_CAP,
 ) -> list[FusionTree]:
     """All fusion trees with the given leaves and total, lexicographically.
 
     This is the brute-force counterpart of :func:`fusion_space_dim`; the two
     must agree on every input.  A multiplicity ``m > 1`` contributes ``m``
     identical-label branch copies.  Raises :class:`ResourceError` when the
-    tree count would exceed ``cap``, or when ``cap`` itself exceeds
-    :data:`TREE_CAP`: a caller may lower the bound on the work, not lift it.
+    tree count would exceed :data:`TREE_CAP`.
     """
-    if cap > TREE_CAP:
-        raise ResourceError(f"cap {cap} exceeds the tree cap {TREE_CAP}")
     dim = fusion_space_dim(model, inputs, total)  # validates labels
-    if dim > cap:
-        raise ResourceError(f"{dim} trees exceed cap {cap}")
+    if dim > TREE_CAP:
+        raise ResourceError(f"{dim} trees exceed the tree cap {TREE_CAP}")
     leaves = tuple(inputs)
     if len(leaves) == 1:
         if leaves[0] == total:

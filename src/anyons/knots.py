@@ -50,7 +50,7 @@ from .braids import BraidWord, evaluate, tl_b3_rep
 from .errors import ResourceError
 from .laurent import LaurentPoly
 
-#: Default cap on crossing count of the bracket.
+#: Cap on the crossing count of the bracket.
 CROSSING_CAP = 24
 
 #: Cap on the strand count, set by the output size: n unlinked circles have
@@ -81,18 +81,18 @@ def _closure_loops(pairing: tuple[int, ...], n: int) -> int:
     return loops
 
 
-def kauffman_bracket(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
+def kauffman_bracket(word: BraidWord) -> LaurentPoly:
     """Exact Kauffman bracket of the Markov closure of ``word``.
 
     Transfers exact values over Temperley-Lieb diagrams, one crossing at a
     time, then Markov-closes each diagram.  Raises :class:`ResourceError`
-    when the crossing count exceeds ``cap``, the strand count exceeds
-    :data:`STRAND_CAP` or a layer of diagrams could exceed
+    when the crossing count exceeds :data:`CROSSING_CAP`, the strand count
+    exceeds :data:`STRAND_CAP` or a layer of diagrams could exceed
     :data:`TRANSFER_ENTRY_CAP`.
     """
     n_cross = len(word.letters)
-    if n_cross > cap:
-        raise ResourceError(f"{n_cross} crossings exceed the bracket cap {cap}")
+    if n_cross > CROSSING_CAP:
+        raise ResourceError(f"{n_cross} crossings exceed the bracket cap {CROSSING_CAP}")
     n = word.strands
     if n > STRAND_CAP:
         raise ResourceError(f"{n} strands exceed the bracket strand cap {STRAND_CAP}")
@@ -178,16 +178,16 @@ def _add_shifted(acc: dict[int, int], value: dict[int, int], shift: int):
             acc.pop(e, None)
 
 
-def jones(word: BraidWord, cap: int = CROSSING_CAP) -> LaurentPoly:
+def jones(word: BraidWord) -> LaurentPoly:
     """Jones polynomial ``(-t^(-1/4))^(-3w) <K>`` of the closure of ``word``.
 
     Exact in quarter powers of t; invariant under braid relations,
     far commutation, and Markov stabilisation (see module docstring for
-    the prefactor convention).
+    the prefactor convention); refused where :func:`kauffman_bracket` is.
     """
     w = word.writhe()
     prefactor = LaurentPoly.monomial(3 * w, (-1) ** (w % 2))
-    return prefactor * kauffman_bracket(word, cap=cap)
+    return prefactor * kauffman_bracket(word)
 
 
 def bracket_tl_b3(word: BraidWord, t: complex) -> complex:

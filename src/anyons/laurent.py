@@ -57,9 +57,7 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

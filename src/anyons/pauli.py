@@ -40,13 +40,8 @@ class PauliString:
         z = np.asarray(self.z, dtype=np.int64) % self.d
         if x.shape != z.shape or x.ndim != 1:
             raise InputError("x and z exponent vectors must be equal-length 1-d")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "phase", int(self.phase) % (2 * self.d))
-
-    @classmethod
-    def identity(cls, d: int, n: int) -> "PauliString":
-        return cls(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        self.x, self.z = x, z
+        self.phase = int(self.phase) % (2 * self.d)
 
     @property
     def n_sites(self) -> int:
@@ -74,18 +69,6 @@ class PauliString:
             self.z + other.z,
             self.phase + other.phase + cross,
         )
-
-    def inverse(self) -> "PauliString":
-        cross = 2 * int(np.dot(self.z, self.x))
-        return PauliString(self.d, -self.x, -self.z, -self.phase + cross)
-
-    def __pow__(self, k: int) -> "PauliString":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = PauliString.identity(self.d, self.n_sites)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def _check_compatible(self, other: "PauliString"):
         if self.d != other.d or self.n_sites != other.n_sites:

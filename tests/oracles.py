@@ -286,7 +286,7 @@ def _torus_shortest_vertex_path(lat, start: tuple[int, int], goal: tuple[int, in
 def correct_oracle(lat, syn: Syndrome) -> PauliString:
     """Greedy nearest-pair correction, one full oracle syndrome per probe."""
     d = syn.d
-    total = PauliString.identity(d, lat.n_edges)
+    total = PauliString(d, [0] * lat.n_edges, [0] * lat.n_edges)
     for kind, defects in (("charge", dict(syn.vertex)), ("flux", dict(syn.face))):
         path_builder = vertex_path_edges if kind == "charge" else dual_path_edges
         while defects:
@@ -307,7 +307,8 @@ def correct_oracle(lat, syn: Syndrome) -> PauliString:
             k1 = probe_defects[v1]
             assert math.gcd(k1, d) == 1
             power = (-defects[v1] * pow(k1, -1, d)) % d
-            total = total * (probe ** power)
+            for _ in range(power):
+                total = total * probe
             for v, k in probe_defects.items():
                 defects[v] = (defects.get(v, 0) + power * k) % d
                 if defects[v] == 0:
@@ -442,6 +443,12 @@ def pauli_dense(p: PauliString) -> np.ndarray:
     return out
 
 
+def pauli_inverse(p: PauliString) -> PauliString:
+    """``p^-1``: negated exponents, with the phase that moving each site's
+    ``Z^-z`` back past its ``X^-x`` costs."""
+    return PauliString(p.d, -p.x, -p.z, -p.phase + 2 * int(np.dot(p.z, p.x)))
+
+
 def _popcount_array(values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     v = values.copy()
@@ -572,7 +579,7 @@ def interferometer_pairs_oracle(lat, braid: bool, beta: float) -> float:
     (dwell_star, loop), _ = build_stabilizers(lat, 2, vertices=[head, loop_centre], faces=())
     c = math.cos(math.pi / 4)
     s = math.sin(math.pi / 4)
-    one = PauliString.identity(2, n)
+    one = PauliString(2, [0] * n, [0] * n)
     dwell = np.exp(1j * beta)
     circuit = (  # (coefficient, Pauli string) terms of S, D, L, S' in order
         ((c, one), (-1j * s, z_l)),
@@ -584,7 +591,7 @@ def interferometer_pairs_oracle(lat, braid: bool, beta: float) -> float:
     for factor in circuit:
         terms = [(a * b, q * p) for b, p in terms for a, q in factor]
     expect = sum(
-        np.conj(a) * b * code_state_expectation(lat, p.inverse() * z_l * q)
+        np.conj(a) * b * code_state_expectation(lat, pauli_inverse(p) * z_l * q)
         for a, p in terms
         for b, q in terms
     )

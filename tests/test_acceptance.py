@@ -209,7 +209,7 @@ def test_criterion_10_toric_code():
             prod = stars[0]
             for s in stars[1:]:
                 prod = prod * s
-            assert prod == A.PauliString.identity(d, lat.n_edges)
+            assert prod == A.PauliString(d, [0] * lat.n_edges, [0] * lat.n_edges)
 
 
 def test_criterion_11_dyon_statistics():

@@ -22,7 +22,7 @@ from anyons.braids import (
     tl_b3_matrices,
     tl_b3_rep,
 )
-from anyons.cli import _NAMED_GATES
+from anyons.cli import _NAMED_GATES, main
 from anyons.errors import BraidSyntaxError, InputError, ResourceError
 
 #: Unitarity arc of the Temperley-Lieb representation: t = exp(-i theta),
@@ -44,6 +44,17 @@ class TestGrammar:
     def test_out_of_range_generator(self):
         with pytest.raises(InputError, match="out of range"):
             parse_braid("B3: s3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("B0: s1", "a braid needs at least 1 strand, got 0"),  # as for "B0:"
+        ("B3: s5", "generator s5 out of range for 3 strands"),
+        ("B3: s5 x", "expected token 'sK' or 'sK^-1' (byte offset 7)"),  # syntax first
+        ("B3: s0", "generator index must be >= 1 (byte offset 4)"),
+    ])
+    def test_one_range_check_per_letter(self, text, message, capsys):
+        assert main(["jones", "--braid", text]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
     def test_syntax_error_offset(self):
         with pytest.raises(BraidSyntaxError) as err:

@@ -234,7 +234,8 @@ class TestExitCodes:
         ["toric", "--lx", "2", "--ly", "2", "--d", "15"],
         ["braid-check", "--rep", "abelian", "--strands", "-5"],
         ["braid-check", "--rep", "abelian", "--strands", "0"],
-        # negative caps and seeds outside the Philox key range, refused at parse time
+        # a --cap flag (no subcommand has one) and seeds outside the Philox
+        # key range, refused at parse time
         ["fusion-trees", "--model", "fibonacci", "--inputs", "1,1", "--total", "1",
          "--cap", "-5"],
         ["jones", "--braid", "B2: s1", "--cap", "-1"],
@@ -257,18 +258,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_tree_cap_can_only_be_lowered(self, capsys):
-        def argv(inputs, cap):
+    def test_tree_cap_is_a_constant(self, capsys):
+        def argv(inputs):
             return ["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(inputs),
-                    "--total", "1", "--cap", str(cap)]
+                    "--total", "1"]
 
         start = time.perf_counter()
-        assert main(argv(["1"] * 30, 10 ** 8)) == 2  # 832,040 trees
+        assert main(argv(["1"] * 30)) == 2  # 832,040 trees
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
-        assert out == "" and "tree cap" in err
-        assert run(argv(["1"] * 3, fusion.TREE_CAP)).status == 0
-        assert run(argv(["1"] * 3, fusion.TREE_CAP + 1)).status == 2
+        assert out == "" and err == f"error: 832040 trees exceed the tree cap {fusion.TREE_CAP}\n"
+        assert run(argv(["1"] * 3)).status == 0
+
+    def test_no_flag_lifts_the_crossing_cap(self, capsys):
+        # the bracket of 8,000 crossings takes minutes: no flag may lift the crossing cap
+        braid = " ".join(["B3:", *["s1 s2^-1"] * 4000])  # 8,000 crossings
+        start = time.perf_counter()
+        assert main(["jones", "--braid", braid, "--cap", "100000000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unrecognized arguments: --cap")
+        for name in ("jones", "bracket", "fusion-trees"):
+            assert "--cap" not in _subcommands()[name].format_help()
 
     @pytest.mark.parametrize("shots", [SHOTS_CAP + 1, 10 ** 12, 10 ** 14])
     def test_shot_cap_refuses_before_drawing(self, shots, capsys):
@@ -387,8 +398,6 @@ def _knot_argv(draw):
         argv.append("--t=" + draw(_T_VALUES))
     if argv[0] == "bracket" and draw(st.booleans()):
         argv += ["--method", draw(st.sampled_from(["statesum", "tl"]))]
-    if draw(st.booleans()):
-        argv.append(f"--cap={draw(st.integers(-1, 30))}")
     return argv
 
 
@@ -521,8 +530,7 @@ def _optional(draw, flag, values):
 
 _SUBCOMMAND_FLAGS = {
     "fusion-dim": _fusion_flags,
-    "fusion-trees": lambda draw: _fusion_flags(draw) + _optional(
-        draw, "--cap", _value(st.integers(1, 10 ** 4), [0, -1])),
+    "fusion-trees": _fusion_flags,
     "qdims": lambda draw: ["--model", draw(_MODELS)] + _optional(
         draw, "--tolerance", _value(st.sampled_from(["1e-9", "1e-6", "0.1"]),
                                     [0, -1, "1e-300"])),
@@ -854,8 +862,7 @@ class TestBuiltInsAreShared:
             with pytest.raises(ValueError, match="read-only"):
                 model.N[0, 0, 0] = 2
             label = model.labels[0]
-            for mapping, key in ((model.fusion, next(iter(model.fusion))),
-                                 (model.dual, label), (model.index, label)):
+            for mapping, key in ((model.dual, label), (model.index, label)):
                 with pytest.raises(TypeError):
                     mapping[key] = 0
             for table in (f, r):
@@ -980,3 +987,20 @@ class TestModelFileInput:
         res = run(["hexagon", "--f-json", str(f_path), "--r-json", str(r_path)])
         assert res.status == 0
         assert json.loads(render(res))["residual"] < 1e-12
+
+    def test_a_listed_zero_multiplicity_is_the_same_model(self, tmp_path):
+        # R0 lists N^0_{10} = 0, which R leaves out: one model, one residual
+        from anyons.fsymbols import fibonacci_data
+
+        _, f, r = fibonacci_data()
+        doc = json.loads(r.to_json())
+        doc["model"]["fusion"].append([1, 0, 0, 0])
+        paths = {name: tmp_path / f"{name}.json" for name in ("F", "R", "R0")}
+        paths["F"].write_text(f.to_json())
+        paths["R"].write_text(r.to_json())
+        paths["R0"].write_text(json.dumps(doc))
+        results = [run(["hexagon", "--f-json", str(paths["F"]), "--r-json", str(paths[name])])
+                   for name in ("R", "R0")]
+        assert [res.status for res in results] == [0, 0]
+        assert results[0].text == results[1].text
+        assert results[1].payload["residual"] == 1.5700924586837752e-16

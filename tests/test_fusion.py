@@ -178,13 +178,15 @@ class TestEnumerateTrees:
                 assert FIB.n(prev, leaf, nxt) > 0
 
     def test_cap(self):
-        with pytest.raises(ResourceError):
-            enumerate_fusion_trees(FIB, [1] * 25, 1, cap=100)
+        assert fusion_space_dim(FIB, [1] * 28, 1) == 317_811 > TREE_CAP
+        with pytest.raises(ResourceError, match=f"317811 trees exceed the tree cap {TREE_CAP}"):
+            enumerate_fusion_trees(FIB, [1] * 28, 1)
 
     def test_cap_cannot_be_raised(self):
-        with pytest.raises(ResourceError, match="tree cap"):
+        # the tree cap is a constant: no argument lifts it
+        with pytest.raises(TypeError):
             enumerate_fusion_trees(FIB, [1] * 3, 1, cap=TREE_CAP + 1)
-        assert len(enumerate_fusion_trees(FIB, [1] * 3, 1, cap=TREE_CAP)) == 2
+        assert len(enumerate_fusion_trees(FIB, [1] * 3, 1)) == 2
 
     def test_multiplicity_counted_as_branch_copies(self):
         # no built-in model has N > 1; a synthetic tensor exercises the rule
@@ -280,7 +282,7 @@ class TestCompositeFermion:
 class TestModels:
     def test_shared_model_maps_are_read_only(self):
         model = named_model("z_d:3")
-        for mapping, key in ((model.fusion, (1, 1, 2)), (model.dual, 1), (model.index, 1)):
+        for mapping, key in ((model.dual, 1), (model.index, 1)):
             with pytest.raises(TypeError):
                 mapping[key] = 0
         assert model.n(1, 1, 2) == model.N[1, 1, 2] == 1
@@ -313,6 +315,13 @@ class TestModels:
                       lambda: hexagon_residual(zd_model(2), f, r)):
             with pytest.raises(InputError, match="different model"):
                 check()
+
+    def test_equality_follows_n(self):
+        # a listed zero multiplicity is the same rule as an absent one
+        listed = AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 0, 0): 0})
+        assert listed == FIB and listed.n(1, 0, 0) == 0
+        assert not hasattr(listed, "fusion")
+        assert AnyonModel.from_json(listed.to_json()) == FIB
 
     def test_json_round_trip(self):
         for model in (FIB, zd_model(3), toric_model()):

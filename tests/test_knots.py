@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from anyons.braids import BraidWord, format_braid, parse_braid
 from anyons.cli import main
 from anyons.errors import InputError, ResourceError
-from anyons.knots import bracket_tl_b3, jones, kauffman_bracket
+from anyons.knots import CROSSING_CAP, bracket_tl_b3, jones, kauffman_bracket
 from anyons.laurent import LaurentPoly
 
 from oracles import (
@@ -163,11 +163,20 @@ class TestBracketValues:
         for word in random_words(rng, 3, 6, 40):
             assert kauffman_bracket(word) == bracket_oracle(word)
 
-    def test_cap(self):
+    def test_cap(self, capsys):
         with pytest.raises(ResourceError):
             kauffman_bracket(BraidWord(2, (1,) * 25))
-        with pytest.raises(ResourceError):
-            kauffman_bracket(BraidWord(2, (1,) * 5), cap=4)
+        at_cap = BraidWord(3, (1, -2) * (CROSSING_CAP // 2))
+        t = ARC_T[3]
+        assert abs(kauffman_bracket(at_cap).evaluate(t) - bracket_tl_b3(at_cap, t)) < 1e-9
+        over = BraidWord(3, at_cap.letters + (1,))
+        message = f"25 crossings exceed the bracket cap {CROSSING_CAP}"
+        for invariant in (kauffman_bracket, jones):
+            with pytest.raises(ResourceError, match=message):
+                invariant(over)
+        assert main(["jones", "--braid", format_braid(over)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 class TestJones:
