@@ -20,7 +20,6 @@ from anyons import (
     string_operator,
     syndrome,
 )
-from anyons.toric import vertex_path_edges
 
 print("Ground-space degeneracy d^2 on the torus:")
 for lx, ly, d in ((2, 2, 2), (5, 5, 2), (3, 3, 3), (3, 3, 5)):
@@ -35,9 +34,7 @@ print(f"\nAll {len(ops)} stabilizer pairs on the 5x5 torus commute: "
       f"max phase exponent {worst}")
 
 print("\nAn open charge string creates two vertex defects:")
-error = string_operator(
-    lat, vertex_path_edges(lat, [(1, 1), (2, 1), (2, 2)]), "charge", 1, 2
-)
+error = string_operator(lat, [(1, 1), (2, 1), (2, 2)], "charge", 1, 2)
 syn = syndrome(lat, error)
 print(f"  violated vertices {sorted(syn.vertex)}  violated faces {sorted(syn.face)}")
 
@@ -49,9 +46,7 @@ print(f"  composite loop homology class:   {homology_class(lat, composite)}")
 
 print("\nA string that already crossed more than half the torus gets")
 print("corrected the short way round -- a logical error, reported honestly:")
-long_error = string_operator(
-    lat, vertex_path_edges(lat, [(x, 0) for x in range(4)]), "charge", 1, 2
-)
+long_error = string_operator(lat, [(x, 0) for x in range(4)], "charge", 1, 2)
 fix = correct(lat, syndrome(lat, long_error))
 print(f"  homology class: {homology_class(lat, long_error * fix)}")
 

@@ -72,7 +72,6 @@ from .toric import (
     braiding_table,
     build_stabilizers,
     correct,
-    dual_path_edges,
     dyon_braiding_phase,
     extract_mutual_statistics,
     ground_space_dim,
@@ -84,7 +83,6 @@ from .toric import (
     stabilizers_commute,
     string_operator,
     syndrome,
-    vertex_path_edges,
 )
 from .trace_estimation import TraceEstimate, hadamard_test_trace
 

@@ -392,14 +392,8 @@ def _cmd_trace_est(args) -> dict:
 def _cmd_toric(args) -> dict:
     lat = toric.TorusLattice(args.lx, args.ly)
     d = args.d
-    # bad input (exit 1) before the work caps (exit 2); the trial division
-    # of the prime test is cheap below its cap, and larger d is over the cap
-    if d < toric.PRIME_TEST_CAP and not toric._is_prime(d):
-        raise InputError(f"ground_space_dim needs prime d, got {d}")
-    # the braiding cap (on d), then the lattice edge cap, each checked
-    # before its work
-    table = toric.braiding_table(d)
     degeneracy = toric.ground_space_dim(lat, d)
+    table = toric.braiding_table(d)
     lat.validate()
     stars_identity, plaquettes_identity = toric.stabilizer_products_are_identity(lat, d)
     demo = _correction_demo(lat, d)
@@ -420,8 +414,7 @@ def _cmd_toric(args) -> dict:
 
 def _correction_demo(lat: toric.TorusLattice, d: int) -> dict:
     """Charge-pair error, its syndrome, greedy correction, homology class."""
-    path = toric.vertex_path_edges(lat, [(0, 0), (1, 0), (1, 1)])
-    error = toric.string_operator(lat, path, "charge", 1, d)
+    error = toric.string_operator(lat, [(0, 0), (1, 0), (1, 1)], "charge", 1, d)
     syn = toric.syndrome(lat, error)
     corr = toric.correct(lat, syn)
     composite = error * corr

@@ -5,7 +5,9 @@ Geometry
 Qudits live on the edges of an ``Lx x Ly`` torus.  Horizontal edge
 ``h(x, y)`` points from vertex ``(x, y)`` to ``(x+1, y)``; vertical edge
 ``v(x, y)`` points from ``(x, y)`` to ``(x, y+1)`` (coordinates wrap).
-Face ``(x, y)`` has vertex ``(x, y)`` as its lower-left corner.
+Face ``(x, y)`` has vertex ``(x, y)`` as its lower-left corner, and shares
+its index.  A string is given by the points it passes through: vertices
+for a charge string, faces for a flux string (:func:`string_operator`).
 
 Stabilizer convention
 ---------------------
@@ -119,8 +121,6 @@ class TorusLattice:
     def vertex_index(self, x: int, y: int) -> int:
         return (y % self.ly) * self.lx + (x % self.lx)
 
-    face_index = vertex_index
-
     def vertex_coords(self, index: int) -> tuple[int, int]:
         return index % self.lx, index // self.lx
 
@@ -129,29 +129,6 @@ class TorusLattice:
 
     def v_edge(self, x: int, y: int) -> int:
         return self.lx * self.ly + (y % self.ly) * self.lx + (x % self.lx)
-
-    def is_horizontal(self, edge: int) -> bool:
-        return edge < self.lx * self.ly
-
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        """(tail, head) vertex indices along the edge orientation."""
-        if self.is_horizontal(edge):
-            x, y = edge % self.lx, edge // self.lx
-            return self.vertex_index(x, y), self.vertex_index(x + 1, y)
-        e = edge - self.lx * self.ly
-        x, y = e % self.lx, e // self.lx
-        return self.vertex_index(x, y), self.vertex_index(x, y + 1)
-
-    def dual_edge_endpoints(self, edge: int) -> tuple[int, int]:
-        """(tail, head) face indices; dual orientation is the primal one
-        rotated counterclockwise (h: face below -> face above; v: face
-        right -> face left)."""
-        if self.is_horizontal(edge):
-            x, y = edge % self.lx, edge // self.lx
-            return self.face_index(x, y - 1), self.face_index(x, y)
-        e = edge - self.lx * self.ly
-        x, y = e % self.lx, e // self.lx
-        return self.face_index(x, y), self.face_index(x - 1, y)
 
     @cached_property
     def star_edges(self) -> np.ndarray:
@@ -361,44 +338,6 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
 # strings, syndromes, correction
 
 
-def vertex_path_edges(lat: TorusLattice, vertices: list[tuple[int, int]]):
-    """Directed edge list ``[(edge, +-1), ...]`` along consecutive vertices."""
-    steps = []
-    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
-        dx = (x2 - x1) % lat.lx
-        dy = (y2 - y1) % lat.ly
-        if dy == 0 and dx == 1:
-            steps.append((lat.h_edge(x1, y1), +1))
-        elif dy == 0 and dx == lat.lx - 1:
-            steps.append((lat.h_edge(x2, y2), -1))
-        elif dx == 0 and dy == 1:
-            steps.append((lat.v_edge(x1, y1), +1))
-        elif dx == 0 and dy == lat.ly - 1:
-            steps.append((lat.v_edge(x2, y2), -1))
-        else:
-            raise InputError(f"vertices {(x1, y1)} and {(x2, y2)} are not adjacent")
-    return steps
-
-
-def dual_path_edges(lat: TorusLattice, faces: list[tuple[int, int]]):
-    """Directed primal-edge list crossed by consecutive dual (face) steps."""
-    steps = []
-    for (x1, y1), (x2, y2) in zip(faces, faces[1:]):
-        dx = (x2 - x1) % lat.lx
-        dy = (y2 - y1) % lat.ly
-        if dy == 0 and dx == 1:
-            steps.append((lat.v_edge(x2, y2), -1))
-        elif dy == 0 and dx == lat.lx - 1:
-            steps.append((lat.v_edge(x1, y1), +1))
-        elif dx == 0 and dy == 1:
-            steps.append((lat.h_edge(x2, y2), +1))
-        elif dx == 0 and dy == lat.ly - 1:
-            steps.append((lat.h_edge(x1, y1), -1))
-        else:
-            raise InputError(f"faces {(x1, y1)} and {(x2, y2)} are not adjacent")
-    return steps
-
-
 def string_operator(
     lat: TorusLattice,
     path: list[tuple[int, int]],
@@ -406,36 +345,40 @@ def string_operator(
     r: int,
     d: int,
 ) -> PauliString:
-    """Power-``r`` string along a connected directed path.
+    """Power-``r`` string along a path of consecutive ``(x, y)`` points.
 
-    ``kind='charge'`` builds a Z-type operator on a lattice path (defects
-    at the endpoint vertices); ``kind='flux'`` an X-type operator on a
-    dual-lattice path (defects at the endpoint faces).  ``path`` is a list
-    of ``(edge index, direction)`` pairs where direction +-1 is along or
-    against the (dual) edge orientation; consecutive steps must chain
-    head-to-tail.  Closed paths give empty syndromes.
+    ``kind='charge'`` builds a Z-type operator on the lattice path through
+    the vertices ``path`` (defects at its end vertices); ``kind='flux'`` an
+    X-type operator on the dual path through the faces ``path`` (defects at
+    its end faces).  Coordinates wrap, and each pair of consecutive points
+    must be one step apart.  A charge step crosses the edge at its lower
+    end, along the edge orientation (+r) or against it (-r); a flux step
+    crosses the edge at its upper end, with the dual orientation, the
+    primal one rotated counterclockwise (h: face below -> face above; v:
+    face right -> face left).  On a side of length 2 both neighbours along
+    it are one step ahead, and the step is read as forward.  Closed paths
+    give empty syndromes.
     """
     if kind not in ("charge", "flux"):
         raise InputError("kind must be 'charge' or 'flux'")
-    endpoints = lat.edge_endpoints if kind == "charge" else lat.dual_edge_endpoints
-    prev_head = None
-    for edge, direction in path:
-        if direction not in (-1, 1):
-            raise InputError("path directions must be +-1")
-        if not (0 <= edge < lat.n_edges):
-            raise InputError(f"edge index {edge} out of range")
-        tail, head = endpoints(edge)
-        if direction == -1:
-            tail, head = head, tail
-        if prev_head is not None and tail != prev_head:
-            raise InputError("path is not connected head-to-tail")
-        prev_head = head
-    xs = np.zeros(lat.n_edges, dtype=np.int64)
-    zs = np.zeros(lat.n_edges, dtype=np.int64)
-    target = zs if kind == "charge" else xs
-    for edge, direction in path:
-        target[edge] += direction * r
-    return PauliString(d, xs, zs)
+    flux = kind == "flux"
+    # the edges an x step and a y step cross, and the sign of a forward x step
+    along_x, along_y, x_sign = (lat.v_edge, lat.h_edge, -1) if flux else (lat.h_edge, lat.v_edge, 1)
+    exponents = np.zeros(lat.n_edges, dtype=np.int64)
+    for (x1, y1), (x2, y2) in zip(path, path[1:]):
+        dx, dy = (x2 - x1) % lat.lx, (y2 - y1) % lat.ly
+        if dy == 0 and dx in (1, lat.lx - 1):
+            forward, edge, sign = dx == 1, along_x, x_sign
+        elif dx == 0 and dy in (1, lat.ly - 1):
+            forward, edge, sign = dy == 1, along_y, 1
+        else:
+            points = "faces" if flux else "vertices"
+            raise InputError(f"{points} {(x1, y1)} and {(x2, y2)} are not adjacent")
+        # the lower end of the step for a charge, the upper end for a flux
+        x, y = (x1, y1) if forward != flux else (x2, y2)
+        exponents[edge(x, y)] += (sign if forward else -sign) * r
+    zeros = np.zeros(lat.n_edges, dtype=np.int64)
+    return PauliString(d, exponents, zeros) if flux else PauliString(d, zeros, exponents)
 
 
 def syndrome(lat: TorusLattice, error: PauliString) -> Syndrome:
@@ -585,7 +528,7 @@ def _string_exponents(lat: TorusLattice, strings) -> np.ndarray:
     run of edges along its row or column.  A charge step crosses the edge at
     its lower end, a flux step the edge at its upper end, and a flux
     string's x leg runs against the v edges: the edges and signs of
-    :func:`vertex_path_edges` and :func:`dual_path_edges`.
+    :func:`string_operator`.
     """
     lx, ly, nv, ne = lat.lx, lat.ly, lat.n_vertices, lat.n_edges
     # per leg: start of its line, first step along it, steps, exponent per
@@ -699,11 +642,10 @@ def _dyon_strings(d: int, dyon1: tuple[int, int], dyon2: tuple[int, int]):
     dual_ring = [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)]
     # dyon2: charge at vertex (2, 2) and flux at face (1, 1), with creation
     # strings entering the enclosed region from below.
-    return (string_operator(lat, vertex_path_edges(lat, ring), "charge", r, d),
-            string_operator(lat, dual_path_edges(lat, dual_ring), "flux", s, d),
-            string_operator(lat, vertex_path_edges(lat, [(2, 0), (2, 1), (2, 2)]),
-                            "charge", rp, d),
-            string_operator(lat, dual_path_edges(lat, [(1, 0), (1, 1)]), "flux", sp, d))
+    return (string_operator(lat, ring, "charge", r, d),
+            string_operator(lat, dual_ring, "flux", s, d),
+            string_operator(lat, [(2, 0), (2, 1), (2, 2)], "charge", rp, d),
+            string_operator(lat, [(1, 0), (1, 1)], "flux", sp, d))
 
 
 def _closed_form_checked(d: int, phi: int, dyon1: tuple[int, int], dyon2: tuple[int, int]):
@@ -802,7 +744,7 @@ def interferometer_run(lat: TorusLattice, braid: bool, beta: float) -> float:
     if n > LATTICE_EDGE_CAP:
         raise ResourceError(f"{n} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
     splitter_edge = lat.h_edge(0, 0)
-    tail, head = lat.edge_endpoints(splitter_edge)
+    tail, head = lat.vertex_index(0, 0), lat.vertex_index(1, 0)
     loop_centre = head if braid else _vertex_far_from(lat, tail, head)
     splitter = np.zeros(n, dtype=np.int64)
     splitter[splitter_edge] = 1

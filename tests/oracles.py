@@ -12,6 +12,9 @@ Everything here deliberately avoids the code paths it checks:
 * the syndrome oracle builds every stabilizer as a dense Pauli string and
   takes one ``commutation_phase`` per stabilizer (the implementation is
   two gathers over the check matrix's edge-index arrays);
+* the string oracle finds each step's edge by searching every edge for
+  the one whose ends are the step's two points (the implementation maps
+  the step's displacement to its edge);
 * the correction oracle walks each staircase vertex by vertex, finds each
   partner with a Python ``min`` and recomputes each probe string's full
   syndrome (the implementation reads the partners off blocks of a distance
@@ -79,12 +82,10 @@ from anyons.toric import (
     EDGE_SIGNS,
     Syndrome,
     build_stabilizers,
-    dual_path_edges,
     dyon_braiding_phase,
     homology_class,
     string_operator,
     syndrome,
-    vertex_path_edges,
 )
 from anyons.trace_estimation import DIM_CAP, TraceEstimate
 
@@ -265,6 +266,43 @@ def syndrome_oracle(lat, error: PauliString) -> Syndrome:
     return Syndrome(d, vertex, face)
 
 
+def edge_endpoints(lat, edge: int) -> tuple[int, int]:
+    """(tail, head) vertex indices of ``edge`` along its orientation."""
+    plane = lat.lx * lat.ly
+    x, y = edge % lat.lx, edge % plane // lat.lx
+    if edge < plane:
+        return lat.vertex_index(x, y), lat.vertex_index(x + 1, y)
+    return lat.vertex_index(x, y), lat.vertex_index(x, y + 1)
+
+
+def dual_edge_endpoints(lat, edge: int) -> tuple[int, int]:
+    """(tail, head) face indices of ``edge``'s dual, whose orientation is the
+    primal one rotated counterclockwise (h: face below -> face above; v:
+    face right -> face left)."""
+    plane = lat.lx * lat.ly
+    x, y = edge % lat.lx, edge % plane // lat.lx
+    if edge < plane:
+        return lat.vertex_index(x, y - 1), lat.vertex_index(x, y)
+    return lat.vertex_index(x, y), lat.vertex_index(x - 1, y)
+
+
+def string_operator_oracle(lat, path, kind: str, r: int, d: int) -> PauliString:
+    """The power-``r`` string through the points ``path`` (vertices for a
+    charge, faces for a flux), each step found by searching every edge for
+    the one whose (dual) ends are its two points, +r along the edge and -r
+    against it.  Needs ``lx, ly >= 3``: on a side of 2, two edges join the
+    same pair of points."""
+    ends = edge_endpoints if kind == "charge" else dual_edge_endpoints
+    exponents = [0] * lat.n_edges
+    for a, b in zip(path, path[1:]):
+        step = (lat.vertex_index(*a), lat.vertex_index(*b))
+        (edge, sign), = [(e, 1 if ends(lat, e) == step else -1) for e in range(lat.n_edges)
+                         if ends(lat, e) in (step, step[::-1])]
+        exponents[edge] += sign * r
+    zeros = [0] * lat.n_edges
+    return PauliString(d, exponents, zeros) if kind == "flux" else PauliString(d, zeros, exponents)
+
+
 def _torus_shortest_vertex_path(lat, start: tuple[int, int], goal: tuple[int, int]):
     """Greedy staircase: x leg first, then y, each along the shorter wrap."""
     x, y = start
@@ -288,7 +326,6 @@ def correct_oracle(lat, syn: Syndrome) -> PauliString:
     d = syn.d
     total = PauliString(d, [0] * lat.n_edges, [0] * lat.n_edges)
     for kind, defects in (("charge", dict(syn.vertex)), ("flux", dict(syn.face))):
-        path_builder = vertex_path_edges if kind == "charge" else dual_path_edges
         while defects:
             v1 = min(defects)
             c1 = lat.vertex_coords(v1)
@@ -301,7 +338,7 @@ def correct_oracle(lat, syn: Syndrome) -> PauliString:
 
             v2 = min((v for v in defects if v != v1), key=torus_dist)
             path = _torus_shortest_vertex_path(lat, c1, lat.vertex_coords(v2))
-            probe = string_operator(lat, path_builder(lat, path), kind, 1, d)
+            probe = string_operator(lat, path, kind, 1, d)
             probe_syn = syndrome_oracle(lat, probe)
             probe_defects = probe_syn.vertex if kind == "charge" else probe_syn.face
             k1 = probe_defects[v1]
@@ -535,7 +572,7 @@ def interferometer_oracle(lat, braid: bool, beta: float, psi=None) -> float:
     zvec = np.zeros(n, dtype=np.int64)
     zvec[splitter_edge] = 1
     z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
-    tail, head = lat.edge_endpoints(splitter_edge)
+    tail, head = edge_endpoints(lat, splitter_edge)
     stars, _ = build_stabilizers(lat, 2)
     loop = stars[head] if braid else stars[vertex_far_from_oracle(lat, tail, head)]
     psi = ground_state(lat) if psi is None else psi
@@ -574,7 +611,7 @@ def interferometer_pairs_oracle(lat, braid: bool, beta: float) -> float:
     zvec = np.zeros(n, dtype=np.int64)
     zvec[splitter_edge] = 1
     z_l = PauliString(2, np.zeros(n, dtype=np.int64), zvec)
-    tail, head = lat.edge_endpoints(splitter_edge)
+    tail, head = edge_endpoints(lat, splitter_edge)
     loop_centre = head if braid else vertex_far_from_oracle(lat, tail, head)
     (dwell_star, loop), _ = build_stabilizers(lat, 2, vertices=[head, loop_centre], faces=())
     c = math.cos(math.pi / 4)

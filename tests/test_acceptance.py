@@ -239,11 +239,7 @@ def test_criterion_12_error_correction():
             corr = A.correct(lat, syn)
             assert A.syndrome(lat, error * corr).is_empty()
         # constructed long string: corrected the short way round => logical (1,0)
-        from anyons.toric import vertex_path_edges
-
-        error = A.string_operator(
-            lat, vertex_path_edges(lat, [(x, 0) for x in range(4)]), "charge", 1, 2
-        )
+        error = A.string_operator(lat, [(x, 0) for x in range(4)], "charge", 1, 2)
         corr = A.correct(lat, A.syndrome(lat, error))
         composite = error * corr
         assert A.syndrome(lat, composite).is_empty()

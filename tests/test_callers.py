@@ -1,11 +1,13 @@
-"""Every function and class in ``src/anyons`` has a caller in the program.
+"""Every function, class and assigned name in ``src/anyons`` has a caller in
+the program.
 
-A name defined in ``src/anyons/*.py`` (``__init__.py`` and dunders aside)
-counts as called only where code names it: an ``ast.Name`` or
-``ast.Attribute`` node, somewhere in ``src/anyons`` (without
-``__init__.py``) or ``demos/``.  Mentions in docstrings, comments and
-strings do not count, nor do imports and the package exports in
-``__init__.py``: a helper only the tests use belongs in
+A name defined in ``src/anyons/*.py`` (``__init__.py`` and dunders aside),
+by ``def``, by ``class`` or by an assignment at module level or in a class
+body, counts as called only where code reads it: an ``ast.Name`` or
+``ast.Attribute`` node that is not an assignment target, somewhere in
+``src/anyons`` (without ``__init__.py``) or ``demos/``.  Mentions in
+docstrings, comments and strings do not count, nor do imports and the
+package exports in ``__init__.py``: a helper only the tests use belongs in
 ``tests/oracles.py`` or nowhere.  Methods are told apart by name only, so a
 method that shares its name with a called one passes.
 
@@ -30,14 +32,33 @@ def _program(root: pathlib.Path) -> tuple[list[pathlib.Path], list[ast.Module]]:
     return modules, [ast.parse(p.read_text()) for p in modules + sorted((root / "demos").glob("*.py"))]
 
 
+def _assigned(tree: ast.Module) -> set[str]:
+    """Names an ``Assign``, ``AnnAssign`` or ``AugAssign`` binds at module
+    level or in a class body."""
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    names = set()
+    for stmt in (stmt for body in bodies for stmt in body):
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        names |= {node.id for target in targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return names
+
+
 def uncalled_names(root: pathlib.Path) -> list[str]:
     """Names defined in ``root/src/anyons`` that no code of the program names."""
     modules, trees = _program(root)
     defined = {node.name for tree in trees[:len(modules)] for node in ast.walk(tree)
                if isinstance(node, _DEFINITIONS)}
+    for tree in trees[:len(modules)]:
+        defined |= _assigned(tree)
     named = {node.id if isinstance(node, ast.Name) else node.attr
              for tree in trees for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+             if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)}
     return sorted(name for name in defined - named
                   if not (name.startswith("__") and name.endswith("__")))
 
@@ -132,6 +153,31 @@ def test_the_scan_flags_a_name_only_its_definition_mentions(tmp_path):
     )
     (demos / "demo.py").write_text("from anyons import Shape\nShape()\n")
     assert uncalled_names(tmp_path) == ["documented", "lonely", "unused_method"]
+
+
+def test_the_scan_flags_an_assigned_name_nothing_reads(tmp_path):
+    package, demos = tmp_path / "src" / "anyons", tmp_path / "demos"
+    package.mkdir(parents=True)
+    demos.mkdir()
+    (package / "__init__.py").write_text("from .mod import Grid, area\n")
+    (package / "mod.py").write_text(
+        "LIMIT = 10\n"
+        "ORPHAN: int = 3  # only a test would read it\n"
+        "TOTAL = 0\n"
+        "TOTAL += LIMIT\n"
+        "__all__ = ['Grid', 'area']\n\n\n"
+        "class Grid:\n"
+        "    size: int = 2\n"
+        "    scale = 1.0\n\n"
+        "    def index(self, x):\n"
+        "        return x % self.size\n\n"
+        "    cell_index = index\n\n\n"
+        "def area(grid):\n"
+        "    grid.scale = 2.0  # a store, not a read\n"
+        "    return grid.index(LIMIT) * TOTAL\n"
+    )
+    (demos / "demo.py").write_text("from anyons import Grid, area\narea(Grid())\n")
+    assert uncalled_names(tmp_path) == ["ORPHAN", "cell_index", "scale"]
 
 
 def test_the_scan_flags_a_default_only_its_definition_uses(tmp_path):

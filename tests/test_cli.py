@@ -325,6 +325,17 @@ class TestExitCodes:
         assert res.status == 2, res.error
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("lx,d,status,message", [
+        (129, 15, 1, "needs prime d"),
+        (129, 2 ** 31, 2, "prime-test cap"),
+        (129, 17, 2, "lattice edge cap"),
+        (128, 17, 2, "braiding table"),
+    ])
+    def test_toric_refusal_order(self, lx, d, status, message):
+        # the prime test and its cap, then the lattice edge cap, then the braiding cap
+        res = run(["toric", "--lx", str(lx), "--ly", "128", "--d", str(d)])
+        assert res.status == status and message in res.error
+
     @pytest.mark.parametrize("argv", [
         ["pentagon", "--model", "z_d:40"],  # 40^4 tuples per pentagon side
         ["pentagon", "--model", "z_d:64"],  # the largest z_d model

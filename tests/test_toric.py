@@ -27,7 +27,6 @@ from anyons.toric import (
     braiding_table,
     build_stabilizers,
     correct,
-    dual_path_edges,
     dyon_braiding_phase,
     extract_mutual_statistics,
     ground_space_dim,
@@ -39,30 +38,31 @@ from anyons.toric import (
     stabilizers_commute,
     string_operator,
     syndrome,
-    vertex_path_edges,
 )
 from oracles import (
     braiding_table_oracle,
     check_blocks,
     code_state_expectation,
     correct_oracle,
+    edge_endpoints,
     expectation,
     ground_state,
     interferometer_oracle,
     interferometer_pairs_oracle,
     pauli_dense,
     rank_mod_p,
+    string_operator_oracle,
     syndrome_oracle,
     vertex_far_from_oracle,
 )
 
 
 def charge_string(lat, vertices, r=1, d=2):
-    return string_operator(lat, vertex_path_edges(lat, vertices), "charge", r, d)
+    return string_operator(lat, vertices, "charge", r, d)
 
 
 def flux_string(lat, faces, r=1, d=2):
-    return string_operator(lat, dual_path_edges(lat, faces), "flux", r, d)
+    return string_operator(lat, faces, "flux", r, d)
 
 
 class TestLattice:
@@ -325,9 +325,7 @@ class TestStrings:
 
     def test_qudit_endpoint_exponents(self):
         lat = TorusLattice(4, 4)
-        op = string_operator(
-            lat, vertex_path_edges(lat, [(0, 0), (1, 0), (2, 0)]), "charge", 2, 3
-        )
+        op = string_operator(lat, [(0, 0), (1, 0), (2, 0)], "charge", 2, 3)
         syn = syndrome(lat, op)
         assert sorted(syn.vertex.values()) == [1, 2]  # +2 and -2 mod 3
 
@@ -338,7 +336,7 @@ class TestStrings:
         assert syndrome(lat, loop).is_empty()
         # counterclockwise unit charge loop = the plaquette it encloses
         _, plaqs = build_stabilizers(lat, 2)
-        assert loop == plaqs[lat.face_index(1, 1)]
+        assert loop == plaqs[lat.vertex_index(1, 1)]
 
     def test_flux_loop_is_star(self):
         lat = TorusLattice(4, 4)
@@ -348,17 +346,73 @@ class TestStrings:
         assert loop == stars[lat.vertex_index(2, 2)]
 
     def test_disconnected_path_rejected(self):
+        # two connected pieces with a jump from (1, 0) to (2, 2) between them
         lat = TorusLattice(4, 4)
-        steps = vertex_path_edges(lat, [(0, 0), (1, 0)]) + vertex_path_edges(
-            lat, [(2, 2), (2, 3)]
-        )
-        with pytest.raises(InputError):
-            string_operator(lat, steps, "charge", 1, 2)
+        for kind, points in (("charge", "vertices"), ("flux", "faces")):
+            with pytest.raises(InputError, match=rf"{points} \(1, 0\) and \(2, 2\) are not adjacent"):
+                string_operator(lat, [(0, 0), (1, 0), (2, 2), (2, 3)], kind, 1, 2)
 
     def test_non_adjacent_vertices_rejected(self):
         lat = TorusLattice(4, 4)
-        with pytest.raises(InputError):
-            vertex_path_edges(lat, [(0, 0), (2, 0)])
+        for path in ([(0, 0), (2, 0)], [(0, 0), (0, 0)], [(0, 0), (1, 1)]):
+            with pytest.raises(InputError, match="vertices .* not adjacent"):
+                string_operator(lat, path, "charge", 1, 2)
+
+    def test_non_adjacent_faces_rejected(self):
+        lat = TorusLattice(4, 4)
+        for path in ([(0, 0), (0, 2)], [(3, 3), (-1, 3)], [(0, 0), (3, 1)]):
+            with pytest.raises(InputError, match="faces .* not adjacent"):
+                string_operator(lat, path, "flux", 1, 2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError, match="kind"):
+            string_operator(TorusLattice(3, 3), [(0, 0), (1, 0)], "dyon", 1, 2)
+
+    @pytest.mark.parametrize("lx,ly", [(3, 3), (3, 5), (4, 3), (6, 4)])
+    def test_matches_the_edge_search_oracle(self, lx, ly):
+        lat = TorusLattice(lx, ly)
+        rng = np.random.default_rng(lx * 10 + ly)
+        for _ in range(40):
+            x, y = rng.integers(-10, 10, 2).tolist()
+            path = [(x, y)]
+            for _ in range(int(rng.integers(0, 12))):
+                dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
+                x, y = x + dx, y + dy
+                # the same point, written with a random wrap
+                path.append((x + lx * int(rng.integers(-2, 3)), y + ly * int(rng.integers(-2, 3))))
+            r, d = int(rng.integers(-20, 20)), int(rng.choice([2, 3, 5, 7]))
+            for kind in ("charge", "flux"):
+                assert (string_operator(lat, path, kind, r, d)
+                        == string_operator_oracle(lat, path, kind, r, d)), (path, kind)
+
+    def test_a_side_of_two_reads_each_step_as_forward(self):
+        # on a side of 2 both neighbours along it are one step ahead, and
+        # two edges join the same pair of points: the step takes the edge
+        # of a forward step
+        lat = TorusLattice(2, 3)
+        zeros = np.zeros(lat.n_edges, dtype=np.int64)
+
+        def unit(*edges):
+            out = zeros.copy()
+            for edge, sign in edges:
+                out[edge] += sign
+            return out % 3
+
+        cases = [
+            ("charge", [(0, 0), (1, 0)], unit((lat.h_edge(0, 0), 1))),
+            ("charge", [(1, 0), (0, 0)], unit((lat.h_edge(1, 0), 1))),
+            ("charge", [(1, 2), (2, 2)], unit((lat.h_edge(1, 2), 1))),
+            ("flux", [(0, 0), (1, 0)], unit((lat.v_edge(1, 0), -1))),
+            ("flux", [(1, 0), (0, 0)], unit((lat.v_edge(0, 0), -1))),
+            ("flux", [(1, 1), (0, 4)], unit((lat.v_edge(0, 1), -1))),
+        ]
+        for kind, path, exponents in cases:
+            op = string_operator(lat, path, kind, 1, 3)
+            assert np.array_equal(op.x if kind == "flux" else op.z, exponents), (kind, path)
+            assert not (op.z if kind == "flux" else op.x).any()
+        # so there and back again winds once around the side of 2
+        loop = string_operator(lat, [(0, 0), (1, 0), (0, 0)], "charge", 1, 3)
+        assert homology_class(lat, loop)["charge"] == (1, 0)
 
 
 class TestSyndromeAndCorrection:
@@ -456,11 +510,7 @@ class TestSyndromeAndCorrection:
     def test_power_d_trivializes_winding(self):
         lat = TorusLattice(4, 4)
         d = 3
-        loop = string_operator(
-            lat,
-            vertex_path_edges(lat, [(x, 0) for x in range(4)] + [(0, 0)]),
-            "charge", 1, d,
-        )
+        loop = string_operator(lat, [(x, 0) for x in range(4)] + [(0, 0)], "charge", 1, d)
         assert homology_class(lat, loop)["charge"] == (1, 0)
         assert homology_class(lat, loop * loop * loop)["charge"] == (0, 0)  # loop^d
 
@@ -600,7 +650,7 @@ class TestInterferometer:
             for ly in range(2, 14):
                 lat = TorusLattice(lx, ly)
                 for edge in {lat.h_edge(0, 0), *rng.integers(0, lat.n_edges, 4).tolist()}:
-                    ends = lat.edge_endpoints(edge)
+                    ends = edge_endpoints(lat, edge)
                     far = _vertex_far_from(lat, *ends)
                     assert far == vertex_far_from_oracle(lat, *ends) and far not in ends
                 avoid = rng.integers(0, lat.n_vertices, 3).tolist()
