@@ -417,11 +417,11 @@ def _correction_demo(lat: toric.TorusLattice, d: int) -> dict:
     error = toric.string_operator(lat, [(0, 0), (1, 0), (1, 1)], "charge", 1, d)
     syn = toric.syndrome(lat, error)
     corr = toric.correct(lat, syn)
-    composite = error * corr
-    cls = toric.homology_class(lat, composite)
+    # homology_class refuses a composite with any defect, so it is corrected
+    cls = toric.homology_class(lat, error * corr)
     return {
         "error_vertex_defects": {str(k): v for k, v in sorted(syn.vertex.items())},
-        "corrected": toric.syndrome(lat, composite).is_empty(),
+        "corrected": True,
         "homology_class": {k: list(v) for k, v in cls.items()},
     }
 

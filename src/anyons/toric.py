@@ -40,9 +40,13 @@ per row they are the sparse check matrix ``H = [Hx | Hz]`` over Z_d.  The
 arrays are read-only and shared by every lattice of one shape (a small
 per-shape cache), so a new lattice object does not rebuild them.
 Syndromes, the commutation check, the stabilizer products and the rank
-(each block is a graph's incidence matrix) are computed from them with
-O(n) memory, and :func:`build_stabilizers` expands rows of them into
-explicit Pauli strings.
+(each block is a graph's incidence matrix, and one rank pass takes both
+as one disjoint graph) are computed from them with O(n) memory, and
+:func:`build_stabilizers` expands rows of them into explicit Pauli
+strings.  The star/face overlap that :meth:`TorusLattice.validate` and
+:func:`stabilizers_commute` both read is held, read-only, by each lattice
+object (:attr:`TorusLattice.star_face_overlap`), never shared between
+objects, so one ``anyons toric`` job computes it once.
 
 The qubit code state is never stored: a Pauli string's expectation on it is
 read off its syndrome and flux winding (Gottesman, quant-ph/9807006;
@@ -68,9 +72,9 @@ from .pauli import PauliString, commutation_phase
 
 #: Edge cap of the O(n) :func:`ground_space_dim` and :func:`interferometer_run`,
 #: checked before any edge array is built.  At 128x128, the largest square
-#: lattice admitted, the ``anyons toric`` job takes 0.05 s in process at a
-#: 15 MB tracemalloc peak and ``anyons interferometer`` 13-21 ms in process
-#: (2-core x86 host, numpy 2.4), next to a 0.2-0.3 s import.
+#: lattice admitted, the ``anyons toric`` job takes 19-25 ms in process (best
+#: of 15) at a 14.0 MiB tracemalloc peak and ``anyons interferometer`` 13-21
+#: ms in process (2-core x86 host, numpy 2.4), next to a 0.2-0.3 s import.
 LATTICE_EDGE_CAP = 2 * 128 * 128
 
 #: Entries (``d^4``) of the dyon braiding table :func:`braiding_table`
@@ -140,12 +144,24 @@ class TorusLattice:
         """``(lx * ly, 4)`` boundary edges of every face, in :data:`EDGE_SIGNS` order."""
         return _edge_rows(self)[1]
 
+    @cached_property
+    def star_face_overlap(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only shared-edge counts and sign sums of
+        :func:`_star_face_overlaps` with :data:`EDGE_SIGNS` on both sides,
+        computed once per lattice object for :meth:`validate` and
+        :func:`stabilizers_commute`."""
+        shared, sums = _star_face_overlaps(self, EDGE_SIGNS, EDGE_SIGNS)
+        shared.flags.writeable = sums.flags.writeable = False
+        return shared, sums
+
     def validate(self):
-        """Structural sanity: edge incidences and star/face overlaps."""
+        """Structural sanity: every edge in two stars and two faces, and every
+        star/face pair that meets sharing two edges (read from
+        :attr:`star_face_overlap`)."""
         for edges in (self.star_edges, self.face_edges):
             if np.any(np.bincount(edges.ravel(), minlength=self.n_edges) != 2):
                 raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
-        shared, _ = _star_face_overlaps(self, EDGE_SIGNS, EDGE_SIGNS)
+        shared, _ = self.star_face_overlap
         if np.any(shared != 2):
             raise InvariantViolation("a star and a face share 1 edge")
 
@@ -249,12 +265,14 @@ def stabilizers_commute(lat: TorusLattice, d: int) -> bool:
     or any pair with disjoint supports commute identically.  A star S and
     a plaquette P that share edges have ``commutation_phase(S, P) =
     -2 sum_e s_e p_e mod 2d`` over the shared edges, so the check is one
-    exact symplectic product per edge-sharing pair: O(n) memory, and
-    O(n log n) time for the sort that finds the faces of each edge.
+    exact symplectic product per edge-sharing pair, read from the sign sums
+    of :attr:`TorusLattice.star_face_overlap`: O(n) memory, and O(n log n)
+    time for the sort that finds the faces of each edge, once per lattice
+    object (:meth:`TorusLattice.validate` reads the same overlap).
     """
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
-    _, sums = _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
+    _, sums = lat.star_face_overlap
     return not np.any(sums % d)
 
 
@@ -262,13 +280,16 @@ def stabilizer_products_are_identity(lat: TorusLattice, d: int) -> tuple[bool, b
     """Whether the product of all stars, and of all plaquettes, is the identity.
 
     Each product is pure X (pure Z) with phase 0, and its exponent on an
-    edge is the column sum of ``Hx`` (``Hz``) mod d.
+    edge is the column sum of ``Hx`` (``Hz``) mod d: the count of the edge's
+    +1 entries minus that of its -1 entries, two integer ``bincount`` calls.
     """
+    if d < 2:
+        raise InputError("qudit dimension must be >= 2")
     out = []
     for edges in (lat.star_edges, lat.face_edges):
-        column = np.zeros(lat.n_edges, dtype=np.int64)
-        np.add.at(column, edges, np.broadcast_to(EDGE_SIGNS, edges.shape))
-        out.append(not np.any(column % d))
+        plus, minus = (np.bincount(edges[:, side].ravel(), minlength=lat.n_edges)
+                       for side in (EDGE_SIGNS > 0, EDGE_SIGNS < 0))
+        out.append(not np.any((plus - minus) % d))
     return out[0], out[1]
 
 
@@ -317,12 +338,14 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
     torus (two vertex/face dependencies: the product of all stars and the
     product of all plaquettes are both the identity).  ``H`` is block
     diagonal (stars have no Z part, plaquettes no X part), so its rank is
-    ``rank(Hx) + rank(Hz)``, each from the graph of the primal (dual)
-    lattice in O(n): 6-8 ms at a 3.4 MB tracemalloc peak for 128x128
-    (2-core x86 host, numpy 2.4).  A ``d`` of :data:`PRIME_TEST_CAP` or more
-    raises :class:`ResourceError` before the prime test, and over
-    :data:`LATTICE_EDGE_CAP` edges it raises one before any edge array is
-    built.
+    ``rank(Hx) + rank(Hz)``: the rank of the disjoint union of the primal
+    and dual graphs, one :func:`_incidence_rank` over the star rows and the
+    face rows with their edges shifted by ``n_edges``, in O(n): 3.6 ms for
+    128x128 at a 6.8 MiB tracemalloc peak that includes the first build of
+    the edge rows, 5.8 MiB without it (2-core x86 host, numpy 2.4).  A
+    ``d`` of :data:`PRIME_TEST_CAP` or more raises :class:`ResourceError`
+    before the prime test, and over :data:`LATTICE_EDGE_CAP` edges it
+    raises one before any edge array is built.
     """
     if d >= PRIME_TEST_CAP:
         raise ResourceError(f"d = {d} is over the prime-test cap {PRIME_TEST_CAP}")
@@ -330,7 +353,8 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
         raise InputError(f"ground_space_dim needs prime d, got {d}")
     if lat.n_edges > LATTICE_EDGE_CAP:
         raise ResourceError(f"{lat.n_edges} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
-    rank = sum(_incidence_rank(edges, lat.n_edges) for edges in (lat.star_edges, lat.face_edges))
+    both = np.concatenate([lat.star_edges, lat.face_edges + lat.n_edges])
+    rank = _incidence_rank(both, 2 * lat.n_edges)
     return d ** (lat.n_edges - rank)
 
 

@@ -23,6 +23,7 @@ import anyons
 from anyons import braids, cli, fsymbols, fusion, toric
 from anyons.cli import CommandResult, main, render, run
 from anyons.errors import InputError
+from anyons.pauli import PauliString
 from anyons.trace_estimation import SHOTS_CAP
 
 
@@ -59,6 +60,8 @@ GOLDEN_CASES = {
     ],
     "jones_two_unlink.json": ["jones", "--braid", "B2:"],
     "toric_2x2_d2.json": ["toric", "--lx", "2", "--ly", "2", "--d", "2"],
+    "toric_12x12_d2.json": ["toric", "--lx", "12", "--ly", "12", "--d", "2"],
+    "toric_128x128_d2.json": ["toric", "--lx", "128", "--ly", "128", "--d", "2"],  # the edge cap
     "interferometer_3x3_braid.json": [
         "interferometer", "--lx", "3", "--ly", "3", "--beta", "0.785398", "--braid", "yes",
     ],
@@ -335,6 +338,18 @@ class TestExitCodes:
         # the prime test and its cap, then the lattice edge cap, then the braiding cap
         res = run(["toric", "--lx", str(lx), "--ly", "128", "--d", str(d)])
         assert res.status == status and message in res.error
+
+    def test_toric_refuses_a_correction_that_leaves_defects(self, monkeypatch):
+        # "corrected" is printed once homology_class accepts the composite,
+        # which it does only for a composite without defects
+        def identity(lat, syn):
+            return PauliString(syn.d, [0] * lat.n_edges, [0] * lat.n_edges)
+
+        monkeypatch.setattr(toric, "correct", identity)
+        for d in (2, 3):
+            res = run(["toric", "--lx", "3", "--ly", "3", "--d", str(d)])
+            assert res.status == 1 and res.payload is None
+            assert "not a closed loop" in res.error
 
     @pytest.mark.parametrize("argv", [
         ["pentagon", "--model", "z_d:40"],  # 40^4 tuples per pentagon side

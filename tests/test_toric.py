@@ -164,6 +164,23 @@ class TestCheckMatrix:
             explicit.append(prod == one)
         assert stabilizer_products_are_identity(lat, d) == tuple(explicit) == (True, True)
 
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_products_refuse_a_dimension_below_two(self, d):
+        with pytest.raises(InputError, match=">= 2"):
+            stabilizer_products_are_identity(TorusLattice(3, 3), d)
+
+    def test_products_catch_a_flipped_star_row(self):
+        lat = TorusLattice(4, 3)
+        edges = lat.star_edges.copy()
+        edges[5, [0, 2]] = edges[5, [2, 0]]  # trades the signs of two of its edges
+        vars(lat)["star_edges"] = edges  # the cached property's slot
+        for d, expected in ((3, (False, True)), (2, (True, True))):  # -1 = +1 mod 2
+            stars, plaqs = build_stabilizers(lat, d)
+            one = PauliString(d, [0] * lat.n_edges, [0] * lat.n_edges)
+            explicit = tuple(functools.reduce(PauliString.__mul__, ops, one) == one
+                             for ops in (stars, plaqs))
+            assert stabilizer_products_are_identity(lat, d) == explicit == expected
+
     def test_rows_are_the_exponent_maps(self):
         lat = TorusLattice(3, 4)
         stars, plaqs = build_stabilizers(lat, 3)
@@ -263,6 +280,56 @@ class TestCheckMatrix:
             with pytest.raises(ResourceError):
                 ground_space_dim(big, 2)
             assert "star_edges" not in vars(big)  # refused before the arrays are built
+
+
+def _counting(monkeypatch, name):
+    """Replace ``toric.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(toric, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(toric, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """Each lattice structure is computed once per lattice object."""
+
+    def test_one_toric_run_computes_one_overlap(self, monkeypatch):
+        from anyons.cli import run
+
+        calls = _counting(monkeypatch, "_star_face_overlaps")
+        res = run(["toric", "--lx", "3", "--ly", "3", "--d", "3"])
+        assert res.status == 0 and res.payload["stabilizers_commute"] is True
+        assert len(calls) == 1
+
+    def test_one_rank_pass_per_ground_space_dim(self, monkeypatch):
+        calls = _counting(monkeypatch, "_incidence_rank")
+        lat = TorusLattice(4, 3)
+        assert ground_space_dim(lat, 3) == 9
+        assert len(calls) == 1
+        edges, n_edges = calls[0]
+        assert n_edges == 2 * lat.n_edges and len(edges) == 2 * lat.n_vertices
+
+    def test_each_lattice_object_computes_its_own_overlap(self, monkeypatch):
+        calls = _counting(monkeypatch, "_star_face_overlaps")
+        a, b = TorusLattice(3, 3), TorusLattice(3, 3)
+        for lat in (a, b, a, b):
+            lat.validate()
+            assert stabilizers_commute(lat, 5)
+        assert len(calls) == 2
+        assert a.star_face_overlap[1] is not b.star_face_overlap[1]
+
+    def test_held_overlap_is_read_only(self):
+        lat = TorusLattice(3, 4)
+        expected = _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
+        for held, fresh in zip(lat.star_face_overlap, expected):
+            assert np.array_equal(held, fresh) and not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 0
 
 
 class TestGroundSpaceDim:
