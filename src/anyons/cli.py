@@ -144,10 +144,16 @@ def _builtin_fr_data(name: str):
     """The model and F/R tables of the built-in model of canonical name
     ``name``: Fibonacci's own data, any other model's trivial data.
 
-    Holds at most 8 entries, read-only tables whose ``entries`` view the
-    CLI never reads.  The largest is z_d:64's, about 17 MB (64^3 admissible
-    rows and their values); at worst, z_d:57 to z_d:64, the tables hold
-    about 115 MB, and 132 MB with their models.
+    Holds at most 8 entries: read-only tables whose ``entries`` view the
+    CLI never reads, and the plans the F table builds when first checked
+    (see :mod:`anyons.fsymbols`).  With every plan its checks build, an
+    entry holds about 6 KB (fibonacci), 107 KB (z_d:6), 1.4 MB (z_d:12) and
+    15 MB (z_d:22, 13 MB of it the pentagon plan).  The largest is
+    z_d:64's, about 40 MB: 17 MB of tables (64^3 admissible rows and their
+    values), a 2 MB model, and 21 MB of hexagon and unitarity plans (its
+    pentagon is refused and holds none).  At worst, z_d:57 to z_d:64 each
+    checked by ``pentagon`` and ``hexagon``, the cache holds about 275 MB,
+    142 MB of it plans.
     """
     if name == "fibonacci":
         return fsymbols.fibonacci_data()

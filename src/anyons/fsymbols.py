@@ -35,6 +35,21 @@ the tree-oriented form, which is what makes them hold verbatim for
 non-self-dual models (abelian Z_d with d > 2); for self-dual models such as
 the Fibonacci theory the oriented and unordered readings have identical
 admissible sets and values.
+
+Every join depends on a table's rows only, never on its values, so each
+check is split into a plan (the table's structure) and a value pass.  A
+plan holds, as read-only intp arrays, the joined row indices of every term
+of both sides and each term's position among the label assignments it
+contributes to: for the pentagon and the unitarity check a bucket among the
+distinct keys of both sides (and their count), for the hexagon a row of
+the table and the R symbols' positions among the allowed vertices.  The F
+table builds each plan when first checked and holds it
+(:attr:`FSymbolTable.pentagon_plan`, ``hexagon_plan``, ``unitarity_plan``);
+a join refused by the cap leaves no plan behind.  The value pass gathers
+the values at those indices, multiplies them, sums the terms of equal
+position with ``np.add.at`` in row order and takes the worst deviation, so
+a table checked again, such as a cached built-in, pays only that pass.  A
+derived table (:func:`gauge_transform`, ``from_json``) builds its own.
 """
 
 from __future__ import annotations
@@ -164,6 +179,24 @@ class FSymbolTable(_Table):
         rows, non_square = _admissible_tuples(model)
         self._read(model, rows, entries, "F table missing admissible entry", non_square=non_square)
 
+    @cached_property
+    def pentagon_plan(self) -> tuple:
+        """The pentagon's joins of ``rows`` (:func:`_pentagon_plan`),
+        read-only, built when first read."""
+        return _frozen(_pentagon_plan(len(self.model.labels), self.rows))
+
+    @cached_property
+    def hexagon_plan(self) -> tuple:
+        """The hexagon's joins of ``rows`` and positions in the R rows
+        (:func:`_hexagon_plan`), read-only, built when first read."""
+        return _frozen(_hexagon_plan(self.model, self.rows))
+
+    @cached_property
+    def unitarity_plan(self) -> tuple:
+        """The unitarity check's joins of ``rows`` (:func:`_unitarity_plan`),
+        read-only, built when first read."""
+        return _frozen(_unitarity_plan(len(self.model.labels), self.rows))
+
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
         """The matrix ``F(abcd)^i_j`` with its admissible row/column labels;
         an unknown label raises InputError.
@@ -194,7 +227,7 @@ def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
     doc = json.loads(text)
     if not (isinstance(doc, dict) and "model" in doc and isinstance(doc.get("entries"), list)):
         raise InputError(f"{what} table JSON needs a 'model' and an 'entries' list")
-    model = AnyonModel.from_json(json.dumps(doc["model"]))
+    model = AnyonModel.from_doc(doc["model"])
     arity = 6 if what == "F" else 3
     canonical = {label: label for label in model.labels}  # 1.0 names label 1
     entries = {}
@@ -323,22 +356,6 @@ def _label_rows(model: AnyonModel, rows: np.ndarray) -> list[tuple]:
     return list(zip(*labels[rows.T].tolist()))
 
 
-def _max_deviation(k: int, lhs_key, lhs: np.ndarray, rhs_key, rhs: np.ndarray) -> float:
-    """``max |lhs - rhs|`` over the union of both supports.
-
-    ``lhs_key``/``rhs_key`` are label-index columns, one row per value; the
-    ``lhs`` rows have distinct keys, and ``rhs`` values with equal keys (the
-    terms of the contracted label) are summed in row order.
-    """
-    keys, at = np.unique(np.concatenate(_shared_codes(k, lhs_key, rhs_key)),
-                         return_inverse=True)
-    left = np.zeros(len(keys), dtype=complex)
-    left[at[: len(lhs)]] = lhs
-    right = np.zeros(len(keys), dtype=complex)
-    np.add.at(right, at[len(lhs):], rhs)
-    return float(np.max(np.abs(left - right), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # concrete data
 
@@ -426,6 +443,92 @@ def gauge_transform(
 # the labels each row stands for in the equation.
 
 
+def _pentagon_plan(k: int, rows: np.ndarray) -> tuple:
+    """The pentagon's joins of ``rows``: ``(lp, lq, p, q, s, left_at,
+    right_at, size)``, the rows of each left-side term ``v[lp] v[lq]`` and
+    right-side term ``v[p] v[q] v[s]``, and each term's bucket among the
+    ``size`` label assignments of either side."""
+    A, B, C, D, I, J = rows.T
+    # left side: row p is (f,c,d,e,g,l), row q is (a,b,l,e,f,k); shared f, l, e
+    lp, lq = _join(*_shared_codes(k, [A, J, D], [I, C, D]), "the pentagon")
+    lhs_key = [A[lq], B[lq], B[lp], C[lp], D[lp], A[lp], I[lp], J[lq], J[lp]]
+    # right side: row p is (a,b,c,g,f,h), row q is (a,h,d,e,g,k); shared a, g, h
+    p, q = _join(*_shared_codes(k, [A, D, J], [A, I, B]), "the pentagon")
+    # and row s is (b,c,d,k,h,l); shared b, c, d, k, h
+    pq, s = _join(
+        *_shared_codes(k, [B[p], C[p], C[q], J[q], J[p]], [A, B, C, D, I]), "the pentagon"
+    )
+    p, q = p[pq], q[pq]
+    rhs_key = [A[p], B[p], C[p], C[q], D[q], I[p], D[p], J[q], J[s]]
+    return (lp, lq, p, q, s, *_buckets(k, lhs_key, rhs_key))
+
+
+def _hexagon_plan(model: AnyonModel, rows: np.ndarray) -> tuple:
+    """The hexagon's joins of ``rows``: ``(p, q, mkr, mlq, mpj, right_at)``,
+    the F rows of each right-side term ``v[p] rv[mpj] v[q]``, the R rows of
+    each left-side term ``rv[mkr] v rv[mlq]``, and the F row each
+    right-side term is summed into.
+
+    R positions index the allowed vertices ``_vertices(model)``, which are
+    the rows of every :class:`RSymbolTable` of ``model``.
+    """
+    k = len(model.labels)
+    A, B, C, D, I, J = rows.T
+    # right side: row p is (l,k,m,j,p,r), row q is (m,l,k,j,q,p); shared l, k, m, j, p
+    p, q = _join(*_shared_codes(k, [A, B, C, D, I], [B, C, A, D, J]), "the hexagon")
+    # Fusion is commutative, so R(m,k,r), R(m,l,q) and R(m,p,j) of a row
+    # (l,m,k,j,q,r) or (l,k,m,j,p,r) sit at allowed vertices, and every
+    # right-side term's (l,m,k,j,q,r) is an admissible row: the left side's
+    # rows carry the union of both supports.
+    known, asked = _shared_codes(
+        k, list(_vertices(model).T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
+    )
+    mkr, mlq, mpj = known.searchsorted(asked).reshape(3, len(rows))
+    known, asked = _shared_codes(k, [A, B, C, D, I, J], [A[p], C[p], B[p], D[p], I[q], J[p]])
+    return p, q, mkr, mlq, mpj[p], known.searchsorted(asked)
+
+
+def _unitarity_plan(k: int, rows: np.ndarray) -> tuple:
+    """The Gram products of ``rows``: ``(p, q, diagonal_at, gram_at, size)``,
+    the rows of each term ``v[p] conj(v[q])``, and the buckets of the
+    identity's ones and of the terms among ``size`` entries of the blocks'
+    ``F F^dag``."""
+    A, B, C, D, I, J = rows.T
+    # (F F^dag)^i_i' sums over pairs of entries sharing (a, b, c, d, j)
+    abcdj = _codes(k, [A, B, C, D, J])
+    p, q = _join(abcdj, abcdj, "the unitarity check")
+    # the identity: one 1 per row label i of each block
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:, :5] != rows[:-1, :5], axis=1)
+    diagonal = [A[first], B[first], C[first], D[first], I[first], I[first]]
+    gram_key = [A[p], B[p], C[p], D[p], I[p], I[q]]
+    return (p, q, *_buckets(k, diagonal, gram_key))
+
+
+def _buckets(k: int, lhs_key, rhs_key) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(left_at, right_at, size)``: the position of each row of two sets of
+    label-index columns among the ``size`` distinct rows of both."""
+    keys, at = np.unique(np.concatenate(_shared_codes(k, lhs_key, rhs_key)),
+                         return_inverse=True)
+    return at[: len(lhs_key[0])], at[len(lhs_key[0]):], len(keys)
+
+
+def _frozen(plan: tuple) -> tuple:
+    """``plan`` with its arrays made read-only."""
+    for part in plan:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return plan
+
+
+def _deviation(left: np.ndarray, right_at: np.ndarray, terms: np.ndarray) -> float:
+    """``max |left - right|``, where ``right`` sums ``terms`` at ``right_at``
+    in row order."""
+    right = np.zeros(len(left), dtype=complex)
+    np.add.at(right, right_at, terms)
+    return float(np.max(np.abs(left - right), initial=0.0))
+
+
 def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """Worst absolute deviation of the pentagon identity
 
@@ -439,23 +542,11 @@ def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    k = len(model.labels)
-    A, B, C, D, I, J = f.rows.T
-    # left side: row p is (f,c,d,e,g,l), row q is (a,b,l,e,f,k); shared f, l, e
-    lp, lq = _join(*_shared_codes(k, [A, J, D], [I, C, D]), "the pentagon")
-    lhs_key = [A[lq], B[lq], B[lp], C[lp], D[lp], A[lp], I[lp], J[lq], J[lp]]
-    # right side: row p is (a,b,c,g,f,h), row q is (a,h,d,e,g,k); shared a, g, h
-    p, q = _join(*_shared_codes(k, [A, D, J], [A, I, B]), "the pentagon")
-    # and row s is (b,c,d,k,h,l); shared b, c, d, k, h
-    pq, s = _join(
-        *_shared_codes(k, [B[p], C[p], C[q], J[q], J[p]], [A, B, C, D, I]), "the pentagon"
-    )
-    p, q = p[pq], q[pq]
-    rhs_key = [A[p], B[p], C[p], C[q], D[q], I[p], D[p], J[q], J[s]]
+    lp, lq, p, q, s, left_at, right_at, size = f.pentagon_plan
     v = f.values
-    lhs = v[lp] * v[lq]
-    rhs = v[p] * v[q] * v[s]
-    return _max_deviation(k, lhs_key, lhs, rhs_key, rhs)
+    left = np.zeros(size, dtype=complex)
+    left[left_at] = v[lp] * v[lq]
+    return _deviation(left, right_at, v[p] * v[q] * v[s])
 
 
 def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> float:
@@ -468,24 +559,9 @@ def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> flo
     """
     if f.model != model or r.model != model:
         raise InputError("symbol tables belong to a different model")
-    k = len(model.labels)
-    A, B, C, D, I, J = f.rows.T
-    # right side: row p is (l,k,m,j,p,r), row q is (m,l,k,j,q,p); shared l, k, m, j, p
-    p, q = _join(*_shared_codes(k, [A, B, C, D, I], [B, C, A, D, J]), "the hexagon")
+    p, q, mkr, mlq, mpj, right_at = f.hexagon_plan
     v, rv = f.values, r.values
-    # Fusion is commutative, so R(m,k,r), R(m,l,q) and R(m,p,j) of a row
-    # (l,m,k,j,q,r) or (l,k,m,j,p,r) sit at allowed vertices, and every
-    # right-side term's (l,m,k,j,q,r) is an admissible row: the left side's
-    # rows carry the union of both supports.
-    known, asked = _shared_codes(
-        k, list(r.rows.T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
-    )
-    r_mkr, r_mlq, r_mpj = rv[known.searchsorted(asked)].reshape(3, len(v))
-    lhs = r_mkr * v * r_mlq
-    known, asked = _shared_codes(k, [A, B, C, D, I, J], [A[p], C[p], B[p], D[p], I[q], J[p]])
-    rhs = np.zeros(len(v), dtype=complex)
-    np.add.at(rhs, known.searchsorted(asked), v[p] * r_mpj[p] * v[q])
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return _deviation(rv[mkr] * v * rv[mlq], right_at, v[p] * rv[mpj] * v[q])
 
 
 def f_unitarity_residual(model: AnyonModel, f: FSymbolTable) -> float:
@@ -494,20 +570,11 @@ def f_unitarity_residual(model: AnyonModel, f: FSymbolTable) -> float:
         raise InputError("F table belongs to a different model")
     if f.non_square:
         raise InvariantViolation(f.non_square)
-    k = len(model.labels)
-    rows, v = f.rows, f.values
-    A, B, C, D, I, J = rows.T
-    # (F F^dag)^i_i' sums over pairs of entries sharing (a, b, c, d, j)
-    abcdj = _codes(k, [A, B, C, D, J])
-    p, q = _join(abcdj, abcdj, "the unitarity check")
-    # the identity: one 1 per row label i of each block
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:, :5] != rows[:-1, :5], axis=1)
-    diagonal = [A[first], B[first], C[first], D[first], I[first], I[first]]
-    gram_key = [A[p], B[p], C[p], D[p], I[p], I[q]]
-    return _max_deviation(
-        k, diagonal, np.ones(int(first.sum()), dtype=complex), gram_key, v[p] * v[q].conj()
-    )
+    p, q, diagonal_at, gram_at, size = f.unitarity_plan
+    v = f.values
+    left = np.zeros(size, dtype=complex)
+    left[diagonal_at] = 1
+    return _deviation(left, gram_at, v[p] * v[q].conj())
 
 
 # ---------------------------------------------------------------------------

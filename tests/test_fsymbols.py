@@ -424,6 +424,102 @@ class TestPinnedOutputs:
         assert _residual_hex(model, *random_tables(model, 11)) == RANDOM_RESIDUAL_PINS[name]
 
 
+PLANS = ("pentagon_plan", "hexagon_plan", "unitarity_plan")
+
+
+def _plan_inputs():
+    """``(name, factory)``: every pinned input, then z_d:2 to z_d:8 with
+    trivial and with random values; a factory builds a new model and tables."""
+    inputs = []
+    for name in sorted(RESIDUAL_PINS):
+        def named(name=name):
+            model = named_model(name)
+            return model, (fibonacci_data()[1:] if name == "fibonacci" else trivial_data(model))
+        inputs.append((name, named))
+    for name in sorted(RANDOM_RESIDUAL_PINS):
+        def random(name=name):
+            return named_model(name), random_tables(named_model(name), 11)
+        inputs.append((f"random {name}", random))
+    for d in range(2, 9):
+        if f"z_d:{d}" not in RESIDUAL_PINS:
+            inputs.append((f"z_d:{d}", lambda d=d: (zd_model(d), trivial_data(zd_model(d)))))
+        inputs.append((f"z_d:{d} random", lambda d=d: (zd_model(d), random_tables(zd_model(d), d))))
+    return inputs
+
+
+class TestPlans:
+    """Each F table joins its rows once per residual; later checks of it
+    gather and scatter its values only."""
+
+    @pytest.mark.parametrize("name, build", _plan_inputs(), ids=[n for n, _ in _plan_inputs()])
+    def test_reused_plans_give_the_first_bits(self, monkeypatch, name, build):
+        model, (f, r) = build()
+        first = _residual_hex(model, f, r)
+        joins = []
+        join = fsymbols._join
+        monkeypatch.setattr(fsymbols, "_join", lambda *a: joins.append(a) or join(*a))
+        assert _residual_hex(model, f, r) == first
+        assert joins == []  # the second check made no join
+        monkeypatch.setattr(fsymbols, "_join", join)
+        fresh = (FSymbolTable(model, dict(f.entries)), RSymbolTable(model, dict(r.entries)))
+        assert not any(plan in vars(fresh[0]) for plan in PLANS)
+        assert _residual_hex(model, *fresh) == first
+        if name in RESIDUAL_PINS:
+            assert first == RESIDUAL_PINS[name]
+        elif name.startswith("random "):
+            assert first == RANDOM_RESIDUAL_PINS[name.removeprefix("random ")]
+
+    def test_each_checked_residual_joins_once(self, monkeypatch):
+        model = zd_model(4)
+        f, r = trivial_data(model)
+        joins = []
+        join = fsymbols._join
+        monkeypatch.setattr(fsymbols, "_join", lambda *a: joins.append(a[2]) or join(*a))
+        for _ in range(3):
+            pentagon_residual(model, f), hexagon_residual(model, f, r)
+            f_unitarity_residual(model, f)
+        assert joins == ["the pentagon"] * 3 + ["the hexagon", "the unitarity check"]
+
+    @pytest.mark.parametrize("derive", ["gauge_transform", "from_json"])
+    def test_a_derived_table_builds_its_own_plans(self, derive, fib_data):
+        model, f, r = fib_data
+        want = _residual_hex(model, f, r)
+        g = (gauge_transform(f, {}) if derive == "gauge_transform"
+             else FSymbolTable.from_json(f.to_json()))
+        assert g is not f and not any(plan in vars(g) for plan in PLANS)
+        assert _residual_hex(model, g, r) == want
+        for plan in PLANS:
+            for held, parent in zip(getattr(g, plan), getattr(f, plan)):
+                if isinstance(held, np.ndarray):
+                    assert held is not parent and np.array_equal(held, parent)
+                else:
+                    assert held == parent
+
+    def test_plans_are_read_only(self, fib_data):
+        model, f, r = fib_data
+        _residual_hex(model, f, r)
+        for plan in PLANS:
+            arrays = [part for part in getattr(f, plan) if isinstance(part, np.ndarray)]
+            assert arrays and not any(part.flags.writeable for part in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 0
+            with pytest.raises(AttributeError):
+                setattr(f, plan, ())
+
+    def test_a_refused_check_holds_no_plan(self):
+        model = zd_model(23)  # 23^4 tuples per pentagon side, over the cap
+        f, r = trivial_data(model)
+        with pytest.raises(ResourceError, match="the pentagon needs"):
+            pentagon_residual(model, f)
+        assert "pentagon_plan" not in vars(f)
+        with pytest.raises(InputError, match="different model"):
+            pentagon_residual(zd_model(22), f)
+        with pytest.raises(InputError, match="different model"):
+            hexagon_residual(zd_model(22), f, r)
+        assert (hexagon_residual(model, f, r), f_unitarity_residual(model, f)) == (0.0, 0.0)
+        assert "pentagon_plan" not in vars(f)
+
+
 class TestGaugeCovariance:
     @pytest.mark.parametrize("model_factory", [fibonacci_model, lambda: zd_model(3)])
     def test_pentagon_invariant_under_rephasing(self, model_factory):
@@ -589,6 +685,7 @@ class TestAgainstDenseOracles:
             f_unitarity_oracle(model, f)
         with pytest.raises(InvariantViolation, match=r"\(1, 1, 2, 0\) is not square \(1 x 0\)"):
             f_unitarity_residual(model, f)
+        assert "unitarity_plan" not in vars(f)  # refused before the plan is built
 
 
 class TestTupleCodes:
@@ -658,6 +755,18 @@ class TestTableValidation:
             FSymbolTable.from_json(text)
         with pytest.raises(InputError):
             RSymbolTable.from_json(text)
+
+    def test_the_model_is_read_from_the_parsed_document(self, monkeypatch, fib_data):
+        _, f, r = fib_data
+
+        def refuse(text):
+            raise AssertionError("the model document was serialised and parsed again")
+
+        monkeypatch.setattr(AnyonModel, "from_json", refuse)
+        assert FSymbolTable.from_json(f.to_json()) == f
+        assert RSymbolTable.from_json(r.to_json()) == r
+        with pytest.raises(InputError, match="malformed model document"):
+            FSymbolTable.from_json('{"model": {"labels": [0]}, "entries": []}')
 
     @pytest.mark.parametrize("entry, match", [
         ([[1, 1, 2], [1.0, 0.0]], "label outside"),

@@ -150,6 +150,19 @@ class TestCheckMatrix:
         # qubits do not see a sign: -1 = +1 mod 2
         assert not np.any(sums % 2)
 
+    def test_overlap_memory_is_a_few_rows_per_star(self):
+        # an (n, 8, 8) comparison of each star's face incidences took 896
+        # bytes per star; ten (n, 8) int64 arrays take 640
+        lat = TorusLattice(64, 64)
+        lat.star_edges, lat.face_edges
+        tracemalloc.start()
+        try:
+            _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * 8 * lat.n_vertices
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 2), (4, 4)])
     def test_products_match_explicit_products(self, lx, ly, d):
