@@ -23,15 +23,16 @@ Three representations are provided:
 :func:`compile_gate` finds the reduced word over the Fibonacci generators
 that best approximates a target single-qubit gate projectively.  It meets in
 the middle over a codebook of one word per projective SU(2) element of up to
-half the length, held as arrays (int8 letters, unit quaternions): every join
-of those words is scored by blocked real dot products of prefix frames with
+half the length, held as arrays (int8 letters, unit quaternions) with a join
+plan (a boolean mask of the prefix/suffix pairs that form reduced words):
+every join is scored in one masked real product of prefix frames with
 suffix quaternions, and only the near-ties are rescored exactly.
 
 Built once per process and read-only: the Fibonacci representation (one
 cached instance) and the codebook of each half length, which also holds
-each kept word's Fibonacci matrix (at most 8 codebooks, 152,891 bytes in
-all; the largest, 7 letters, is 690 elements of 4,373 words in 76,590
-bytes).  Neither depends on the target.
+each kept word's Fibonacci matrix and the join plan (at most 8 codebooks,
+473,720 bytes in all; the largest, 7 letters, is 690 elements of 4,373
+words in 306,856 bytes).  Neither depends on the target.
 """
 
 from __future__ import annotations
@@ -380,30 +381,38 @@ _ALPHABET = (-2, -1, 1, 2)
 @functools.lru_cache(maxsize=8)
 def _distinct_words(max_len: int):
     """The first reduced Fibonacci word of each projective element, up to
-    ``max_len`` letters: the codebook :func:`compile_gate` scores against.
+    ``max_len`` letters: the codebook :func:`compile_gate` scores against,
+    with its join plan.
 
-    Returns read-only ``(letters, lengths, quats, mats)``: ``letters`` is
-    int8 of shape ``(n, max_len)`` padded with 0, ``quats`` of shape
-    ``(4, n)`` holds the words' SU(2) images (see :func:`_su2`) as unit
-    quaternions ``(Re a, Im a, Re b, Im b)``, and ``mats`` of shape
-    ``(n, 2, 2)`` the words' Fibonacci matrices, in enumeration order
-    (length, then letters).  Each level of reduced words is one batched
-    product of the previous level with every letter that does not cancel a
-    word's last one; taken in (word, letter) order, the level stays sorted.
-    The matrices are multiplied leftmost letter first from the identity,
-    with the same 2x2 products as :func:`evaluate`, so each is the matrix
-    it returns, bit for bit.  Words whose quaternions agree up to sign on
-    :data:`_ELEMENT_GRID` are one element, and only the first of them is
-    kept: the rounded quaternions, each signed so its first non-zero
-    component is positive, are sorted stably (one ``np.lexsort``, far
-    cheaper than ``np.unique`` over rows), so the first row of each run of
-    equal keys is its element's first word.
+    Returns read-only ``(letters, lengths, quats, mats, full, joins,
+    gens)``: ``letters`` is int8 of shape ``(n, max_len)`` padded with 0,
+    ``quats`` of shape ``(4, n)`` holds the words' SU(2) images (see
+    :func:`_su2`) as unit quaternions ``(Re a, Im a, Re b, Im b)``, and
+    ``mats`` of shape ``(n, 2, 2)`` the words' Fibonacci matrices, in
+    enumeration order (length, then letters).  Each level of reduced words
+    is one batched product of the previous level with every letter that
+    does not cancel a word's last one; taken in (word, letter) order, the
+    level stays sorted.  The matrices are multiplied leftmost letter first
+    from the identity, with the same 2x2 products as :func:`evaluate`, so
+    each is the matrix it returns, bit for bit.  Words whose quaternions
+    agree up to sign on :data:`_ELEMENT_GRID` are one element, and only the
+    first of them is kept: the rounded quaternions, each signed so its
+    first non-zero component is positive, are sorted stably (one
+    ``np.lexsort``, far cheaper than ``np.unique`` over rows), so the first
+    row of each run of equal keys is its element's first word.
+
+    The join plan: ``full`` indexes the elements of ``max_len`` letters,
+    ``joins`` of shape ``(len(full), n - 1)`` is true where the non-empty
+    element ``1 + j`` may follow ``full[i]`` (its first letter does not
+    cancel the prefix's last), and ``gens`` stacks the generators of
+    :data:`_ALPHABET`.
 
     The codebook depends on ``max_len`` alone, so each is built once per
     process.  The cache holds at most 8, one per ``max_len`` that
     :func:`compile_gate` asks for (0 to 7, as ``ceil(COMPILE_CAP / 2) = 7``).
-    The largest, 7 letters, is 690 elements of 4,373 words in 76,590 bytes
-    (44,160 of them the matrices), and all 8 take 152,891 bytes.
+    The largest, 7 letters, is 690 elements of 4,373 words in 306,856 bytes
+    (44,160 of them the matrices, 227,370 the join mask of 330 x 689), and
+    all 8 take 473,720 bytes.
     """
     alpha = np.array(_ALPHABET, dtype=np.int8)
     rep = fib_qubit_rep()
@@ -431,40 +440,16 @@ def _distinct_words(max_len: int):
     order = np.lexsort(keys)  # stable
     run = np.any(np.diff(keys[:, order]) != 0, axis=0)
     first = np.sort(order[np.concatenate([[True], run])])
-    a, b = a[first], b[first]
-    codebook = (letters[first], lengths[first], np.stack([a.real, a.imag, b.real, b.imag]),
-                mats[first])
+    letters, lengths, a, b = letters[first], lengths[first], a[first], b[first]
+    full = np.flatnonzero(lengths == max_len)
+    joins = np.zeros((len(full), len(lengths) - 1), dtype=bool)
+    if max_len:
+        np.not_equal(letters[full, -1:], -letters[1:, 0], out=joins)
+    codebook = (letters, lengths, np.stack([a.real, a.imag, b.real, b.imag]), mats[first],
+                full, joins, gens)
     for array in codebook:
         array.flags.writeable = False
     return codebook
-
-
-#: Entries per block of split scores (float64), which bounds the search's
-#: working memory at any max_len.
-_SCORE_BLOCK = 2 ** 20
-
-
-def _split_blocks(letters, lengths, half, max_len):
-    """Every canonical (prefix, suffix) split, as blocks of index arrays.
-
-    Yields ``(prefixes, suffixes)``: each prefix in ``prefixes`` followed by
-    each suffix in ``suffixes`` is one word.  The empty suffix (index 0)
-    follows every prefix; a non-empty one follows only prefixes of ``half``
-    letters whose last letter it does not cancel.
-    """
-    everyone = np.arange(len(lengths))
-    yield everyone, everyone[:1]
-    n_suffix = int(np.count_nonzero(lengths <= max_len - half))
-    if n_suffix == 1:
-        return
-    full = everyone[lengths == half]
-    first = letters[1:n_suffix, 0]
-    for g in _ALPHABET:
-        rows = full[letters[full, half - 1] == g]
-        cols = 1 + np.flatnonzero(first != -g)
-        step = max(1, _SCORE_BLOCK // len(cols))
-        for start in range(0, len(rows), step):
-            yield rows[start:start + step], cols
 
 
 def _near(best: float) -> float:
@@ -504,20 +489,23 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     element), so ``P`` and ``S`` range over the first word of each element
     of up to ``half`` letters only (:func:`_distinct_words`).  With ``f``
     the unit quaternion of ``P^dag target`` and ``s`` that of ``S``, the
-    word's projective distance is ``sqrt(2 - 2 |f . s|)``, so every join
-    is scored by blocked real matrix products of the prefix frames with
-    the suffix table.  The words within 1e-9 of the best score are
+    word's projective distance is ``sqrt(2 - 2 |f . s|)``.  ``f`` is linear
+    in ``P``'s quaternion, so one real 4x4 product gives every frame; every
+    prefix alone and every join the codebook's plan admits are then scored
+    by one product of the full prefixes' frames with the suffix table,
+    masked by the plan.  The words within 1e-9 of the best score are
     rescored exactly with :func:`projective_distance`, then ranked by the
     tie rule.  Each rescored word's matrix starts from its prefix's
     codebook matrix and multiplies on only the suffix letters, so the
     rescoring takes ``max_len - half`` rounds of batched 2x2 products, and
     every matrix is the one :func:`evaluate` returns for the word.
 
-    The codebook of each ``half`` is built once per process and is
-    read-only (:func:`_distinct_words`; at most 8 codebooks, 152,891 bytes
-    in all with their matrices, the largest, ``half = 7``, 690 elements of
-    4,373 words in 76,590 bytes).  A call computes only the target's
-    frames, the blocked scores and the exact rescoring of the near-ties.
+    The codebook of each ``half`` and its join plan are built once per
+    process and are read-only (:func:`_distinct_words`; at most 8, 473,720
+    bytes in all, the largest, ``half = 7``, 690 elements in 306,856
+    bytes).  A call computes only the target's frames, one masked score
+    matrix (330 x 689 float64 at the cap, 1.8 MB) and the exact rescoring
+    of the near-ties.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -533,30 +521,32 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
         raise ResourceError(f"max_len {max_len} exceeds cap {COMPILE_CAP}")
     half = (max_len + 1) // 2
 
-    letters, lengths, quats, mats = _distinct_words(half)
-    a, b = np.empty((2, len(lengths)), dtype=complex)  # the SU(2) images, bit for bit
-    a.real, a.imag, b.real, b.imag = quats
+    letters, lengths, quats, mats, full, joins, gens = _distinct_words(half)
     ta, tb = _su2(target)
-    fa = a.conj() * ta + b * tb.conjugate()  # P^dag target
-    fb = a.conj() * tb - b * ta.conjugate()
-    frames = np.stack([fa.real, fa.imag, fb.real, fb.imag], axis=1)
+    t0, t1, t2, t3 = ta.real, ta.imag, tb.real, tb.imag
+    frames = quats.T @ np.array([[t0, t1, t2, t3], [t1, -t0, t3, -t2],  # P^dag target
+                                 [t2, -t3, -t0, t1], [t3, t2, -t1, -t0]])
 
-    best, found = 0.0, []
-    for prefixes, suffixes in _split_blocks(letters, lengths, half, max_len):
-        scores = frames[prefixes] @ quats[:, suffixes]
-        top = max(scores.max(), -scores.min())
-        if top < _near(best):
-            continue
-        best = max(best, top)
-        i, j = np.nonzero(np.abs(scores, out=scores) >= _near(best))
-        found.append((scores[i, j], prefixes[i], suffixes[j]))
-
-    scores, prefixes, suffixes = map(np.concatenate, zip(*found))
+    # every prefix alone (the empty suffix's quaternion is (1, 0, 0, 0)),
+    # then each full prefix joined with the m non-empty suffixes that fit;
+    # a masked join scores 0, far below _near(best): some word of up to
+    # two letters scores above 0.58 against any target
+    n, m = len(lengths), np.count_nonzero(lengths <= max_len - half) - 1
+    scores = np.empty(n + len(full) * m)
+    scores[:n] = frames[:, 0]
+    joined = scores[n:].reshape(len(full), m)
+    np.matmul(frames[full], quats[:, 1:m + 1], out=joined)
+    np.abs(scores, out=scores)
+    np.multiply(joined, joins[:, :m], out=joined)
+    hits = np.flatnonzero(scores >= _near(scores.max()))
+    alone = np.searchsorted(hits, n)
+    rows, cols = np.divmod(hits[alone:] - n, max(m, 1))
+    prefixes = np.concatenate([hits[:alone], full[rows]])
+    suffixes = np.concatenate([np.zeros(alone, dtype=np.intp), cols + 1])
     # the near-ties, longest suffix first (no two are one word, so the
     # order does not change the winner)
-    keep = np.flatnonzero(scores >= _near(best))
-    keep = keep[np.argsort(-lengths[suffixes[keep]])]
-    prefixes, suffixes = prefixes[keep], suffixes[keep]
+    order = np.argsort(-lengths[suffixes])
+    prefixes, suffixes = prefixes[order], suffixes[order]
     rounds = max_len - half
     words = np.concatenate([letters[prefixes], letters[suffixes, :rounds]], axis=1)
     suffix_lengths = lengths[suffixes]
@@ -565,7 +555,7 @@ def compile_gate(target: np.ndarray, max_len: int) -> tuple[BraidWord, float]:
     # one round per letter; the words still growing in round k lead, and
     # the padding letters' matrices past them are never used
     products = mats[prefixes]
-    steps = _fib_generators()[np.searchsorted(_ALPHABET, letters[suffixes, :rounds])]
+    steps = gens[np.searchsorted(_ALPHABET, letters[suffixes, :rounds])]
     growing = np.count_nonzero(suffix_lengths > np.arange(rounds)[:, None], axis=1)
     for k, live in enumerate(growing.tolist()):
         products[:live] = products[:live] @ steps[:live, k]

@@ -118,10 +118,10 @@ def _parse_gate(text: str) -> np.ndarray:
     if text in _NAMED_GATES:
         return _NAMED_GATES[text]
     try:
-        rows = json.loads(text)
-        return np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
+        pairs = [[(re, im) for re, im in row] for row in json.loads(text)]
+        if any(type(x) is bool for row in pairs for pair in row for x in pair):
+            raise TypeError("a JSON boolean is not a number")
+        return np.array([[complex(*pair) for pair in row] for row in pairs], dtype=complex)
     except (ValueError, TypeError) as exc:
         raise InputError(
             f"target must be one of {sorted(_NAMED_GATES)} or a JSON matrix "

@@ -121,7 +121,7 @@ class AnyonModel:
             raise ResourceError(f"{k} labels exceed the cap of {LABEL_CAP}")
         N = np.zeros((k, k, k), dtype=np.int64)
         for (a, b, c), m in fusion.items():
-            if not isinstance(m, (int, np.integer)) or m < 0:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
                 raise InputError(f"multiplicity at {(a, b, c)} is not a non-negative integer")
             try:
                 N[index[a], index[b], index[c]] = m
@@ -448,8 +448,6 @@ def composite_fermion_statistics(j: int, p: int) -> Fraction:
 
     ``j = 0`` is accepted as the bosonic limit and returns 0.
     """
-    if j == 0:
-        return Fraction(0)
     if j < 0 or p < 1:
         raise InputError("need j >= 0 and p >= 1")
     return Fraction(2 * j, 2 * j * p + 1)

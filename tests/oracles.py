@@ -22,9 +22,12 @@ Everything here deliberately avoids the code paths it checks:
   endpoints);
 * the compile oracle scores every reduced word, each by its own matrix
   product (the implementation scores prefix/suffix splits of one word per
-  projective element by blocked quaternion dot products and rescores only
-  near-ties), and the distinct-word oracle groups every word's own matrix
-  by projective distance (the implementation sorts rounded quaternions);
+  projective element in one masked quaternion product and rescores only
+  near-ties), the distinct-word oracle groups every word's own matrix by
+  projective distance (the implementation sorts rounded quaternions), and
+  the split oracle tests every concatenation of those words letter by
+  letter (the implementation compares one prefix's last and one suffix's
+  first letter in a held boolean mask);
 * the pentagon and hexagon oracles scatter the tables into dense k^6 and
   k^3 tensors and contract them with ``np.einsum`` over the full label
   product, and the unitarity oracle multiplies every ``FSymbolTable.block``
@@ -189,6 +192,25 @@ def distinct_words_oracle(max_len: int) -> list[tuple[int, ...]]:
                 firsts.append(letters)
                 mats = np.concatenate([mats, mat[None]])
     return firsts
+
+
+def compile_splits_oracle(max_len: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (prefix, suffix) split the compile search must score at ``max_len``.
+
+    Over the words of ``distinct_words_oracle(half)``, ``half = ceil(max_len
+    / 2)``: every word with the empty suffix, plus every ``half``-letter word
+    followed by every non-empty word of at most ``max_len - half`` letters
+    whose concatenation is a reduced word (no letter next to its inverse).
+    """
+    half = (max_len + 1) // 2
+    words = distinct_words_oracle(half)
+    splits = {(prefix, ()) for prefix in words}
+    for prefix in (w for w in words if len(w) == half):
+        for suffix in (w for w in words if 0 < len(w) <= max_len - half):
+            joined = prefix + suffix
+            if all(x != -y for x, y in zip(joined, joined[1:])):
+                splits.add((prefix, suffix))
+    return splits
 
 
 def segment_graph_loops(word: BraidWord, choices: tuple[str, ...]) -> int:

@@ -380,7 +380,7 @@ class TestCompileGate:
         # the rescoring continues from these, so each must be evaluate()'s
         # matrix of its word bit for bit
         rep = fib_qubit_rep()
-        letters, lengths, _, mats = _distinct_words(7)
+        letters, lengths, _, mats, *_ = _distinct_words(7)
         assert mats.shape == (690, 2, 2)
         for row, n, mat in zip(letters, lengths, mats):
             word = BraidWord(3, tuple(int(g) for g in row[:n]))
@@ -423,6 +423,32 @@ class TestCompileGate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("max_len", range(15))
+    def test_join_plan_admits_exactly_the_canonical_splits(self, max_len):
+        from oracles import compile_splits_oracle
+
+        half = (max_len + 1) // 2
+        letters, lengths, _, _, full, joins, _ = _distinct_words(half)
+        words = [tuple(int(g) for g in row[:n]) for row, n in zip(letters, lengths)]
+        fits = int(np.count_nonzero(lengths[1:] <= max_len - half))
+        rows, cols = np.nonzero(joins[:, :fits])
+        admitted = {(w, ()) for w in words}
+        admitted |= {(words[full[r]], words[1 + c]) for r, c in zip(rows, cols)}
+        assert admitted == compile_splits_oracle(max_len)
+
+    @pytest.mark.parametrize("max_len", [0, 5, 6, 14])
+    def test_a_warm_compile_builds_nothing(self, max_len, monkeypatch):
+        import anyons.braids as braids
+
+        def refuse():
+            raise AssertionError("the generator stack was rebuilt")
+
+        compile_gate(_NAMED_GATES["H"], max_len)
+        misses = _distinct_words.cache_info().misses
+        monkeypatch.setattr(braids, "_fib_generators", refuse)
+        compile_gate(_NAMED_GATES["T"], max_len)
+        assert _distinct_words.cache_info().misses == misses
 
     def test_each_codebook_is_built_once_per_process(self):
         _distinct_words.cache_clear()

@@ -967,6 +967,23 @@ class TestProcessLevel:
         assert "error" in proc.stderr
 
 
+class TestRefusedNumbers:
+    def test_boolean_gate_entry_is_an_input_error(self, capsys):
+        # JSON true is not the number 1: this would be the identity
+        assert main(["compile", "--target", "[[[true,0],[0,0]],[[0,0],[true,0]]]",
+                     "--max-len", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: target must be one of ")
+        assert main(["compile", "--target", "[[[1,0],[0,0]],[[0,0],[1,0]]]",
+                     "--max-len", "3"]) == 0
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    def test_bosonic_composite_fermions_check_p(self, p, capsys):
+        assert main(["cf-statistics", "--j", "0", "--p", p]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: need j >= 0 and p >= 1\n"
+
+
 class TestModelFileInput:
     def test_model_from_json_file(self, tmp_path):
         from anyons.fusion import zd_model
@@ -989,6 +1006,20 @@ class TestModelFileInput:
         assert res.status == 0 and res.payload["dim"] == 1
         res = run(["fusion-trees", "--model", f"@{path}", "--inputs", "0", "--total", "1"])
         assert res.status == 1 and res.error == "label '1' not in model [0, '0']"
+
+    @pytest.mark.parametrize("argv", [["qdims"], ["fusion-dim", "--inputs", "1,1", "--total", "0"]],
+                             ids=" ".join)
+    def test_boolean_multiplicity_is_an_input_error(self, argv, tmp_path, capsys):
+        # JSON true is not the multiplicity 1
+        doc = json.loads(fusion.fibonacci_model().to_json())
+        for row in doc["fusion"]:
+            row[3] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], "--model", f"@{path}", *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: multiplicity at ")
+        assert err.endswith(" is not a non-negative integer\n")
 
     def test_multiplicity_past_int64_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(fusion.fibonacci_model().to_json())

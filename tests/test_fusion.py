@@ -278,6 +278,12 @@ class TestCompositeFermion:
         with pytest.raises(InputError):
             composite_fermion_statistics(1, 0)
 
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_bosonic_limit_checks_p(self, p):
+        # j = 0 is the bosonic limit only for a filling p >= 1
+        with pytest.raises(InputError, match="need j >= 0 and p >= 1"):
+            composite_fermion_statistics(0, p)
+
 
 class TestModels:
     def test_shared_model_maps_are_read_only(self):
