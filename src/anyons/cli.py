@@ -145,15 +145,21 @@ def _builtin_fr_data(name: str):
     ``name``: Fibonacci's own data, any other model's trivial data.
 
     Holds at most 8 entries: read-only tables whose ``entries`` view the
-    CLI never reads, and the plans the F table builds when first checked
-    (see :mod:`anyons.fsymbols`).  With every plan its checks build, an
-    entry holds about 6 KB (fibonacci), 107 KB (z_d:6), 1.4 MB (z_d:12) and
-    15 MB (z_d:22, 13 MB of it the pentagon plan).  The largest is
-    z_d:64's, about 40 MB: 17 MB of tables (64^3 admissible rows and their
-    values), a 2 MB model, and 21 MB of hexagon and unitarity plans (its
-    pentagon is refused and holds none).  At worst, z_d:57 to z_d:64 each
-    checked by ``pentagon`` and ``hexagon``, the cache holds about 275 MB,
-    142 MB of it plans.
+    CLI never reads.  Their rows and the plans their checks build are held
+    by the model's F/R structure (``fsymbols._structure``, at most 8
+    models), which every table of an equal model shares, a table read by
+    ``--f-json`` or ``--r-json`` included (see :mod:`anyons.fsymbols`).
+    With every plan its checks build, an entry and its structure hold about
+    13 KB (fibonacci), 110 KB (z_d:6), 1.4 MB (z_d:12) and 15 MB (z_d:22,
+    13 MB of it the pentagon plan).  The largest is z_d:64's, about 40 MB:
+    17 MB of tables (64^3 admissible rows and their values), a 2 MB model,
+    and 21 MB of hexagon and unitarity plans (its pentagon is refused and
+    holds none).  At worst, z_d:57 to z_d:64 each checked by ``pentagon``
+    and ``hexagon``, this cache holds about 275 MB, 142 MB of it plans.
+    The structure cache may meanwhile hold 8 other models' structures, up to
+    36 MB of rows and plans each at 64^3 rows, and a structure that read a
+    JSON table also holds its map of row keys (41 MB at z_d:64, 1.6 MB at
+    z_d:22, 3 KB for fibonacci).
     """
     if name == "fibonacci":
         return fsymbols.fibonacci_data()

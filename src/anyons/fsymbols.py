@@ -36,20 +36,27 @@ non-self-dual models (abelian Z_d with d > 2); for self-dual models such as
 the Fibonacci theory the oriented and unordered readings have identical
 admissible sets and values.
 
-Every join depends on a table's rows only, never on its values, so each
-check is split into a plan (the table's structure) and a value pass.  A
-plan holds, as read-only intp arrays, the joined row indices of every term
-of both sides and each term's position among the label assignments it
-contributes to: for the pentagon and the unitarity check a bucket among the
-distinct keys of both sides (and their count), for the hexagon a row of
-the table and the R symbols' positions among the allowed vertices.  The F
-table builds each plan when first checked and holds it
-(:attr:`FSymbolTable.pentagon_plan`, ``hexagon_plan``, ``unitarity_plan``);
-a join refused by the cap leaves no plan behind.  The value pass gathers
-the values at those indices, multiplies them, sums the terms of equal
-position with ``np.add.at`` in row order and takes the worst deviation, so
-a table checked again, such as a cached built-in, pays only that pass.  A
-derived table (:func:`gauge_transform`, ``from_json``) builds its own.
+Which entries may be non-zero depends on the fusion rules only: a gauge
+change moves the values and never that set.  So every join depends on the
+model, never on a table's values, and each check is split into a plan and a
+value pass.  The F/R *structure* of a model holds what its tables share:
+the admissible rows, the first non-square block, the allowed vertices, each
+row's position by index tuple (for reading JSON tables) and the three
+plans, each built when first needed.  :func:`_structure` keeps one per
+distinct model (models are compared by :meth:`AnyonModel.__eq__`), and every
+table of the model holds a reference to it: the built-in data, a
+:func:`gauge_transform` result, a table read by ``from_json`` or built
+from a dict.  A structure holds label indices only, never labels, so each
+table keeps its own ``model``, and its ``entries`` and messages use that
+model's labels.  A plan holds, as read-only intp arrays, the joined row
+indices of every term of both sides and each term's position among the
+label assignments it contributes to: for the pentagon and the unitarity
+check a bucket among the distinct keys of both sides (and their count),
+for the hexagon a row of the table and the R symbols' positions among the
+allowed vertices.  A join refused by the cap leaves no plan behind.  The
+value pass gathers the values at those indices, multiplies them, sums the
+terms of equal position with ``np.add.at`` in row order and takes the worst
+deviation, so every check of a model after its first pays only that pass.
 """
 
 from __future__ import annotations
@@ -97,45 +104,110 @@ def _allowed(model: AnyonModel, x, y, z) -> bool:
         return False
 
 
-def f_admissible(model: AnyonModel, a, b, c, d, i, j) -> bool:
-    """True when all four vertex triples of ``F(abcd)^i_j`` are allowed:
-    ``(a, b -> i)``, ``(i, c -> d)``, ``(b, c -> j)``, ``(a, j -> d)``."""
-    index, N = model.index, model.N
-    try:
-        a, b, c, d, i, j = index[a], index[b], index[c], index[d], index[i], index[j]
-    except KeyError:
-        return False
-    return bool(N[a, b, i] and N[i, c, d] and N[b, c, j] and N[a, j, d])
+class _Structure:
+    """The F/R structure of one fusion model, read from its ``N`` alone;
+    each part is read-only and built when first read.
+
+    ``f_rows`` are the admissible ``(a, b, c, d, i, j)`` and ``r_rows`` the
+    allowed vertices ``(x, y, z)``, as sorted rows of label indices;
+    ``f_keys`` and ``r_keys`` map each row's index tuple to its position.
+    Building ``f_rows`` also sets ``non_square``: the first non-square
+    block as ``(a, b, c, d, rows, columns)``, label indices and sizes, or
+    ``()``.  ``pentagon_plan``, ``hexagon_plan`` and ``unitarity_plan``
+    are the checks' joins of ``f_rows``.  No labels are held: models that
+    compare equal, such as one labelled ``0.0, 1.0`` and
+    :func:`~anyons.fusion.fibonacci_model`, share one structure.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an F/R structure is read-only")
+
+    def __init__(self, N: np.ndarray):
+        vars(self)["N"] = N
+
+    @cached_property
+    def f_rows(self) -> np.ndarray:
+        rows, vars(self)["non_square"] = _admissible_tuples(self.N)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def r_rows(self) -> np.ndarray:
+        rows = _vertices(self.N)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def f_keys(self) -> MappingProxyType:
+        return _positions(self.f_rows)
+
+    @cached_property
+    def r_keys(self) -> MappingProxyType:
+        return _positions(self.r_rows)
+
+    @cached_property
+    def pentagon_plan(self) -> tuple:
+        """:func:`_pentagon_plan` of ``f_rows``."""
+        return _frozen(_pentagon_plan(len(self.N), self.f_rows))
+
+    @cached_property
+    def hexagon_plan(self) -> tuple:
+        """:func:`_hexagon_plan` of ``f_rows`` and ``r_rows``."""
+        return _frozen(_hexagon_plan(len(self.N), self.f_rows, self.r_rows))
+
+    @cached_property
+    def unitarity_plan(self) -> tuple:
+        """:func:`_unitarity_plan` of ``f_rows``."""
+        return _frozen(_unitarity_plan(len(self.N), self.f_rows))
+
+
+@lru_cache(maxsize=8)
+def _structure(model: AnyonModel) -> _Structure:
+    """The F/R structure of ``model``: one instance per distinct model, so
+    every table of equal models shares its rows and plans.  Holds at most 8
+    (their sizes are in ``cli._builtin_fr_data``)."""
+    return _Structure(model.N)
+
+
+def _positions(rows: np.ndarray) -> MappingProxyType:
+    """Each row's position, keyed by its tuple of label indices (read-only)."""
+    return MappingProxyType({key: at for at, key in enumerate(map(tuple, rows.tolist()))})
 
 
 class _Table:
-    """What F and R tables share: the read-only ``model``, ``rows`` (the
-    admissible tuples as sorted rows of label indices) and ``values`` (the
-    entries at those rows).  Two tables are equal when their models and
-    values are; ``repr`` shows the model and entries."""
+    """What F and R tables share: the read-only ``model``, its
+    ``structure`` (:func:`_structure`, shared by every table of an equal
+    model), ``rows`` (the structure's rows for this kind of table) and
+    ``values`` (the entries at those rows).  Two tables are equal when their
+    models and values are; ``repr`` shows the model and entries."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def _hold(self, model: AnyonModel, rows: np.ndarray, values: np.ndarray, **extra):
-        """Hold the model, ``rows`` and ``values`` (made read-only) and
-        ``extra``, and return the table: every way to build one ends here."""
-        rows.flags.writeable = values.flags.writeable = False
-        vars(self).update(model=model, rows=rows, values=values, **extra)
+    def __init__(self, model: AnyonModel, entries: dict):
+        """Hold ``entries``, a dict keyed by label tuples, at the structure's
+        rows; other keys are ignored, and the first missing one raises
+        CompletenessError."""
+        structure = _structure(model)
+        try:
+            values = np.array([entries[key] for key in _label_rows(model, self._rows_of(structure))],
+                              dtype=complex)
+        except KeyError as exc:
+            raise CompletenessError(f"{self._missing} {exc.args[0]}") from None
+        self._hold(model, structure, values)
+
+    def _hold(self, model: AnyonModel, structure: _Structure, values: np.ndarray):
+        """Hold the model, its structure, the structure's rows and ``values``
+        (made read-only), and return the table: every way to build one ends
+        here."""
+        values.flags.writeable = False
+        vars(self).update(model=model, structure=structure, rows=self._rows_of(structure),
+                          values=values)
         return self
 
     @classmethod
-    def _of(cls, model: AnyonModel, rows: np.ndarray, values: np.ndarray, **extra):
-        return object.__new__(cls)._hold(model, rows, values, **extra)
-
-    def _read(self, model: AnyonModel, rows: np.ndarray, entries: dict, missing: str, **extra):
-        """Hold ``entries``, a dict keyed by label tuples, at ``rows``; other
-        keys are ignored, and the first missing one raises CompletenessError."""
-        try:
-            values = np.array([entries[key] for key in _label_rows(model, rows)], dtype=complex)
-        except KeyError as exc:
-            raise CompletenessError(f"{missing} {exc.args[0]}") from None
-        self._hold(model, rows, values, **extra)
+    def _of(cls, model: AnyonModel, structure: _Structure, values: np.ndarray):
+        return object.__new__(cls)._hold(model, structure, values)
 
     @cached_property
     def entries(self) -> MappingProxyType:
@@ -163,39 +235,35 @@ class _Table:
         """Parse a :meth:`to_json` document; every entry must sit at an
         admissible key of the model (for R, an allowed fusion triple) and
         hold a finite ``[re, im]`` pair."""
-        return cls(*_table_from_json(text, cls._what))
+        return cls._of(*_table_from_json(text, cls))
 
 
 class FSymbolTable(_Table):
     """Complete map of admissible ``(a, b, c, d, i, j)`` tuples to values.
 
     A missing admissible entry raises CompletenessError, naming the first in
-    label order.  ``non_square`` names the first non-square block, or is ``""``.
+    label order.
     """
 
-    _what = "F"
+    _what, _arity, _missing = "F", 6, "F table missing admissible entry"
 
-    def __init__(self, model: AnyonModel, entries: dict):
-        rows, non_square = _admissible_tuples(model)
-        self._read(model, rows, entries, "F table missing admissible entry", non_square=non_square)
+    @staticmethod
+    def _rows_of(structure: _Structure) -> np.ndarray:
+        return structure.f_rows
 
-    @cached_property
-    def pentagon_plan(self) -> tuple:
-        """The pentagon's joins of ``rows`` (:func:`_pentagon_plan`),
-        read-only, built when first read."""
-        return _frozen(_pentagon_plan(len(self.model.labels), self.rows))
+    @staticmethod
+    def _keys_of(structure: _Structure) -> MappingProxyType:
+        return structure.f_keys
 
-    @cached_property
-    def hexagon_plan(self) -> tuple:
-        """The hexagon's joins of ``rows`` and positions in the R rows
-        (:func:`_hexagon_plan`), read-only, built when first read."""
-        return _frozen(_hexagon_plan(self.model, self.rows))
-
-    @cached_property
-    def unitarity_plan(self) -> tuple:
-        """The unitarity check's joins of ``rows`` (:func:`_unitarity_plan`),
-        read-only, built when first read."""
-        return _frozen(_unitarity_plan(len(self.model.labels), self.rows))
+    @property
+    def non_square(self) -> str:
+        """A message naming the first non-square block in this table's
+        labels, or ``""``."""
+        if not self.structure.non_square:
+            return ""
+        *abcd, rows, cols = self.structure.non_square
+        return (f"F block {tuple(self.model.labels[x] for x in abcd)} is not square "
+                f"({rows} x {cols})")
 
     def block(self, a, b, c, d) -> tuple[list[Label], list[Label], np.ndarray]:
         """The matrix ``F(abcd)^i_j`` with its admissible row/column labels;
@@ -214,23 +282,42 @@ class FSymbolTable(_Table):
 
 
 class RSymbolTable(_Table):
-    """Complete map of allowed exchange triples ``(a, b, c)`` to unit-modulus
-    phases; ``rows`` holds the allowed vertices."""
+    """Complete map of allowed exchange triples ``(a, b, c)`` to complex
+    values; ``rows`` holds the allowed vertices.
 
-    _what = "R"
+    Nothing checks that a value is a unit-modulus phase: ``from_json``
+    refuses a value that is not a finite ``[re, im]`` pair, and a wrong
+    phase shows in :func:`hexagon_residual`.
+    """
 
-    def __init__(self, model: AnyonModel, entries: dict):
-        self._read(model, _vertices(model), entries, "R table missing allowed entry")
+    _what, _arity, _missing = "R", 3, "R table missing allowed entry"
+
+    @staticmethod
+    def _rows_of(structure: _Structure) -> np.ndarray:
+        return structure.r_rows
+
+    @staticmethod
+    def _keys_of(structure: _Structure) -> MappingProxyType:
+        return structure.r_keys
 
 
-def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
+def _table_from_json(text: str, table: type) -> tuple[AnyonModel, _Structure, np.ndarray]:
+    """The model, structure and values of a ``table.to_json`` document.
+
+    Each key is refused, in document order, if its labels are not the
+    model's (a JSON number equal to a label names it, so ``1.0`` names label
+    1; a boolean names none), if it is not one of the structure's rows, or
+    if it repeats; then its value if it is not a finite ``[re, im]`` pair.
+    The first row no key names raises CompletenessError.
+    """
+    what, arity = table._what, table._arity
     doc = json.loads(text)
     if not (isinstance(doc, dict) and "model" in doc and isinstance(doc.get("entries"), list)):
         raise InputError(f"{what} table JSON needs a 'model' and an 'entries' list")
     model = AnyonModel.from_doc(doc["model"])
-    arity = 6 if what == "F" else 3
-    canonical = {label: label for label in model.labels}  # 1.0 names label 1
-    entries = {}
+    structure = _structure(model)
+    keys, labels, index = table._keys_of(structure), model.labels, model.index.__getitem__
+    found = [None] * len(keys)
     for row in doc["entries"]:
         if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)):
             raise InputError(f"{what} entry {row!r} is not a [key, [re, im]] pair")
@@ -238,20 +325,30 @@ def _table_from_json(text: str, what: str) -> tuple[AnyonModel, dict]:
         if len(raw) != arity:
             raise InputError(f"{what} key {raw!r} does not have {arity} labels")
         try:
-            key = tuple(canonical[x] for x in raw)
+            at = tuple(map(index, raw))
         except (KeyError, TypeError):
-            raise InputError(
-                f"{what} key {raw!r} has a label outside {list(model.labels)}"
-            ) from None
-        if not (f_admissible(model, *key) if what == "F" else _allowed(model, *key)):
-            raise InputError(f"{what} entry at {key}, which the fusion rules do not allow")
-        if key in entries:
-            raise InputError(f"{what} table lists {key} twice")
-        entries[key] = _finite_complex(value, f"{what} entry {key}")
-    return model, entries
+            at = None
+        if at is None or bool in map(type, raw):  # True == 1, but true is no label
+            raise InputError(f"{what} key {raw!r} has a label outside {list(labels)}")
+        position = keys.get(at)
+        z = None if position is None or found[position] is not None else _finite_complex(value)
+        if z is None:
+            key = tuple(labels[x] for x in at)
+            if position is None:
+                raise InputError(f"{what} entry at {key}, which the fusion rules do not allow")
+            if found[position] is not None:
+                raise InputError(f"{what} table lists {key} twice")
+            raise InputError(f"{what} entry {key}: value {value!r} is not a finite [re, im] pair")
+        found[position] = z
+    if None in found:
+        rows = table._rows_of(structure)
+        key = tuple(labels[x] for x in rows[found.index(None)].tolist())
+        raise CompletenessError(f"{table._missing} {key}")
+    return model, structure, np.array(found, dtype=complex)
 
 
-def _finite_complex(value, where: str) -> complex:
+def _finite_complex(value) -> complex | None:
+    """``[re, im]`` of two JSON numbers as a finite complex, else None."""
     try:
         re, im = value
         if type(re) in (int, float) and type(im) in (int, float):
@@ -260,7 +357,7 @@ def _finite_complex(value, where: str) -> complex:
                 return z
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InputError(f"{where}: value {value!r} is not a finite [re, im] pair")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +410,16 @@ def _join(left: np.ndarray, right: np.ndarray, what: str) -> tuple[np.ndarray, n
     return p, q
 
 
-def _vertices(model: AnyonModel) -> np.ndarray:
-    """The allowed fusion vertices ``(x, y -> z)`` as sorted rows of label indices."""
-    return np.argwhere(model.N)
+def _vertices(N: np.ndarray) -> np.ndarray:
+    """The allowed fusion vertices ``(x, y -> z)`` of the fusion rules ``N``
+    as sorted rows of label indices."""
+    return np.argwhere(N)
 
 
-def _admissible_tuples(model: AnyonModel) -> tuple[np.ndarray, str]:
-    """The admissible ``(a, b, c, d, i, j)`` as sorted rows of label indices,
-    and a message naming the first non-square block (empty if there is none).
+def _admissible_tuples(N: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The admissible ``(a, b, c, d, i, j)`` of the fusion rules ``N`` as
+    sorted rows of label indices, and the first non-square block as
+    ``(a, b, c, d, rows, columns)`` (empty if there is none).
 
     One join of the allowed vertices gives every chain ``(x, y -> z),
     (z, y' -> z')``.  Fusion is commutative, so each chain reads both as a
@@ -329,13 +428,13 @@ def _admissible_tuples(model: AnyonModel) -> tuple[np.ndarray, str]:
     readings on ``(a, b, c, d)``.  A block's rows are its left trees and its
     columns its right trees.
     """
-    k = len(model.labels)
-    x, y, z = _vertices(model).T
+    k = len(N)
+    x, y, z = _vertices(N).T
     p, q = _join(*_shared_codes(k, [z], [x]), "the F enumeration")
     x, y, z, y2, z2 = x[p], y[p], z[p], y[q], z[q]
     readings = ([x, y, y2, z2], [y2, x, y, z2])  # (a, b, c, d) of each reading
     lc, rc = _shared_codes(k, *readings)
-    non_square = ""
+    non_square = ()
     if not np.array_equal(np.sort(lc), np.sort(rc)):  # a block code per row / column
         blocks, at = np.unique(np.concatenate([lc, rc]), return_inverse=True)
         rows = np.bincount(at[: len(lc)], minlength=len(blocks))
@@ -343,8 +442,8 @@ def _admissible_tuples(model: AnyonModel) -> tuple[np.ndarray, str]:
         bad = np.flatnonzero(rows != cols)[0]
         first = int(np.argmax(at == bad))
         reading = readings[first // len(lc)]
-        abcd = tuple(model.labels[int(col[first % len(lc)])] for col in reading)
-        non_square = f"F block {abcd} is not square ({rows[bad]} x {cols[bad]})"
+        abcd = (int(col[first % len(lc)]) for col in reading)
+        non_square = (*abcd, int(rows[bad]), int(cols[bad]))
     p, q = _join(lc, rc, "the F enumeration")
     tuples = np.array([x[p], y[p], y2[p], z2[p], z[p], z[q]])
     return tuples.T[np.lexsort(tuples[::-1])], non_square
@@ -376,14 +475,15 @@ def fibonacci_data() -> tuple[AnyonModel, FSymbolTable, RSymbolTable]:
     and ``R(1,1->1) = -exp(2 pi i / 5)`` with trivial vacuum entries.
     """
     model = fibonacci_model()
-    rows, non_square = _admissible_tuples(model)
+    structure = _structure(model)
+    rows = structure.f_rows
     values = np.ones(len(rows), dtype=complex)
     tau = np.all(rows[:, :4] == 1, axis=1)  # the F(1111) block; label = index
     values[tau] = FIB_F1111[rows[tau, 4], rows[tau, 5]]
     # the allowed vertices, in row order: 000, 011, 101, 110, 111
     r_values = np.array([1, 1, 1, *FIB_R11], dtype=complex)
-    return (model, FSymbolTable._of(model, rows, values, non_square=non_square),
-            RSymbolTable._of(model, _vertices(model), r_values))
+    return (model, FSymbolTable._of(model, structure, values),
+            RSymbolTable._of(model, structure, r_values))
 
 
 def trivial_data(model: AnyonModel) -> tuple[FSymbolTable, RSymbolTable]:
@@ -392,11 +492,10 @@ def trivial_data(model: AnyonModel) -> tuple[FSymbolTable, RSymbolTable]:
     A consistent (pentagon- and hexagon-exact) solution for any abelian
     group model where all fusion multiplicities are one.
     """
-    rows, non_square = _admissible_tuples(model)
-    vertices = _vertices(model)
+    structure = _structure(model)
     return (
-        FSymbolTable._of(model, rows, np.ones(len(rows), dtype=complex), non_square=non_square),
-        RSymbolTable._of(model, vertices, np.ones(len(vertices), dtype=complex)),
+        FSymbolTable._of(model, structure, np.ones(len(structure.f_rows), dtype=complex)),
+        RSymbolTable._of(model, structure, np.ones(len(structure.r_rows), dtype=complex)),
     )
 
 
@@ -431,8 +530,7 @@ def gauge_transform(
     # Python complex arithmetic, in the order written: numpy's rounds differently
     values = [val * abi * icd / (bcj * ajd)
               for val, abi, icd, bcj, ajd in zip(*(col.tolist() for col in columns))]
-    return FSymbolTable._of(model, f.rows, np.array(values, dtype=complex),
-                            non_square=f.non_square)
+    return FSymbolTable._of(model, f.structure, np.array(values, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +561,15 @@ def _pentagon_plan(k: int, rows: np.ndarray) -> tuple:
     return (lp, lq, p, q, s, *_buckets(k, lhs_key, rhs_key))
 
 
-def _hexagon_plan(model: AnyonModel, rows: np.ndarray) -> tuple:
+def _hexagon_plan(k: int, rows: np.ndarray, vertices: np.ndarray) -> tuple:
     """The hexagon's joins of ``rows``: ``(p, q, mkr, mlq, mpj, right_at)``,
     the F rows of each right-side term ``v[p] rv[mpj] v[q]``, the R rows of
     each left-side term ``rv[mkr] v rv[mlq]``, and the F row each
     right-side term is summed into.
 
-    R positions index the allowed vertices ``_vertices(model)``, which are
-    the rows of every :class:`RSymbolTable` of ``model``.
+    R positions index the allowed ``vertices``, which are the rows of every
+    :class:`RSymbolTable` of the model.
     """
-    k = len(model.labels)
     A, B, C, D, I, J = rows.T
     # right side: row p is (l,k,m,j,p,r), row q is (m,l,k,j,q,p); shared l, k, m, j, p
     p, q = _join(*_shared_codes(k, [A, B, C, D, I], [B, C, A, D, J]), "the hexagon")
@@ -481,7 +578,7 @@ def _hexagon_plan(model: AnyonModel, rows: np.ndarray) -> tuple:
     # right-side term's (l,m,k,j,q,r) is an admissible row: the left side's
     # rows carry the union of both supports.
     known, asked = _shared_codes(
-        k, list(_vertices(model).T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
+        k, list(vertices.T), [np.concatenate(c) for c in ((B, B, C), (C, A, I), (J, I, D))]
     )
     mkr, mlq, mpj = known.searchsorted(asked).reshape(3, len(rows))
     known, asked = _shared_codes(k, [A, B, C, D, I, J], [A[p], C[p], B[p], D[p], I[q], J[p]])
@@ -542,7 +639,7 @@ def pentagon_residual(model: AnyonModel, f: FSymbolTable) -> float:
     """
     if f.model != model:
         raise InputError("F table belongs to a different model")
-    lp, lq, p, q, s, left_at, right_at, size = f.pentagon_plan
+    lp, lq, p, q, s, left_at, right_at, size = f.structure.pentagon_plan
     v = f.values
     left = np.zeros(size, dtype=complex)
     left[left_at] = v[lp] * v[lq]
@@ -559,7 +656,7 @@ def hexagon_residual(model: AnyonModel, f: FSymbolTable, r: RSymbolTable) -> flo
     """
     if f.model != model or r.model != model:
         raise InputError("symbol tables belong to a different model")
-    p, q, mkr, mlq, mpj, right_at = f.hexagon_plan
+    p, q, mkr, mlq, mpj, right_at = f.structure.hexagon_plan
     v, rv = f.values, r.values
     return _deviation(rv[mkr] * v * rv[mlq], right_at, v[p] * rv[mpj] * v[q])
 
@@ -570,7 +667,7 @@ def f_unitarity_residual(model: AnyonModel, f: FSymbolTable) -> float:
         raise InputError("F table belongs to a different model")
     if f.non_square:
         raise InvariantViolation(f.non_square)
-    p, q, diagonal_at, gram_at, size = f.unitarity_plan
+    p, q, diagonal_at, gram_at, size = f.structure.unitarity_plan
     v = f.values
     left = np.zeros(size, dtype=complex)
     left[diagonal_at] = 1

@@ -91,7 +91,7 @@ class AnyonModel:
         ``N[index[a], index[b], index[c]] = N^c_ab``.
 
     Two models are equal when their labels, vacuum, dual and ``N`` are; the
-    name is not compared.
+    name is not compared.  The hash reads the labels and vacuum only.
     """
 
     labels: tuple[Label, ...]
@@ -144,6 +144,11 @@ class AnyonModel:
         # equal labels give equal shapes, so byte equality of N is exact
         return (self.labels == other.labels and self.vacuum == other.vacuum
                 and self.dual == other.dual and self.N.tobytes() == other.N.tobytes())
+
+    def __hash__(self) -> int:
+        # equal models have equal labels and vacuum; N is left out, as hashing
+        # it would cost a pass over k^3 entries per lookup
+        return hash((self.labels, self.vacuum))
 
     def _check_invariants(self):
         # byte equality of int64 arrays is exact and, at a few labels, cheaper

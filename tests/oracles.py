@@ -32,6 +32,9 @@ Everything here deliberately avoids the code paths it checks:
   k^3 tensors and contract them with ``np.einsum`` over the full label
   product, and the unitarity oracle multiplies every ``FSymbolTable.block``
   (the implementation joins index arrays of admissible tuples only);
+* the admissibility oracle reads one F key's four vertices from ``N``
+  (the implementation enumerates every admissible row by one join of the
+  allowed vertices);
 * the interferometer oracle projects a dense 2^n qubit state vector onto
   the code space and applies the protocol's operators to it one by one,
   and the pair-loop oracle expands the circuit into explicit Pauli strings
@@ -373,6 +376,19 @@ def correct_oracle(lat, syn: Syndrome) -> PauliString:
                 if defects[v] == 0:
                     del defects[v]
     return total
+
+
+def f_admissible(model, a, b, c, d, i, j) -> bool:
+    """True when all four vertex triples of ``F(abcd)^i_j`` are allowed:
+    ``(a, b -> i)``, ``(i, c -> d)``, ``(b, c -> j)``, ``(a, j -> d)``; a
+    tuple with an unknown label is not admissible.  Read one key at a time
+    from ``model.N``, the oracle for the enumerated rows."""
+    index, N = model.index, model.N
+    try:
+        a, b, c, d, i, j = index[a], index[b], index[c], index[d], index[i], index[j]
+    except KeyError:
+        return False
+    return bool(N[a, b, i] and N[i, c, d] and N[b, c, j] and N[a, j, d])
 
 
 def _dense(model, entries, rank: int) -> np.ndarray:

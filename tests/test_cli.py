@@ -523,6 +523,31 @@ class TestConsistencyCommandFuzz:
         assert out == "" and "(0, 0, 0, 1, 0, 0)" in err
 
 
+    @pytest.mark.parametrize("command, kind", [("pentagon", "F"), ("hexagon", "R")])
+    def test_a_boolean_key_label_is_an_input_error(self, tmp_path, capsys, command, kind):
+        # true == 1 in Python, but a JSON boolean names no label; 1.0 does
+        from anyons.fsymbols import fibonacci_data
+
+        _, f, r = fibonacci_data()
+        paths = {"F": tmp_path / "f.json", "R": tmp_path / "r.json"}
+        paths["F"].write_text(f.to_json())
+        paths["R"].write_text(r.to_json())
+        argv = {"pentagon": ["pentagon", "--f-json", str(paths["F"])],
+                "hexagon": ["hexagon", "--f-json", str(paths["F"]), "--r-json", str(paths["R"])]}
+        doc = json.loads(paths[kind].read_text())
+        for spelling in (1.0, True):
+            for entry in doc["entries"]:
+                entry[0] = [spelling if x == 1 else x for x in entry[0]]
+            paths[kind].write_text(json.dumps(doc))
+            status = main(argv[command])
+            out, err = capsys.readouterr()
+            if spelling is True:
+                assert status == 1 and out == ""
+                assert err.startswith(f"error: {kind} key ") and "has a label outside [0, 1]" in err
+            else:
+                assert status == 0 and json.loads(out)["residual"] < 1e-12
+
+
 def _value(valid, odd=()):
     """A flag value: three times in four from ``valid``, else an edge value or junk."""
     odd_values = st.sampled_from([*map(str, odd), "", "x", "1.5", "nan", "-1", "1e400"])
@@ -908,7 +933,8 @@ class TestBuiltInsAreShared:
         assert len(caches) == decorated  # every decorated function was found
         names = {f"{cache.__module__}.{cache.__qualname__}" for cache in caches}
         assert {"anyons.braids._distinct_words", "anyons.braids.fib_qubit_rep",
-                "anyons.fusion.zd_model", "anyons.cli._builtin_fr_data"} <= names
+                "anyons.fusion.zd_model", "anyons.cli._builtin_fr_data",
+                "anyons.fsymbols._structure"} <= names
         for cache in caches:
             maxsize = cache.cache_info().maxsize
             assert isinstance(maxsize, int) and 1 <= maxsize <= 8, cache

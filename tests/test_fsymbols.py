@@ -18,7 +18,6 @@ from anyons.fsymbols import (
     PENTAGON_TUPLE_CAP,
     FSymbolTable,
     RSymbolTable,
-    f_admissible,
     f_unitarity_residual,
     fibonacci_data,
     gauge_transform,
@@ -28,7 +27,7 @@ from anyons.fsymbols import (
     trivial_data,
 )
 from anyons.fusion import AnyonModel, fibonacci_model, named_model, toric_model, zd_model
-from oracles import f_unitarity_oracle, hexagon_oracle, pentagon_oracle
+from oracles import f_admissible, f_unitarity_oracle, hexagon_oracle, pentagon_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -99,9 +98,11 @@ def fib_data():
 
 
 def clear_table_caches():
-    """Forget the cached built-in tables, so that the next build enumerates."""
+    """Forget the cached built-in tables and F/R structures, so that the next
+    build enumerates."""
     fibonacci_data.cache_clear()
     cli._builtin_fr_data.cache_clear()
+    fsymbols._structure.cache_clear()
 
 
 @pytest.fixture
@@ -297,7 +298,7 @@ class TestTablesHoldTheirRows:
             "fibonacci_data": (fibonacci_data, 1),
             "fibonacci_data again": (fibonacci_data, 0),
             "trivial_data z_d:3": (lambda: trivial_data(zd_model(3)), 1),
-            "from_json": (lambda: FSymbolTable.from_json(text), 1),
+            "from_json": (lambda: FSymbolTable.from_json(text), 0),  # an equal model
             "pentagon --model z_d:4": (pentagon("z_d:4"), 1),
             "pentagon --model z_d:4 again": (pentagon("z_d:4"), 0),
             "pentagon --model z_d:04": (pentagon("z_d:04"), 0),  # the same model
@@ -426,6 +427,11 @@ class TestPinnedOutputs:
 
 PLANS = ("pentagon_plan", "hexagon_plan", "unitarity_plan")
 
+#: SHA-256 of the residuals' ``float.hex`` triples of eight random gauges of
+#: the Fibonacci data, then of z_d:3's trivial data, as per-table plans
+#: computed them.
+GAUGE_SWEEP_SHA256 = "2379f5144fc46e3734785af70d99174ab2a42e74b657d2973c4193ee1bc5fe84"
+
 
 def _plan_inputs():
     """``(name, factory)``: every pinned input, then z_d:2 to z_d:8 with
@@ -462,7 +468,11 @@ class TestPlans:
         assert joins == []  # the second check made no join
         monkeypatch.setattr(fsymbols, "_join", join)
         fresh = (FSymbolTable(model, dict(f.entries)), RSymbolTable(model, dict(r.entries)))
-        assert not any(plan in vars(fresh[0]) for plan in PLANS)
+        assert fresh[0].structure is f.structure and not any(plan in vars(fresh[0]) for plan in PLANS)
+        assert _residual_hex(model, *fresh) == first
+        fsymbols._structure.cache_clear()  # a new structure joins its rows again
+        fresh = (FSymbolTable(model, dict(f.entries)), RSymbolTable(model, dict(r.entries)))
+        assert not any(plan in vars(fresh[0].structure) for plan in PLANS)
         assert _residual_hex(model, *fresh) == first
         if name in RESIDUAL_PINS:
             assert first == RESIDUAL_PINS[name]
@@ -480,44 +490,85 @@ class TestPlans:
             f_unitarity_residual(model, f)
         assert joins == ["the pentagon"] * 3 + ["the hexagon", "the unitarity check"]
 
-    @pytest.mark.parametrize("derive", ["gauge_transform", "from_json"])
-    def test_a_derived_table_builds_its_own_plans(self, derive, fib_data):
+    @pytest.mark.usefixtures("uncached_tables")
+    def test_tables_of_equal_models_share_one_structure(self, monkeypatch):
+        # a gauge sweep of each model, and each gauged table read back from
+        # its JSON document (a new model, equal to the first): after the
+        # model's first check no table joins, and every residual has the
+        # bits the per-table plans gave
+        joins = []
+        join = fsymbols._join
+        got = []
+        for model, f, r in (fibonacci_data(), (zd_model(3), *trivial_data(zd_model(3)))):
+            _residual_hex(model, f, r)
+            monkeypatch.setattr(fsymbols, "_join", lambda *a: joins.append(a) or join(*a))
+            rng = np.random.default_rng(30)
+            vertices = [t for t in itertools.product(model.labels, repeat=3) if model.n(*t)]
+            for _ in range(8):
+                g = gauge_transform(f, {t: complex(np.exp(2j * np.pi * rng.random()))
+                                        for t in vertices})
+                read = FSymbolTable.from_json(g.to_json())
+                assert read.model is not model and read.model == model
+                assert g.structure is read.structure is f.structure
+                got.append(_residual_hex(model, g, r))
+                assert _residual_hex(read.model, read, r) == got[-1]
+            monkeypatch.setattr(fsymbols, "_join", join)
+        assert joins == []
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == GAUGE_SWEEP_SHA256
+
+    def test_an_equal_model_keeps_its_own_labels(self, fib_data):
         model, f, r = fib_data
-        want = _residual_hex(model, f, r)
-        g = (gauge_transform(f, {}) if derive == "gauge_transform"
-             else FSymbolTable.from_json(f.to_json()))
-        assert g is not f and not any(plan in vars(g) for plan in PLANS)
-        assert _residual_hex(model, g, r) == want
-        for plan in PLANS:
-            for held, parent in zip(getattr(g, plan), getattr(f, plan)):
-                if isinstance(held, np.ndarray):
-                    assert held is not parent and np.array_equal(held, parent)
-                else:
-                    assert held == parent
+        floats = AnyonModel((0.0, 1.0), 0.0, {0.0: 0.0, 1.0: 1.0},
+                            {tuple(map(float, key)): 1 for key in r.entries})
+        entries = {tuple(map(float, key)): value for key, value in f.entries.items()}
+        g = FSymbolTable(floats, entries)
+        h = FSymbolTable(model, dict(f.entries))
+        assert floats == model and g.structure is h.structure and g == h == f
+        assert all(type(x) is float for key in g.entries for x in key)
+        assert list(g.entries.values()) == list(f.entries.values())
+        assert FSymbolTable.from_json(g.to_json()).entries == g.entries
+        del entries[(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
+        with pytest.raises(CompletenessError, match=r"\(0\.0, 1\.0, 1\.0, 1\.0, 1\.0, 1\.0\)"):
+            FSymbolTable(floats, entries)
+        doc = json.loads(g.to_json())
+        doc["entries"].append([[0, 0, 0, 1, 0, 0], [1.0, 0.0]])
+        with pytest.raises(InputError, match=r"entry at \(0\.0, 0\.0, 0\.0, 1\.0, 0\.0, 0\.0\)"):
+            FSymbolTable.from_json(json.dumps(doc))
+        fusion = {(0, a, a): 1 for a in range(3)} | {(a, 0, a): 1 for a in range(3)}
+        fusion |= {(1, 1, 0): 1, (1, 1, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1, (2, 2, 0): 1}
+        odd = [AnyonModel(labels, labels[0], dict(zip(labels, labels)),
+                          {tuple(labels[x] for x in key): m for key, m in fusion.items()})
+               for labels in ((0, 1, 2), (0.0, 1.0, 2.0))]
+        tables = [trivial_data(m)[0] for m in odd]
+        assert tables[0].structure is tables[1].structure
+        assert [t.non_square for t in tables] == ["F block (1, 1, 2, 0) is not square (1 x 0)",
+                                                  "F block (1.0, 1.0, 2.0, 0.0) is not square (1 x 0)"]
 
     def test_plans_are_read_only(self, fib_data):
         model, f, r = fib_data
         _residual_hex(model, f, r)
         for plan in PLANS:
-            arrays = [part for part in getattr(f, plan) if isinstance(part, np.ndarray)]
+            arrays = [part for part in getattr(f.structure, plan) if isinstance(part, np.ndarray)]
             assert arrays and not any(part.flags.writeable for part in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 arrays[0][0] = 0
             with pytest.raises(AttributeError):
-                setattr(f, plan, ())
+                setattr(f.structure, plan, ())
 
     def test_a_refused_check_holds_no_plan(self):
         model = zd_model(23)  # 23^4 tuples per pentagon side, over the cap
         f, r = trivial_data(model)
         with pytest.raises(ResourceError, match="the pentagon needs"):
             pentagon_residual(model, f)
-        assert "pentagon_plan" not in vars(f)
+        assert "pentagon_plan" not in vars(f.structure)
         with pytest.raises(InputError, match="different model"):
             pentagon_residual(zd_model(22), f)
         with pytest.raises(InputError, match="different model"):
             hexagon_residual(zd_model(22), f, r)
         assert (hexagon_residual(model, f, r), f_unitarity_residual(model, f)) == (0.0, 0.0)
-        assert "pentagon_plan" not in vars(f)
+        assert "pentagon_plan" not in vars(f.structure)
+        with pytest.raises(ResourceError, match="the pentagon needs"):
+            pentagon_residual(model, trivial_data(model)[0])  # a second table of the model
 
 
 class TestGaugeCovariance:
@@ -685,7 +736,7 @@ class TestAgainstDenseOracles:
             f_unitarity_oracle(model, f)
         with pytest.raises(InvariantViolation, match=r"\(1, 1, 2, 0\) is not square \(1 x 0\)"):
             f_unitarity_residual(model, f)
-        assert "unitarity_plan" not in vars(f)  # refused before the plan is built
+        assert "unitarity_plan" not in vars(f.structure)  # refused before the plan is built
 
 
 class TestTupleCodes:
@@ -725,6 +776,7 @@ class TestTableValidation:
         ([[0, 0, 0, 0, 0, 0], [float("nan"), 0]], "finite"),
         ([[0, 0, 0, 0, 0, 0]], "pair"),
         ("junk", "pair"),
+        ([[0, 1, 1, 1, 1, True], [1.0, 0.0]], "label outside"),  # true is not label 1
     ])
     def test_bad_f_entry_refused(self, fib_doc, entry, match):
         if entry[0] != [0, 0, 0, 0, 0, 0] or match == "pair":
@@ -773,6 +825,7 @@ class TestTableValidation:
         ([[0, 0, 1], [1.0, 0.0]], "do not allow"),
         ([[1, 1], [1.0, 0.0]], "3 labels"),
         ([[1, 1, 0], "phase"], "finite"),
+        ([[1, True, 0], [1.0, 0.0]], "label outside"),
     ])
     def test_bad_r_entry_refused(self, fib_data, entry, match):
         doc = json.loads(fib_data[2].to_json())

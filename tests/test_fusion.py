@@ -329,6 +329,17 @@ class TestModels:
         assert not hasattr(listed, "fusion")
         assert AnyonModel.from_json(listed.to_json()) == FIB
 
+    def test_equal_models_hash_equal(self):
+        floats = AnyonModel((0.0, 1.0), 0.0, {0.0: 0.0, 1.0: 1.0},
+                            {tuple(map(float, key)): m for key, m in FIB_FUSION.items()})
+        equal = [FIB, AnyonModel.from_json(FIB.to_json()), floats,
+                 AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 0, 0): 0}, name="other")]
+        assert all(model == FIB for model in equal)
+        assert {hash(model) for model in equal} == {hash(FIB)}
+        assert len(set(equal)) == 1 and {FIB: 1}[floats] == 1
+        assert hash(AnyonModel.from_json(toric_model().to_json())) == hash(toric_model())
+        assert len({FIB, zd_model(2), zd_model(3)}) == 3
+
     def test_json_round_trip(self):
         for model in (FIB, zd_model(3), toric_model()):
             assert AnyonModel.from_json(model.to_json()) == model
