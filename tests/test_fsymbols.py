@@ -491,6 +491,32 @@ class TestPlans:
         assert joins == ["the pentagon"] * 3 + ["the hexagon", "the unitarity check"]
 
     @pytest.mark.usefixtures("uncached_tables")
+    @pytest.mark.parametrize("derive", ["gauge_transform", "from_json"])
+    def test_a_derived_table_builds_its_own_plans(self, derive, monkeypatch):
+        # checked before its parent, a derived table builds its model's
+        # plans itself: they equal a fresh structure's, its residuals have
+        # the parent's bits, and the parent's check then joins nothing
+        model, f, r = fibonacci_data()
+        g = (gauge_transform(f, {}) if derive == "gauge_transform"
+             else FSymbolTable.from_json(f.to_json()))
+        assert g is not f and g.structure is f.structure
+        assert not any(plan in vars(g.structure) for plan in PLANS)
+        want = _residual_hex(model, g, r)
+        assert all(plan in vars(g.structure) for plan in PLANS)
+        fresh = fsymbols._Structure(model.N)
+        for plan in PLANS:
+            for held, other in zip(getattr(g.structure, plan), getattr(fresh, plan)):
+                if isinstance(held, np.ndarray):
+                    assert held is not other and np.array_equal(held, other)
+                else:
+                    assert held == other
+        joins = []
+        join = fsymbols._join
+        monkeypatch.setattr(fsymbols, "_join", lambda *a: joins.append(a) or join(*a))
+        assert _residual_hex(model, f, r) == want
+        assert joins == []
+
+    @pytest.mark.usefixtures("uncached_tables")
     def test_tables_of_equal_models_share_one_structure(self, monkeypatch):
         # a gauge sweep of each model, and each gauged table read back from
         # its JSON document (a new model, equal to the first): after the
