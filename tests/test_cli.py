@@ -58,6 +58,16 @@ GOLDEN_CASES = {
     "fusion_dim_fibonacci.json": [
         "fusion-dim", "--model", "fibonacci", "--inputs", "1,1,1,1", "--total", "0",
     ],
+    # 89 trees of 14 labels, vacuum leaves mixed in
+    "fusion_trees_fibonacci_16_leaves.json": [
+        "fusion-trees", "--model", "fibonacci", "--inputs", "1,1,0,1,1,1,0,1,1,0,1,1,1,1,0,1",
+        "--total", "0",
+    ],
+    # N^1_11 = 2: each sub-block of trees is listed twice, in place
+    "fusion_trees_multiplicity_2.json": [
+        "fusion-trees", "--model", f"@{GOLDEN / 'multiplicity_2_model.json'}",
+        "--inputs", "1,1,0,1,1,1,1", "--total", "0",
+    ],
     "jones_two_unlink.json": ["jones", "--braid", "B2:"],
     "toric_2x2_d2.json": ["toric", "--lx", "2", "--ly", "2", "--d", "2"],
     "toric_12x12_d2.json": ["toric", "--lx", "12", "--ly", "12", "--d", "2"],
