@@ -34,8 +34,8 @@ print(" ", dims, " <- the Fibonacci sequence")
 
 print("\nFour taus with trivial total charge encode one qubit;")
 print("the two logical states are the two fusion histories:")
-for tree in enumerate_fusion_trees(fib, [1, 1, 1, 1], 0):
-    print(f"  intermediate charges {tree.internal} -> total {tree.total}")
+for internal in enumerate_fusion_trees(fib, [1, 1, 1, 1], 0):
+    print(f"  intermediate charges {internal} -> total 0")
 
 ratio = dims[-1] / dims[-2]
 phi = (1 + math.sqrt(5)) / 2

@@ -50,7 +50,6 @@ from .fsymbols import (
 )
 from .fusion import (
     AnyonModel,
-    FusionTree,
     composite_fermion_statistics,
     enumerate_fusion_trees,
     fibonacci_model,

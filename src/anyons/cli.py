@@ -290,11 +290,8 @@ def _cmd_fusion_dim(args) -> dict:
 def _cmd_fusion_trees(args) -> dict:
     model = _parse_model(args.model)
     *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
-    trees = fusion.enumerate_fusion_trees(model, inputs, total)
-    return {
-        "count": len(trees),
-        "trees": [[str(x) for x in t.internal] for t in trees],
-    }
+    trees = fusion.enumerate_fusion_trees(model, inputs, total, [str(a) for a in model.labels])
+    return {"count": len(trees), "trees": trees}
 
 
 def _cmd_qdims(args) -> dict:

@@ -7,7 +7,10 @@ Everything here deliberately avoids the code paths it checks:
   (the implementation enumerates no states: it carries merged exact values
   over Temperley-Lieb diagrams, crossing by crossing);
 * the tree-counting oracle is a direct recursion over fusion channels
-  (the implementation is a dynamic program over label vectors);
+  (the implementation is a dynamic program over label vectors), and the
+  tree-listing oracle recurses forward from the first leaf, once per branch
+  copy, appending one label per call (the implementation goes backward
+  from the last leaf and builds each outcome's completions once per level);
 * the permutation oracle counts cycles of the braid permutation;
 * the syndrome oracle builds every stabilizer as a dense Pauli string and
   takes one ``commutation_phase`` per stabilizer (the implementation is
@@ -110,6 +113,27 @@ def brute_force_tree_count(model, inputs, total) -> int:
         )
 
     return count(inputs[0], tuple(inputs[1:]))
+
+
+def fusion_trees_oracle(model, inputs, total) -> list[tuple]:
+    """Every left-associated fusion tree's internal labels, in lexicographic
+    order, by recursion from the first leaf; a multiplicity ``m`` recurses
+    ``m`` times into the same channel."""
+    leaves = list(inputs)
+    if len(leaves) == 1:
+        return [()] if leaves[0] == total else []
+    trees = []
+
+    def grow(current, pos, internal):
+        if pos == len(leaves) - 1:
+            trees.extend([internal] * model.n(current, leaves[pos], total))
+            return
+        for c in model.labels:
+            for _ in range(model.n(current, leaves[pos], c)):
+                grow(c, pos + 1, internal + (c,))
+
+    grow(leaves[0], 1, ())
+    return trees
 
 
 def braid_permutation_cycles(word: BraidWord) -> int:

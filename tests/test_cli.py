@@ -283,6 +283,30 @@ class TestExitCodes:
         assert out == "" and err == f"error: 832040 trees exceed the tree cap {fusion.TREE_CAP}\n"
         assert run(argv(["1"] * 3)).status == 0
 
+    def test_listed_label_cap_refuses_vacuum_heavy_inputs(self, capsys):
+        # 75,025 trees, under the tree cap, of 88 labels each
+        inputs = ["1", "0", "0"] * 26 + ["0"] * 12
+        start = time.perf_counter()
+        assert main(["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(inputs),
+                     "--total", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: 75025 trees of 88 internal labels each list 6602200 labels, "
+            f"over the cap of {fusion.LISTED_LABEL_CAP}\n")
+
+    def test_listing_at_the_label_cap(self):
+        # 75,025 trees of 27 labels, 97% of the cap, listed and printed; the
+        # listing's memory is bounded in test_fusion (json.dumps is slow
+        # under tracemalloc), the printed text here
+        argv = ["fusion-trees", "--model", "fibonacci", "--inputs",
+                ",".join(["1"] * 25 + ["0"] * 4), "--total", "1"]
+        start = time.perf_counter()
+        text = render(run(argv))
+        assert time.perf_counter() - start < 1.5
+        assert len(text) < 12 * 2**20
+        assert json.loads(text)["count"] == 75_025
+
     def test_no_flag_lifts_the_crossing_cap(self, capsys):
         # the bracket of 8,000 crossings takes minutes: no flag may lift the crossing cap
         braid = " ".join(["B3:", *["s1 s2^-1"] * 4000])  # 8,000 crossings

@@ -17,6 +17,7 @@ from anyons.fusion import (
     DIM_DIGITS_CAP,
     FUSION_WORK_CAP,
     LABEL_CAP,
+    LISTED_LABEL_CAP,
     TREE_CAP,
     Z_D_CAP,
     AnyonModel,
@@ -39,11 +40,21 @@ from anyons.fsymbols import (
     trivial_data,
 )
 
-from oracles import brute_force_tree_count
+from oracles import brute_force_tree_count, fusion_trees_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 FIB = fibonacci_model()
 FIB_FUSION = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}
+
+
+def _multiplicity_model(m: int) -> AnyonModel:
+    """Fibonacci's fusion rules with ``N^1_11 = m``."""
+    return AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): m})
+
+
+#: Models whose tree lists are checked against the recursive oracle.
+ORACLE_MODELS = (FIB, toric_model(), zd_model(3), zd_model(5),
+                 _multiplicity_model(2), _multiplicity_model(3))
 
 
 class TestFuse:
@@ -144,12 +155,10 @@ class TestFusionSpaceDim:
 
 class TestEnumerateTrees:
     def test_four_taus_to_vacuum(self):
-        trees = enumerate_fusion_trees(FIB, [1, 1, 1, 1], 0)
-        assert [t.internal for t in trees] == [(0, 1), (1, 1)]
+        assert enumerate_fusion_trees(FIB, [1, 1, 1, 1], 0) == [(0, 1), (1, 1)]
 
     def test_single_input(self):
-        trees = enumerate_fusion_trees(FIB, [1], 1)
-        assert len(trees) == 1 and trees[0].internal == ()
+        assert enumerate_fusion_trees(FIB, [1], 1) == [()]
         assert enumerate_fusion_trees(FIB, [1], 0) == []
 
     def test_five_taus(self):
@@ -173,7 +182,7 @@ class TestEnumerateTrees:
         trees = enumerate_fusion_trees(FIB, inputs, total)
         assert len(trees) == fusion_space_dim(FIB, inputs, total)
         for tree in trees:
-            chain = (inputs[0], *tree.internal, total)
+            chain = (inputs[0], *tree, total)
             for prev, leaf, nxt in zip(chain, inputs[1:], chain[1:]):
                 assert FIB.n(prev, leaf, nxt) > 0
 
@@ -205,10 +214,78 @@ class TestEnumerateTrees:
         assert fusion_space_dim(model, [1, 1, 1], 1) == 5
         trees = enumerate_fusion_trees(model, [1, 1, 1], 1)
         assert len(trees) == 5
-        assert [t.internal for t in trees] == [(0,), (1,), (1,), (1,), (1,)]
+        assert trees == [(0,), (1,), (1,), (1,), (1,)]
         assert fusion_space_dim(model, [1, 1, 1], 1) == brute_force_tree_count(
             model, [1, 1, 1], 1
         )
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_oracle_in_order(self, data):
+        # element for element: a multiplicity repeats a whole sub-block in place
+        model = data.draw(st.sampled_from(ORACLE_MODELS))
+        inputs = data.draw(st.lists(st.sampled_from(model.labels), min_size=1, max_size=8))
+        total = data.draw(st.sampled_from(model.labels))
+        expected = fusion_trees_oracle(model, inputs, total)
+        assert enumerate_fusion_trees(model, inputs, total) == expected
+        assert len(expected) == fusion_space_dim(model, inputs, total)
+        names = [f"<{a}>" for a in model.labels]
+        named = [tuple(names[model.index[a]] for a in tree) for tree in expected]
+        assert enumerate_fusion_trees(model, inputs, total, names) == named
+
+    def test_every_fibonacci_input_of_up_to_ten_leaves(self):
+        for n in range(1, 11):
+            for inputs in itertools.product((0, 1), repeat=n):
+                for total in (0, 1):
+                    trees = enumerate_fusion_trees(FIB, inputs, total)
+                    assert trees == fusion_trees_oracle(FIB, inputs, total)
+                    assert len(trees) == fusion_space_dim(FIB, inputs, total)
+
+    def test_lists_only_outcomes_a_tree_runs_through(self):
+        # Z_2 x Fibonacci, label 2g + x: after 60 odd taus the running charge
+        # is even, so no tree reaches the odd tau 3.  Yet an even tau after
+        # the first leaf, which no tree runs through, has 1.5e12 completions.
+        fib_rules = {(a, b): [c for c in (0, 1) if FIB.n(a, b, c)] for a in (0, 1) for b in (0, 1)}
+        rules = {(2 * g + a, 2 * h + b, 2 * (g ^ h) + c): 1
+                 for g in (0, 1) for h in (0, 1) for (a, b), cs in fib_rules.items() for c in cs}
+        model = AnyonModel((0, 1, 2, 3), 0, {a: a for a in range(4)}, rules)
+        assert fusion_space_dim(model, [3] * 60, 3) == 0
+        assert fusion_space_dim(model, [1] + [3] * 59, 3) == 1_548_008_755_920
+        start = time.perf_counter()
+        assert enumerate_fusion_trees(model, [3] * 60, 3) == []
+        assert time.perf_counter() - start < 0.1
+
+    def test_label_cap_at_the_bound(self):
+        inputs = [1] * 25 + [0] * 4  # 75,025 trees of 27 internal labels
+        assert 75_025 * 27 == 2_025_675 <= LISTED_LABEL_CAP
+        start = time.perf_counter()
+        trees = enumerate_fusion_trees(FIB, inputs, 1)
+        elapsed = time.perf_counter() - start
+        assert len(trees) == 75_025 and elapsed < 1.0
+        del trees
+        tracemalloc.start()
+        try:
+            assert len(enumerate_fusion_trees(FIB, inputs, 1)) == 75_025
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_label_cap_refuses_before_listing(self):
+        # one vacuum leaf more adds no tree but 75,025 labels
+        inputs = [1] * 25 + [0] * 5
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=(
+                f"75025 trees of 28 internal labels each list 2100700 labels, "
+                f"over the cap of {LISTED_LABEL_CAP}")):
+            enumerate_fusion_trees(FIB, inputs, 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_tree_cap_is_checked_first(self):
+        # 317,811 trees of 26 labels break both caps; the tree cap is named
+        with pytest.raises(ResourceError, match="317811 trees exceed the tree cap"):
+            enumerate_fusion_trees(FIB, [1] * 28, 1)
 
 
 class TestQuantumDimensions:
