@@ -7,9 +7,9 @@ The model is given the tensor as a sparse ``{(a, b, c): m}`` dict and holds
 it as one read-only int64 array ``N`` of shape ``(k, k, k)`` over label
 indices; every operation here reads that array.  On top of it this module
 computes fusion products, fusion-space dimensions (a contraction per leaf,
-in exact integers), the list of left-associated fusion trees (one backward
-pass over the leaves that shares each outcome's completions, a tuple of
-internal labels per tree), quantum dimensions, the total quantum dimension
+in exact integers), the list of left-associated fusion trees (a tuple of
+internal labels per tree, listed column by column in time linear in the
+labels), quantum dimensions, the total quantum dimension
 ``D = sqrt(sum_j d_j^2)`` and the topological entropy ``log D``.
 
 Fusion trees are left associated throughout: leaves ``l1 .. ln`` are fused
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -43,9 +44,10 @@ TREE_CAP = 200_000
 
 #: Cap on the internal labels :func:`enumerate_fusion_trees` will list, trees
 #: times (leaves - 2), checked after :data:`TREE_CAP`: vacuum leaves lengthen
-#: every tree without adding trees.  Listing and printing take about 130 ns
-#: and 21 B of ``tracemalloc`` peak per label through ``anyons fusion-trees``
-#: (2-core x86, Python 3.11), so about 0.3 s and 45 MB at the cap.
+#: every tree without adding trees.  Listing and printing take about 120 ns
+#: and 20 B of ``tracemalloc`` peak per label through ``anyons fusion-trees``
+#: (2-core x86, Python 3.11), so about 0.25 s and 42 MB at the cap.  Each
+#: leaf that is not the vacuum adds about 3 us however few trees there are.
 LISTED_LABEL_CAP = 2 ** 21
 
 #: Most labels an :class:`AnyonModel` may have, checked before its
@@ -356,14 +358,14 @@ def enumerate_fusion_trees(
     each label, the labels themselves by default.  A multiplicity ``m > 1``
     lists the whole block of trees through that vertex ``m`` times in place.
 
-    One backward pass over the leaves: before the last leaf, an outcome has
-    one empty completion per way it fuses with that leaf to the total; before
-    each earlier leaf, an outcome's completions are the next level's, each
-    prefixed with its outcome's name once per level and repeated by the
-    multiplicity.  Only outcomes some tree runs through are listed, so no
-    level holds more tuples than there are trees.  :func:`fusion_space_dim`
-    runs first; raises :class:`ResourceError` when the trees would exceed
-    :data:`TREE_CAP` or their labels :data:`LISTED_LABEL_CAP`.
+    A backward pass counts the trees below each outcome after each leaf.  A
+    forward pass then walks the trie of trees depth by depth, each copy of a
+    multiplicity its own node, and lists one column per depth: each node's
+    name once per tree below it.  The tuples are the columns zipped, so the
+    work is linear in the labels listed; a vacuum leaf repeats the column
+    before it.  :func:`fusion_space_dim` runs first; raises
+    :class:`ResourceError` when the trees would exceed :data:`TREE_CAP` or
+    their labels :data:`LISTED_LABEL_CAP`.
     """
     dim = fusion_space_dim(model, inputs, total)  # validates labels
     if dim > TREE_CAP:
@@ -374,35 +376,38 @@ def enumerate_fusion_trees(
             f"{dim} trees of {len(inputs) - 2} internal labels each list {listed} labels, "
             f"over the cap of {LISTED_LABEL_CAP}"
         )
+    if dim == 0 or len(inputs) <= 2:
+        return [()] * dim
     names = model.labels if names is None else names
     *leaves, t = [model.index[a] for a in (*inputs, total)]
-    if len(leaves) == 1:
-        return [()] if leaves[0] == t else []
+    v = model.index[model.vacuum]
     rows = {leaf: model.N[:, leaf].tolist() for leaf in set(leaves[1:])}  # [c][c2] = N^c2_{c,leaf}
-    # the outcomes some tree runs through after each leaf but the last, in
-    # label order; a step repeats along runs of one leaf, so each is made once
-    reach = [(leaves[0],)]
-    steps = {}
+    # the trees below each outcome after leaves n - 1, n - 2, ..., 2
+    size = [row[t] for row in rows[leaves[-1]]]
+    sizes = [size]
+    for leaf in reversed(leaves[2:-1]):
+        if leaf != v:
+            size = [sum(map(operator.mul, row, size)) for row in rows[leaf]]
+        sizes.append(size)
+    nodes, columns = [leaves[0]], []
     for leaf in leaves[1:-1]:
-        key = (leaf, reach[-1])
-        if key not in steps:
-            steps[key] = tuple(sorted({c2 for c in reach[-1]
-                                       for c2, m in enumerate(rows[leaf][c]) if m}))
-        reach.append(steps[key])
-    last = rows[leaves[-1]]
-    tails = {c: [()] * last[c][t] for c in reach[-1]}
-    for leaf, before in zip(reversed(leaves[1:-1]), reversed(reach[:-1])):
-        heads = [(c2, [(names[c2],) + tail for tail in block])
-                 for c2, block in tails.items() if block]
-        tails = {}
-        for c in before:
-            row = rows[leaf][c]
-            block = []
-            for c2, head in heads:
-                if row[c2]:
-                    block += head * row[c2]
-            tails[c] = block
-    return tails[leaves[0]]
+        size = sizes.pop()
+        if leaf == v and columns:
+            columns.append(columns[-1])
+            continue
+        row = rows[leaf]
+        kids, runs = {}, {}
+        for c in set(nodes):
+            kids[c] = [c2 for c2, m in enumerate(row[c]) if size[c2] for _ in range(m)]
+            runs[c] = []
+            for c2 in kids[c]:
+                runs[c] += [names[c2]] * size[c2]
+        parents, nodes, column = nodes, [], []
+        for c in parents:
+            nodes += kids[c]
+            column += runs[c]
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def quantum_dimensions(

@@ -9,8 +9,9 @@ Everything here deliberately avoids the code paths it checks:
 * the tree-counting oracle is a direct recursion over fusion channels
   (the implementation is a dynamic program over label vectors), and the
   tree-listing oracle recurses forward from the first leaf, once per branch
-  copy, appending one label per call (the implementation goes backward
-  from the last leaf and builds each outcome's completions once per level);
+  copy, appending one label per call (the implementation counts the trees
+  below each outcome backward, then lists one column of labels per depth
+  and zips the columns);
 * the permutation oracle counts cycles of the braid permutation;
 * the syndrome oracle builds every stabilizer as a dense Pauli string and
   takes one ``commutation_phase`` per stabilizer (the implementation is

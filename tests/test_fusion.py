@@ -52,9 +52,22 @@ def _multiplicity_model(m: int) -> AnyonModel:
     return AnyonModel((0, 1), 0, {0: 0, 1: 1}, {**FIB_FUSION, (1, 1, 1): m})
 
 
+def _linear_growth_model() -> AnyonModel:
+    """Labels 0, a, s, x, each its own dual, with a x x = a + s and s x x = s
+    (and a x a, s x s, x x x = 0): from a, each x leaf adds one tree."""
+    rules = {}
+    for a, b, c in ((0, "a", "a"), (0, "s", "s"), (0, "x", "x"), (0, 0, 0), ("a", "a", 0),
+                    ("s", "s", 0), ("x", "x", 0), ("a", "x", "a"), ("a", "x", "s"),
+                    ("s", "x", "s")):
+        rules[(a, b, c)] = rules[(b, a, c)] = 1
+    return AnyonModel((0, "a", "s", "x"), 0, {a: a for a in (0, "a", "s", "x")}, rules)
+
+
+LINEAR_GROWTH = _linear_growth_model()
+
 #: Models whose tree lists are checked against the recursive oracle.
 ORACLE_MODELS = (FIB, toric_model(), zd_model(3), zd_model(5),
-                 _multiplicity_model(2), _multiplicity_model(3))
+                 _multiplicity_model(2), _multiplicity_model(3), LINEAR_GROWTH)
 
 
 class TestFuse:
@@ -242,19 +255,16 @@ class TestEnumerateTrees:
                     assert trees == fusion_trees_oracle(FIB, inputs, total)
                     assert len(trees) == fusion_space_dim(FIB, inputs, total)
 
-    def test_lists_only_outcomes_a_tree_runs_through(self):
-        # Z_2 x Fibonacci, label 2g + x: after 60 odd taus the running charge
-        # is even, so no tree reaches the odd tau 3.  Yet an even tau after
-        # the first leaf, which no tree runs through, has 1.5e12 completions.
-        fib_rules = {(a, b): [c for c in (0, 1) if FIB.n(a, b, c)] for a in (0, 1) for b in (0, 1)}
-        rules = {(2 * g + a, 2 * h + b, 2 * (g ^ h) + c): 1
-                 for g in (0, 1) for h in (0, 1) for (a, b), cs in fib_rules.items() for c in cs}
-        model = AnyonModel((0, 1, 2, 3), 0, {a: a for a in range(4)}, rules)
-        assert fusion_space_dim(model, [3] * 60, 3) == 0
-        assert fusion_space_dim(model, [1] + [3] * 59, 3) == 1_548_008_755_920
+    def test_work_is_linear_in_the_labels(self):
+        # prefixing one label per depth would copy every tree once per leaf:
+        # quadratic in the leaves for 100,000 vacuum leaves (one tree of
+        # 99,999 labels), cubic for trees that grow by one per leaf (1,399
+        # trees of 1,398 labels; a x x = a + s and s x x = s)
         start = time.perf_counter()
-        assert enumerate_fusion_trees(model, [3] * 60, 3) == []
-        assert time.perf_counter() - start < 0.1
+        assert enumerate_fusion_trees(FIB, [1] + [0] * 100_000, 1) == [(1,) * 99_999]
+        trees = enumerate_fusion_trees(LINEAR_GROWTH, ["a"] + ["x"] * 1_399, "s")
+        assert trees == [("a",) * k + ("s",) * (1_398 - k) for k in range(1_398, -1, -1)]
+        assert time.perf_counter() - start < 1.0
 
     def test_label_cap_at_the_bound(self):
         inputs = [1] * 25 + [0] * 4  # 75,025 trees of 27 internal labels
