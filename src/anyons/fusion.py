@@ -389,6 +389,7 @@ def enumerate_fusion_trees(
         if leaf != v:
             size = [sum(map(operator.mul, row, size)) for row in rows[leaf]]
         sizes.append(size)
+    # the trie's nodes at each depth, in tree order
     nodes, columns = [leaves[0]], []
     for leaf in leaves[1:-1]:
         size = sizes.pop()

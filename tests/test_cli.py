@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -63,9 +64,10 @@ GOLDEN_CASES = {
         "fusion-trees", "--model", "fibonacci", "--inputs", "1,1,0,1,1,1,0,1,1,0,1,1,1,1,0,1",
         "--total", "0",
     ],
-    # N^1_11 = 2: each sub-block of trees is listed twice, in place
+    # N^1_11 = 2: each sub-block of trees is listed twice, in place; the model
+    # path is relative to the working directory, so test ids do not name it
     "fusion_trees_multiplicity_2.json": [
-        "fusion-trees", "--model", f"@{GOLDEN / 'multiplicity_2_model.json'}",
+        "fusion-trees", "--model", f"@{os.path.relpath(GOLDEN / 'multiplicity_2_model.json')}",
         "--inputs", "1,1,0,1,1,1,1", "--total", "0",
     ],
     "jones_two_unlink.json": ["jones", "--braid", "B2:"],
@@ -294,6 +296,13 @@ class TestExitCodes:
         assert out == "" and err == (
             "error: 75025 trees of 88 internal labels each list 6602200 labels, "
             f"over the cap of {fusion.LISTED_LABEL_CAP}\n")
+
+    def test_long_listing_exits_0(self):
+        # the recursive listing raised RecursionError past about 1,000 leaves
+        res = run(["fusion-trees", "--model", "fibonacci", "--inputs",
+                   ",".join(["1"] + ["0"] * 1_200), "--total", "1"])
+        assert res.status == 0
+        assert json.loads(render(res)) == {"count": 1, "schema": 1, "trees": [["1"] * 1_199]}
 
     def test_listing_at_the_label_cap(self):
         # 75,025 trees of 27 labels, 97% of the cap, listed and printed; the
