@@ -49,13 +49,17 @@ def _parse_model(name_or_path: str) -> fusion.AnyonModel:
     return fusion.named_model(name_or_path)
 
 
-def _parse_labels(model: fusion.AnyonModel, tokens: list[str]) -> list:
-    """The label each token names; of labels that print alike, the first."""
+def _parse_leaves(args) -> tuple:
+    """The model, leaves and total of a fusion command (of labels that print
+    alike, the first); too many leaves are refused before any is read."""
+    model = _parse_model(args.model)
+    fusion.check_fusion_work(model, args.inputs.count(",") + 1)
     by_name = {str(label): label for label in reversed(model.labels)}
     try:
-        return [by_name[token] for token in tokens]
+        *inputs, total = [by_name[token] for token in [*args.inputs.split(","), args.total]]
     except KeyError as exc:
         raise InputError(f"label {exc.args[0]!r} not in model {list(model.labels)}") from None
+    return model, inputs, total
 
 
 def _finite_float(text: str) -> float:
@@ -282,14 +286,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fusion_dim(args) -> dict:
-    model = _parse_model(args.model)
-    *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
-    return {"dim": fusion.fusion_space_dim(model, inputs, total)}
+    return {"dim": fusion.fusion_space_dim(*_parse_leaves(args))}
 
 
 def _cmd_fusion_trees(args) -> dict:
-    model = _parse_model(args.model)
-    *inputs, total = _parse_labels(model, [*args.inputs.split(","), args.total])
+    model, inputs, total = _parse_leaves(args)
     trees = fusion.enumerate_fusion_trees(model, inputs, total, [str(a) for a in model.labels])
     return {"count": len(trees), "trees": trees}
 

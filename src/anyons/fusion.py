@@ -6,8 +6,8 @@ tensor ``N[a, b, c]`` giving the number of ways ``a x b`` can fuse to ``c``.
 The model is given the tensor as a sparse ``{(a, b, c): m}`` dict and holds
 it as one read-only int64 array ``N`` of shape ``(k, k, k)`` over label
 indices; every operation here reads that array.  On top of it this module
-computes fusion products, fusion-space dimensions (a contraction per leaf,
-in exact integers), the list of left-associated fusion trees (a tuple of
+computes fusion products, fusion-space dimensions and the left-associated
+fusion trees (both from one backward count in exact integers; a tuple of
 internal labels per tree, listed column by column in time linear in the
 labels), quantum dimensions, the total quantum dimension
 ``D = sqrt(sum_j d_j^2)`` and the topological entropy ``log D``.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -46,8 +45,7 @@ TREE_CAP = 200_000
 #: times (leaves - 2), checked after :data:`TREE_CAP`: vacuum leaves lengthen
 #: every tree without adding trees.  Listing and printing take about 120 ns
 #: and 20 B of ``tracemalloc`` peak per label through ``anyons fusion-trees``
-#: (2-core x86, Python 3.11), so about 0.25 s and 42 MB at the cap.  Each
-#: leaf that is not the vacuum adds about 3 us however few trees there are.
+#: (2-core x86, Python 3.11), so about 0.25 s and 42 MB at the cap.
 LISTED_LABEL_CAP = 2 ** 21
 
 #: Most labels an :class:`AnyonModel` may have, checked before its
@@ -61,9 +59,10 @@ LABEL_CAP = 128
 #: printed.
 DIM_DIGITS_CAP = 4300
 
-#: Most multiplications :func:`fusion_space_dim` may make, ``(n - 1) k^2``
-#: for n leaves over k labels, at about 20 ns each in exact integers: about
-#: 0.2 s at the cap (611 leaves at k = 128) on a 2-core x86 host.
+#: Most products counting the trees of n leaves over k labels may cost, taken
+#: as ``(n - 1) max(k^2, 100)``: 15 ns a product, 1 us a leaf to count, 3 us
+#: more to list.  At the cap (2-core x86, Python 3.11): 0.13 s to count 611
+#: leaves at k = 128; 0.5 s, the slowest, to list 100,001 leaves at k = 10.
 FUSION_WORK_CAP = 10 ** 7
 
 #: Largest ``d`` that :func:`named_model` builds for ``z_d:<d>``.  Building a
@@ -307,28 +306,27 @@ def fuse(model: AnyonModel, a: Label, b: Label) -> list[tuple[Label, int]]:
     return [(model.labels[c], m) for c, m in enumerate(row.tolist()) if m]
 
 
-def fusion_space_dim(model: AnyonModel, inputs: Sequence[Label], total: Label) -> int:
-    """Number of left-associated fusion trees taking ``inputs`` to ``total``.
+def check_fusion_work(model: AnyonModel, leaves: int) -> None:
+    """ResourceError when ``leaves`` leaves cost over :data:`FUSION_WORK_CAP`; reads no label."""
+    work = (leaves - 1) * max(len(model.labels) ** 2, 100)
+    if work > FUSION_WORK_CAP:
+        raise ResourceError(f"{leaves} leaves over {len(model.labels)} labels need {work} "
+                            f"products, over the cap of {FUSION_WORK_CAP}")
 
-    One contraction per leaf: the vector of path counts per running outcome
-    is multiplied by the leaf's slice ``N[:, leaf, :]``.  The counts and the
-    slices are Python integers (object arrays), so they stay exact past int64.
-    Each step multiplies the total count by at most the largest row sum of a
-    leaf slice, so an input for which that bound could reach
-    :data:`DIM_DIGITS_CAP` digits raises ResourceError before any step, as
-    does one whose ``(n - 1) k^2`` products exceed :data:`FUSION_WORK_CAP`.
-    """
+
+def _tree_counts(model: AnyonModel, inputs: Sequence[Label], total: Label):
+    """The leaves as label indices and ``counts[j][c]``, the ways outcome
+    ``c`` after leaf ``j`` fuses with the later leaves to the total, for each
+    leaf but the last, from one backward pass over the slices ``N[:, leaf]``
+    in Python integers; a vacuum leaf, whose slice is the identity (a model
+    invariant), keeps the counts.  The caps are checked before any step."""
     if not inputs:
         raise InputError("inputs must be non-empty")
+    check_fusion_work(model, len(inputs))
     *leaves, t = [model.index[model.require_label(a)] for a in (*inputs, total)]
-    work = (len(leaves) - 1) * len(model.labels) ** 2
-    if work > FUSION_WORK_CAP:
-        raise ResourceError(
-            f"{len(leaves)} leaves over {len(model.labels)} labels need {work} products, "
-            f"over the cap of {FUSION_WORK_CAP}"
-        )
     distinct = sorted(set(leaves[1:]))
-    # a row sum is below k * 2^63, so only long inputs need the row sums
+    # a step multiplies the count by at most the largest row sum of a leaf
+    # slice, below k * 2^63, so only long inputs need the row sums
     if (len(leaves) - 1) * math.log10(len(model.labels) * 2.0**63) >= DIM_DIGITS_CAP:
         rows = model.N[:, distinct].sum(axis=2, dtype=float)  # floats: no int64 overflow
         if (len(leaves) - 1) * math.log10(rows.max(initial=1.0)) >= DIM_DIGITS_CAP:
@@ -336,11 +334,22 @@ def fusion_space_dim(model: AnyonModel, inputs: Sequence[Label], total: Label) -
                 f"the dimension of {len(leaves)} leaves could exceed {DIM_DIGITS_CAP} digits"
             )
     slices = {leaf: model.N[:, leaf].astype(object) for leaf in distinct}
-    counts = np.zeros(len(model.labels), dtype=object)
-    counts[leaves[0]] = 1
-    for leaf in leaves[1:]:
-        counts = counts.dot(slices[leaf])
-    return counts[t]
+    v = model.index[model.vacuum]
+    # after the next-to-last leaf: column t of the last slice (a lone leaf: of the vacuum's)
+    count = slices[leaves[-1]][:, t] if len(leaves) > 1 else model.N[:, v, t].astype(object)
+    counts = [count]
+    for leaf in leaves[-2:0:-1]:
+        if leaf != v:
+            count = slices[leaf].dot(count)
+        counts.append(count)
+    return leaves, counts[::-1]
+
+
+def fusion_space_dim(model: AnyonModel, inputs: Sequence[Label], total: Label) -> int:
+    """Number of left-associated fusion trees taking ``inputs`` to ``total``,
+    exact, by :func:`_tree_counts` (which applies the caps)."""
+    leaves, counts = _tree_counts(model, inputs, total)
+    return counts[0][leaves[0]]
 
 
 def enumerate_fusion_trees(
@@ -358,48 +367,36 @@ def enumerate_fusion_trees(
     each label, the labels themselves by default.  A multiplicity ``m > 1``
     lists the whole block of trees through that vertex ``m`` times in place.
 
-    A backward pass counts the trees below each outcome after each leaf.  A
-    forward pass then walks the trie of trees depth by depth, each copy of a
-    multiplicity its own node, and lists one column per depth: each node's
-    name once per tree below it.  The tuples are the columns zipped, so the
-    work is linear in the labels listed; a vacuum leaf repeats the column
-    before it.  :func:`fusion_space_dim` runs first; raises
-    :class:`ResourceError` when the trees would exceed :data:`TREE_CAP` or
-    their labels :data:`LISTED_LABEL_CAP`.
+    The backward count of :func:`fusion_space_dim` gives the trees below each
+    outcome after each leaf; their number is refused past :data:`TREE_CAP`,
+    and times n - 2 past :data:`LISTED_LABEL_CAP`.  A forward pass walks the
+    trie depth by depth, a node per copy of a multiplicity, and lists a column
+    per depth: each node's name once per tree below it, zipped into tuples.
     """
-    dim = fusion_space_dim(model, inputs, total)  # validates labels
+    leaves, counts = _tree_counts(model, inputs, total)
+    dim = counts[0][leaves[0]]
     if dim > TREE_CAP:
         raise ResourceError(f"{dim} trees exceed the tree cap {TREE_CAP}")
-    listed = dim * max(len(inputs) - 2, 0)
+    listed = dim * max(len(leaves) - 2, 0)
     if listed > LISTED_LABEL_CAP:
         raise ResourceError(
-            f"{dim} trees of {len(inputs) - 2} internal labels each list {listed} labels, "
+            f"{dim} trees of {len(leaves) - 2} internal labels each list {listed} labels, "
             f"over the cap of {LISTED_LABEL_CAP}"
         )
-    if dim == 0 or len(inputs) <= 2:
+    if dim == 0 or len(leaves) <= 2:
         return [()] * dim
     names = model.labels if names is None else names
-    *leaves, t = [model.index[a] for a in (*inputs, total)]
-    v = model.index[model.vacuum]
-    rows = {leaf: model.N[:, leaf].tolist() for leaf in set(leaves[1:])}  # [c][c2] = N^c2_{c,leaf}
-    # the trees below each outcome after leaves n - 1, n - 2, ..., 2
-    size = [row[t] for row in rows[leaves[-1]]]
-    sizes = [size]
-    for leaf in reversed(leaves[2:-1]):
-        if leaf != v:
-            size = [sum(map(operator.mul, row, size)) for row in rows[leaf]]
-        sizes.append(size)
+    v = model.index[model.vacuum]  # a vacuum leaf repeats the column before it
     # the trie's nodes at each depth, in tree order
     nodes, columns = [leaves[0]], []
-    for leaf in leaves[1:-1]:
-        size = sizes.pop()
+    for leaf, size in zip(leaves[1:-1], counts[1:]):
         if leaf == v and columns:
             columns.append(columns[-1])
             continue
-        row = rows[leaf]
+        row, size = model.N[:, leaf], size.tolist()  # row[c][c2] = N^c2_{c,leaf}
         kids, runs = {}, {}
         for c in set(nodes):
-            kids[c] = [c2 for c2, m in enumerate(row[c]) if size[c2] for _ in range(m)]
+            kids[c] = [c2 for c2, m in enumerate(row[c].tolist()) if size[c2] for _ in range(m)]
             runs[c] = []
             for c2 in kids[c]:
                 runs[c] += [names[c2]] * size[c2]

@@ -705,9 +705,9 @@ def braiding_table(d: int) -> list:
     charge and flux loops with the two unit creation strings of
     :func:`dyon_braiding_phase`, built once, each checked against the closed
     form.  The table extends them over the grid, and its entry for (1, 1)
-    around (1, 1) must equal the explicit composition of
-    :func:`dyon_braiding_phase`.  A table over :data:`BRAIDING_TABLE_CAP`
-    entries raises :class:`ResourceError` before any work.
+    around (1, 1) must equal the composition of the four strings, checked
+    against the closed form as in :func:`dyon_braiding_phase`.  A table over
+    :data:`BRAIDING_TABLE_CAP` entries raises :class:`ResourceError` first.
     """
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
@@ -727,7 +727,8 @@ def braiding_table(d: int) -> list:
     r, s, rp, sp = np.ix_(q, q, q, q)
     table = (r * rp * u[0, 0] + r * sp * u[0, 1] + s * rp * u[1, 0] + s * sp * u[1, 1])
     table %= 2 * d
-    if table[1, 1, 1, 1] != dyon_braiding_phase(d, (1, 1), (1, 1)):
+    phi = commutation_phase(charge_loop * flux_loop, charge_str * flux_str)
+    if table[1, 1, 1, 1] != _closed_form_checked(d, phi, (1, 1), (1, 1)):
         raise InvariantViolation("the bilinear table disagrees with the composition")
     return table.tolist()
 

@@ -273,6 +273,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_leaves_refused_before_their_labels_are_read(self):
+        # 2,000,000 Z_2 leaves: splitting and reading the tokens take 0.1 s
+        inputs = ",".join(["1"] * 2_000_000)
+        for command in ("fusion-dim", "fusion-trees"):
+            start = time.perf_counter()
+            res = run([command, "--model", "z_d:2", "--inputs", inputs, "--total", "0"])
+            assert time.perf_counter() - start < 0.1
+            assert res.status == 2
+            assert res.error.startswith("2000000 leaves over 2 labels need 199999900 products")
+
     def test_tree_cap_is_a_constant(self, capsys):
         def argv(inputs):
             return ["fusion-trees", "--model", "fibonacci", "--inputs", ",".join(inputs),
@@ -762,8 +772,9 @@ class TestDeterminism:
 
 
 #: Public functions that no subcommand reaches: library operations that only
-#: demos 01 and 02 and the benchmark's gauge files call.
-LIBRARY_ONLY = {"fuse", "gauge_transform"}
+#: demos 01, 02 and 06 and the benchmark's gauge files call (``toric`` composes
+#: its one check of the braiding table from the strings it already built).
+LIBRARY_ONLY = {"dyon_braiding_phase", "fuse", "gauge_transform"}
 
 #: Run in a fresh interpreter, so that no cache of a warm process (the
 #: built-in F/R data) hides a builder: wraps every public function that

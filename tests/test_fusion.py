@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import timeit
 import tracemalloc
 from fractions import Fraction
 
@@ -140,14 +141,17 @@ class TestFusionSpaceDim:
             fusion_space_dim(big, [1] * 300, 1)
 
     def test_work_bound(self, monkeypatch):
-        # (n - 1) k^2 products: 16 leaves over z_d:6 is the largest job the
-        # consistency benchmark runs
-        assert 15 * 6 ** 2 <= FUSION_WORK_CAP
+        # (n - 1) max(k^2, 100) products: below 11 labels a leaf counts as 100
+        assert 15 * 100 <= FUSION_WORK_CAP
         z6 = zd_model(6)
-        monkeypatch.setattr(fusion, "FUSION_WORK_CAP", 15 * 6 ** 2)
+        monkeypatch.setattr(fusion, "FUSION_WORK_CAP", 15 * 100)
         assert fusion_space_dim(z6, [5] * 16, 2) == 1
-        with pytest.raises(ResourceError, match="17 leaves over 6 labels need 576 products"):
+        with pytest.raises(ResourceError, match="17 leaves over 6 labels need 1600 products"):
             fusion_space_dim(z6, [5] * 17, 1)
+        monkeypatch.setattr(fusion, "FUSION_WORK_CAP", 2 * 11 ** 2)
+        assert fusion_space_dim(zd_model(11), [1] * 3, 3) == 1
+        with pytest.raises(ResourceError, match="4 leaves over 11 labels need 363 products"):
+            fusion_space_dim(zd_model(11), [1] * 4, 4)
 
     def test_work_bound_refuses_before_any_step(self):
         model = zd_model(LABEL_CAP)
@@ -155,6 +159,38 @@ class TestFusionSpaceDim:
         with pytest.raises(ResourceError, match="over the cap of"):
             fusion_space_dim(model, [LABEL_CAP - 1] * 14_000, 0)
         assert time.perf_counter() - start < 0.1
+
+    def test_leaves_refused_before_their_labels_are_read(self):
+        # 2,000,000 Z_2 leaves: reading their labels alone would take 0.1 s
+        inputs = [1] * 2_000_000
+        for count in (fusion_space_dim, enumerate_fusion_trees):
+            start = time.perf_counter()
+            with pytest.raises(ResourceError, match="2000000 leaves over 2 labels need"):
+                count(zd_model(2), inputs, 0)
+            assert time.perf_counter() - start < 0.1
+
+    def test_vacuum_leaves_cost_no_contraction(self):
+        # the longest vacuum run the work cap admits; one contraction per
+        # leaf, at about 0.7 us each, would take 0.07 s
+        n = FUSION_WORK_CAP // 100
+        inputs = [1] + [0] * n
+        elapsed = min(timeit.repeat(lambda: fusion_space_dim(FIB, inputs, 1), number=1, repeat=3))
+        assert fusion_space_dim(FIB, inputs, 1) == 1 and elapsed < 0.05
+        with pytest.raises(ResourceError, match="over the cap of"):
+            fusion_space_dim(FIB, inputs + [0], 1)
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda model: str(model.labels))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_brute_force_count(self, model, data):
+        # the listing reads the same counts, so the dimension is checked
+        # against the recursion on its own, vacuum leaves interleaved
+        inputs = data.draw(st.lists(st.sampled_from(model.labels), min_size=1, max_size=8))
+        for _ in range(data.draw(st.integers(0, 4))):
+            inputs.insert(data.draw(st.integers(0, len(inputs))), model.vacuum)
+        total = data.draw(st.sampled_from(model.labels))
+        expected = brute_force_tree_count(model, inputs, total)
+        assert fusion_space_dim(model, inputs, total) == expected
 
     def test_partition_identity(self):
         # summing over totals counts every fusion path exactly once

@@ -634,20 +634,25 @@ class TestBraidingTable:
         assert braiding_table(d) == (2 * (r * sp + s * rp) % (2 * d)).tolist()
 
     def test_four_unit_strings_and_one_composition(self, monkeypatch):
-        strings, compositions = [], []
-        original_string, original_phase = toric.string_operator, toric.dyon_braiding_phase
+        strings, checked = [], []
+        original_string, original_check = toric.string_operator, toric._closed_form_checked
         monkeypatch.setattr(toric, "string_operator",
                             lambda *args: strings.append(args[2:]) or original_string(*args))
-        monkeypatch.setattr(toric, "dyon_braiding_phase",
-                            lambda d, a, b: compositions.append((a, b)) or original_phase(d, a, b))
+        monkeypatch.setattr(toric, "_closed_form_checked", lambda d, phi, a, b: (
+            checked.append((a, b)) or original_check(d, phi, a, b)))
+        monkeypatch.setattr(toric, "dyon_braiding_phase", None)  # any call fails
         braiding_table(5)
-        # the four unit strings, then the four of the (1, 1)-around-(1, 1) check
-        assert strings == [("charge", 1, 5), ("flux", 1, 5)] * 4
-        assert compositions == [((1, 1), (1, 1))]
+        # the four unit strings, built once: the four unit pairs, then the
+        # (1, 1)-around-(1, 1) check composes the same strings
+        assert strings == [("charge", 1, 5), ("flux", 1, 5)] * 2
+        units = ((1, 0), (0, 1))
+        assert checked == [(a, b) for a in units for b in units] + [((1, 1), (1, 1))]
 
     def test_table_against_the_composition(self, monkeypatch):
         # a bilinear extension that disagrees with the explicit composition raises
-        monkeypatch.setattr(toric, "dyon_braiding_phase", lambda d, a, b: 1)
+        original = toric._closed_form_checked
+        monkeypatch.setattr(toric, "_closed_form_checked", lambda d, phi, a, b: (
+            original(d, phi, a, b) + (a == b == (1, 1))))
         with pytest.raises(InvariantViolation, match="composition"):
             braiding_table(3)
 
@@ -659,7 +664,7 @@ class TestBraidingTable:
             braiding_table(3)
 
     def test_refusals_before_any_composition(self, monkeypatch):
-        monkeypatch.setattr(toric, "dyon_braiding_phase", None)  # any call fails
+        monkeypatch.setattr(toric, "_dyon_strings", None)  # any call fails
         with pytest.raises(InputError):
             braiding_table(1)
         assert 13 ** 4 <= BRAIDING_TABLE_CAP < 14 ** 4
