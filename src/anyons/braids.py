@@ -56,7 +56,8 @@ COMPILE_TIE_EPS = 1e-12
 
 UNITARY_TOL = 1e-12
 
-#: Largest generator entry modulus :func:`tl_b3_rep` accepts.  Products of
+#: Largest generator entry modulus :func:`tl_b3_rep` accepts, checked by
+#: :func:`tl_b3_matrices`.  Products of
 #: three 2x2 generators (the braid relations) stay finite below about 1e102;
 #: ``|t|`` far from 1 (``1e300`` or ``1e-300``) gives entries past it.
 TL_ENTRY_CAP = 1e100
@@ -217,6 +218,12 @@ def tl_b3_matrices(t: complex) -> tuple[np.ndarray, np.ndarray, complex]:
 
     with the principal complex square root when ``1 - d^-2 < 0``.
     They satisfy ``V_i^2 = d V_i`` and ``V_1 V_2 V_1 = V_1`` etc.
+
+    Far from ``|t| = 1`` the largest entries of the generators
+    :func:`tl_b3_rep` builds from them are ``t^(1/4) d`` in ``G(b_1)`` and
+    ``t^(-1/4) d`` in its inverse, up to terms below their last bit; a ``t``
+    that puts either over :data:`TL_ENTRY_CAP` raises :class:`InputError`
+    before ``d^-2``, which overflows for ``|t|`` near the largest float.
     """
     t = complex(t)
     if t == 0:
@@ -225,6 +232,12 @@ def tl_b3_matrices(t: complex) -> tuple[np.ndarray, np.ndarray, complex]:
     d = -(q ** 2) - q ** -2
     if abs(d) < 1e-14:
         raise InputError(f"loop value d vanishes at t = {t}; V_2 is undefined")
+    largest = max(float(abs(q * d)), float(abs(d / q)))
+    if largest > TL_ENTRY_CAP:
+        raise InputError(
+            f"t = {t} gives generator entries of modulus {largest:.3g}, over "
+            f"{TL_ENTRY_CAP:g}; their products would overflow"
+        )
     v1 = np.array([[d, 0.0], [0.0, 0.0]], dtype=complex)
     s = np.sqrt(1.0 - d ** -2 + 0j)
     v2 = np.array([[1.0 / d, s], [s, d - 1.0 / d]], dtype=complex)
@@ -247,12 +260,6 @@ def tl_b3_rep(t: complex) -> BraidRep:
     eye = np.eye(2, dtype=complex)
     gens = {1: eye / q + q * v1, 2: eye / q + q * v2}
     invs = {1: q * eye + v1 / q, 2: q * eye + v2 / q}
-    largest = max(float(np.max(np.abs(m))) for m in (*gens.values(), *invs.values()))
-    if largest > TL_ENTRY_CAP:
-        raise InputError(
-            f"t = {t} gives generator entries of modulus {largest:.3g}, over "
-            f"{TL_ENTRY_CAP:g}; their products would overflow"
-        )
     unitary = all(
         np.max(np.abs(m @ m.conj().T - eye)) < UNITARY_TOL for m in gens.values()
     )

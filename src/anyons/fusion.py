@@ -372,6 +372,8 @@ def enumerate_fusion_trees(
     and times n - 2 past :data:`LISTED_LABEL_CAP`.  A forward pass walks the
     trie depth by depth, a node per copy of a multiplicity, and lists a column
     per depth: each node's name once per tree below it, zipped into tuples.
+    A label's children and their names are built once per depth, when the
+    walk first reaches it there.
     """
     leaves, counts = _tree_counts(model, inputs, total)
     dim = counts[0][leaves[0]]
@@ -387,6 +389,7 @@ def enumerate_fusion_trees(
         return [()] * dim
     names = model.labels if names is None else names
     v = model.index[model.vacuum]  # a vacuum leaf repeats the column before it
+    k = len(model.labels)
     # the trie's nodes at each depth, in tree order
     nodes, columns = [leaves[0]], []
     for leaf, size in zip(leaves[1:-1], counts[1:]):
@@ -394,16 +397,18 @@ def enumerate_fusion_trees(
             columns.append(columns[-1])
             continue
         row, size = model.N[:, leaf], size.tolist()  # row[c][c2] = N^c2_{c,leaf}
-        kids, runs = {}, {}
-        for c in set(nodes):
-            kids[c] = [c2 for c2, m in enumerate(row[c].tolist()) if size[c2] for _ in range(m)]
-            runs[c] = []
-            for c2 in kids[c]:
-                runs[c] += [names[c2]] * size[c2]
+        below = [None] * k  # per label reached: its live children and their names
         parents, nodes, column = nodes, [], []
         for c in parents:
-            nodes += kids[c]
-            column += runs[c]
+            if below[c] is None:
+                kids = [c2 for c2, m in enumerate(row[c].tolist()) if size[c2] for _ in range(m)]
+                run = []
+                for c2 in kids:
+                    run += [names[c2]] * size[c2]
+                below[c] = kids, run
+            kids, run = below[c]
+            nodes += kids
+            column += run
         columns.append(column)
     return list(zip(*columns))
 

@@ -43,10 +43,17 @@ Syndromes, the commutation check, the stabilizer products and the rank
 (each block is a graph's incidence matrix, and one rank pass takes both
 as one disjoint graph) are computed from them with O(n) memory, and
 :func:`build_stabilizers` expands rows of them into explicit Pauli
-strings.  The star/face overlap that :meth:`TorusLattice.validate` and
-:func:`stabilizers_commute` both read is held, read-only, by each lattice
-object (:attr:`TorusLattice.star_face_overlap`), never shared between
-objects, so one ``anyons toric`` job computes it once.
+strings.  Two structures derived from them are held, read-only, by each
+lattice object, never shared between objects, so one ``anyons toric`` job
+computes each once:
+
+* the signed incidence (:attr:`TorusLattice.signed_incidence`): the +1
+  and -1 entry counts of every edge in both blocks and the row of each
+  entry, from one ``bincount``.  :meth:`TorusLattice.validate`,
+  :func:`stabilizer_products_are_identity` and :func:`ground_space_dim`
+  read it, each with its own check;
+* the star/face overlap (:attr:`TorusLattice.star_face_overlap`), which
+  :meth:`TorusLattice.validate` and :func:`stabilizers_commute` read.
 
 The qubit code state is never stored: a Pauli string's expectation on it is
 read off its syndrome and flux winding (Gottesman, quant-ph/9807006;
@@ -72,17 +79,20 @@ from .pauli import PauliString, commutation_phase
 
 #: Edge cap of the O(n) :func:`ground_space_dim` and :func:`interferometer_run`,
 #: checked before any edge array is built.  At 128x128, the largest square
-#: lattice admitted, the ``anyons toric`` job takes 13-21 ms in process (best
-#: of 15) at a 7.6 MiB tracemalloc peak and ``anyons interferometer`` 13-21
-#: ms in process (2-core x86 host, numpy 2.4), next to a 0.2-0.3 s import.
+#: lattice admitted, the ``anyons toric`` job takes 11-12 ms in process (best
+#: of 9) at a 9.6 MiB tracemalloc peak, 4 MiB of it the signed incidence and
+#: the star/face overlap its lattice object holds, and ``anyons
+#: interferometer`` 13-21 ms in process (2-core x86 host, numpy 2.4), next to
+#: a 0.2-0.3 s import.
 LATTICE_EDGE_CAP = 2 * 128 * 128
 
 #: Entries (``d^4``) of the dyon braiding table :func:`braiding_table`
-#: builds.  The table costs four unit strings and their four commutation
+#: builds.  The table costs the four unit strings (the per-process
+#: :func:`_unit_dyon_exponents` reduced mod d) and their four commutation
 #: phases, one full composition as a cross-check, and O(d^4) array work, so
 #: the cap bounds the output: d = 13 gives 28,561 entries and about 108 KB of
-#: JSON, and ``anyons toric --lx 2 --ly 2 --d 13`` takes about 0.37 s end
-#: to end on the same host, most of it the import.
+#: JSON, and ``anyons toric --lx 2 --ly 2 --d 13`` takes 0.19-0.24 s end to
+#: end on the same host, most of it the import.
 BRAIDING_TABLE_CAP = 13 ** 4
 
 #: Bound on the ``d`` whose primality :func:`ground_space_dim` tests by trial
@@ -154,15 +164,27 @@ class TorusLattice:
         shared.flags.writeable = sums.flags.writeable = False
         return shared, sums
 
+    @cached_property
+    def signed_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only :func:`_signed_incidence` of the star rows and the
+        face rows taken as one block (face edges shifted by ``n_edges``, face
+        rows by ``n_vertices``), computed once per lattice object for
+        :meth:`validate`, :func:`stabilizer_products_are_identity` and
+        :func:`ground_space_dim`."""
+        both = np.concatenate([self.star_edges, self.face_edges + self.n_edges])
+        counts, rows = _signed_incidence(both, 2 * self.n_edges)
+        counts.flags.writeable = rows.flags.writeable = False
+        return counts, rows
+
     def validate(self):
-        """Structural sanity: every edge in two stars and two faces, and every
-        star/face pair that meets sharing two edges (read from
-        :attr:`star_face_overlap`)."""
-        for edges in (self.star_edges, self.face_edges):
-            if np.any(np.bincount(edges.ravel(), minlength=self.n_edges) != 2):
-                raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
+        """Structural sanity: every edge in two stars and two faces (read from
+        :attr:`signed_incidence`), and every star/face pair that meets sharing
+        two edges (read from :attr:`star_face_overlap`)."""
+        counts, _ = self.signed_incidence
+        if (counts[0] + counts[1] != 2).any():
+            raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
         shared, _ = self.star_face_overlap
-        if np.any(shared != 2):
+        if (shared != 2).any():
             raise InvariantViolation("a star and a face share 1 edge")
 
 
@@ -177,6 +199,19 @@ def _edge_rows(lat: TorusLattice) -> tuple[np.ndarray, np.ndarray]:
     faces = _frozen_rows(lat.h_edge(x, y), lat.v_edge(x + 1, y),
                          lat.h_edge(x, y + 1), lat.v_edge(x, y))
     return stars, faces
+
+
+def _signed_incidence(edges: np.ndarray, n_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, rows)`` of the block with rows ``edges`` and signs
+    :data:`EDGE_SIGNS`, each ``(2, n_edges)``: how many +1 (first row) and
+    -1 (second row) entries every edge has, and the row of each entry (of
+    one of them where there are several, -1 where there is none).  One
+    ``bincount`` over the signed slots ``edge + n_edges [sign < 0]``."""
+    slot = edges + n_edges * (EDGE_SIGNS < 0)
+    counts = np.bincount(slot.ravel(), minlength=2 * n_edges)
+    rows = np.full(2 * n_edges, -1, dtype=np.int64)
+    rows[slot] = np.arange(len(edges))[:, None]
+    return counts.reshape(2, n_edges), rows.reshape(2, n_edges)
 
 
 @dataclass(frozen=True)
@@ -284,7 +319,7 @@ def stabilizers_commute(lat: TorusLattice, d: int) -> bool:
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
     _, sums = lat.star_face_overlap
-    return not np.any(sums % d)
+    return not (sums % d).any()
 
 
 def stabilizer_products_are_identity(lat: TorusLattice, d: int) -> tuple[bool, bool]:
@@ -292,16 +327,14 @@ def stabilizer_products_are_identity(lat: TorusLattice, d: int) -> tuple[bool, b
 
     Each product is pure X (pure Z) with phase 0, and its exponent on an
     edge is the column sum of ``Hx`` (``Hz``) mod d: the count of the edge's
-    +1 entries minus that of its -1 entries, two integer ``bincount`` calls.
+    +1 entries minus that of its -1 entries, read from
+    :attr:`TorusLattice.signed_incidence`.
     """
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
-    out = []
-    for edges in (lat.star_edges, lat.face_edges):
-        plus, minus = (np.bincount(edges[:, side].ravel(), minlength=lat.n_edges)
-                       for side in (EDGE_SIGNS > 0, EDGE_SIGNS < 0))
-        out.append(not np.any((plus - minus) % d))
-    return out[0], out[1]
+    counts, _ = lat.signed_incidence
+    stars, faces = ((counts[0] - counts[1]) % d).reshape(2, -1).any(axis=1).tolist()
+    return not stars, not faces
 
 
 def _is_prime(d: int) -> bool:
@@ -313,9 +346,10 @@ def _is_prime(d: int) -> bool:
     return True
 
 
-def _incidence_rank(edges: np.ndarray, n_edges: int) -> int:
-    """Rank over any field of the block with rows ``edges`` and signs
-    :data:`EDGE_SIGNS`: its rows minus the connected components of its graph.
+def _incidence_rank(counts: np.ndarray, ends: np.ndarray, n_rows: int) -> int:
+    """Rank over any field of an ``n_rows``-row block given by its
+    :func:`_signed_incidence` ``(counts, ends)``: its rows minus the connected
+    components of its graph.
 
     Raises :class:`InvariantViolation` unless each edge sits in two distinct
     rows with cancelling signs (an oriented incidence matrix).  Each round of
@@ -323,23 +357,19 @@ def _incidence_rank(edges: np.ndarray, n_edges: int) -> int:
     and flattens the forest by pointer jumping, until both ends of every edge
     share a label: one O(n) round on a torus lattice.
     """
-    flat = edges.ravel()
-    slot = flat + n_edges * np.broadcast_to(EDGE_SIGNS < 0, edges.shape).ravel()
-    if np.any(np.bincount(slot, minlength=2 * n_edges) != 1):
+    if (counts != 1).any():
         raise InvariantViolation("an edge is not in exactly two rows with opposite signs")
-    ends = np.empty(2 * n_edges, dtype=np.int64)
-    ends[slot] = np.arange(flat.size) // edges.shape[1]
-    ends = ends.reshape(2, n_edges)  # the row of each edge's +1, then of its -1
-    if np.any(ends[0] == ends[1]):
+    if (ends[0] == ends[1]).any():  # the row of each edge's +1, then of its -1
         raise InvariantViolation("an edge is in one row twice")
-    label = np.arange(len(edges))
+    label = np.arange(n_rows)
     roots = label[ends]
-    while not np.array_equal(roots[0], roots[1]):
-        np.minimum.at(label, roots.ravel(), np.tile(roots.min(axis=0), 2))
-        while not np.array_equal(jumped := label[label], label):
+    while (roots[0] != roots[1]).any():
+        low = np.minimum(roots[0], roots[1])
+        np.minimum.at(label, roots.ravel(), np.concatenate((low, low)))
+        while ((jumped := label[label]) != label).any():
             label = jumped
         roots = label[ends]
-    return len(edges) - int(np.count_nonzero(label == np.arange(len(edges))))
+    return n_rows - int(np.count_nonzero(label == np.arange(n_rows)))
 
 
 def ground_space_dim(lat: TorusLattice, d: int) -> int:
@@ -350,10 +380,11 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
     product of all plaquettes are both the identity).  ``H`` is block
     diagonal (stars have no Z part, plaquettes no X part), so its rank is
     ``rank(Hx) + rank(Hz)``: the rank of the disjoint union of the primal
-    and dual graphs, one :func:`_incidence_rank` over the star rows and the
-    face rows with their edges shifted by ``n_edges``, in O(n): 3.6 ms for
-    128x128 at a 6.8 MiB tracemalloc peak that includes the first build of
-    the edge rows, 5.8 MiB without it (2-core x86 host, numpy 2.4).  A
+    and dual graphs, one :func:`_incidence_rank` over
+    :attr:`TorusLattice.signed_incidence`, in O(n): 3.5-3.7 ms for 128x128
+    at a 6.0 MiB tracemalloc peak that includes the first build of the edge
+    rows, 5.0 MiB without it, 2 MiB of which the lattice object keeps
+    (2-core x86 host, numpy 2.4).  A
     ``d`` of :data:`PRIME_TEST_CAP` or more raises :class:`ResourceError`
     before the prime test, and over :data:`LATTICE_EDGE_CAP` edges it
     raises one before any edge array is built.
@@ -364,8 +395,7 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
         raise InputError(f"ground_space_dim needs prime d, got {d}")
     if lat.n_edges > LATTICE_EDGE_CAP:
         raise ResourceError(f"{lat.n_edges} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
-    both = np.concatenate([lat.star_edges, lat.face_edges + lat.n_edges])
-    rank = _incidence_rank(both, 2 * lat.n_edges)
+    rank = _incidence_rank(*lat.signed_incidence, 2 * lat.n_vertices)
     return d ** (lat.n_edges - rank)
 
 
@@ -397,6 +427,13 @@ def string_operator(
     if kind not in ("charge", "flux"):
         raise InputError("kind must be 'charge' or 'flux'")
     flux = kind == "flux"
+    exponents = _path_exponents(lat, path, flux, r)
+    zeros = np.zeros(lat.n_edges, dtype=np.int64)
+    return PauliString(d, exponents, zeros) if flux else PauliString(d, zeros, exponents)
+
+
+def _path_exponents(lat: TorusLattice, path, flux: bool, r: int) -> np.ndarray:
+    """The integer edge exponents of :func:`string_operator`'s string."""
     # the edges an x step and a y step cross, and the sign of a forward x step
     along_x, along_y, x_sign = (lat.v_edge, lat.h_edge, -1) if flux else (lat.h_edge, lat.v_edge, 1)
     exponents = np.zeros(lat.n_edges, dtype=np.int64)
@@ -412,8 +449,7 @@ def string_operator(
         # the lower end of the step for a charge, the upper end for a flux
         x, y = (x1, y1) if forward != flux else (x2, y2)
         exponents[edge(x, y)] += (sign if forward else -sign) * r
-    zeros = np.zeros(lat.n_edges, dtype=np.int64)
-    return PauliString(d, exponents, zeros) if flux else PauliString(d, zeros, exponents)
+    return exponents
 
 
 def syndrome(lat: TorusLattice, error: PauliString) -> Syndrome:
@@ -451,7 +487,7 @@ def _defect_exponents(lat: TorusLattice, x: np.ndarray, z: np.ndarray, d: int):
 
 
 def _nonzero(exponents: np.ndarray) -> dict[int, int]:
-    where = np.flatnonzero(exponents)
+    where = exponents.nonzero()[0]
     return dict(zip(where.tolist(), exponents[where].tolist()))
 
 
@@ -583,9 +619,8 @@ def _string_exponents(lat: TorusLattice, strings) -> np.ndarray:
         along_y += ((not flux) * nv + flux * ne + x2, y1 + flux - back * n, n,
                     -power if back else power)
     line, first, steps, weight = np.array(along_x + along_y, dtype=np.int64).reshape(-1, 4).T
-    ends = steps.cumsum()
-    at = np.arange(ends[-1] if len(ends) else 0) + (first - ends + steps).repeat(steps)
-    cut = steps[:len(along_x) // 4].sum()  # the x legs' steps come first
+    cut = sum(along_x[2::4])  # the x legs' steps come first
+    at = np.arange(cut + sum(along_y[2::4])) + (first - steps.cumsum() + steps).repeat(steps)
     at[:cut] %= lx
     at[cut:] %= ly
     at[cut:] *= lx
@@ -667,8 +702,24 @@ def dyon_braiding_phase(
 def _dyon_strings(d: int, dyon1: tuple[int, int], dyon2: tuple[int, int]):
     """The charge loop and flux loop that wind dyon1 = (r, s), and the charge
     and flux strings that create dyon2 = (r', s'), at those powers on the
-    4x4 torus."""
+    4x4 torus: the :func:`_unit_dyon_exponents` scaled by the powers and
+    reduced mod d."""
+    charge_loop, flux_loop, charge_str, flux_str = _unit_dyon_exponents()
+    zeros = np.zeros(charge_loop.size, dtype=np.int64)
     (r, s), (rp, sp) = dyon1, dyon2
+    return (PauliString(d, zeros, r * charge_loop),
+            PauliString(d, s * flux_loop, zeros),
+            PauliString(d, zeros, rp * charge_str),
+            PauliString(d, sp * flux_str, zeros))
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_dyon_exponents() -> np.ndarray:
+    """``(4, 32)`` integer edge exponents of the unit charge loop (Z), flux
+    loop (X), charge creation string (Z) and flux creation string (X) of
+    :func:`dyon_braiding_phase` on the 4x4 torus.  They do not depend on d,
+    so they are built once per process by :func:`string_operator`'s path
+    walk, read-only."""
     lat = TorusLattice(4, 4)
     # Counterclockwise primal loop around the 2x2 block of faces with
     # lower-left corner (1, 1); it strictly encloses vertex (2, 2).
@@ -677,10 +728,12 @@ def _dyon_strings(d: int, dyon1: tuple[int, int], dyon2: tuple[int, int]):
     dual_ring = [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)]
     # dyon2: charge at vertex (2, 2) and flux at face (1, 1), with creation
     # strings entering the enclosed region from below.
-    return (string_operator(lat, ring, "charge", r, d),
-            string_operator(lat, dual_ring, "flux", s, d),
-            string_operator(lat, [(2, 0), (2, 1), (2, 2)], "charge", rp, d),
-            string_operator(lat, [(1, 0), (1, 1)], "flux", sp, d))
+    units = np.array([_path_exponents(lat, ring, False, 1),
+                      _path_exponents(lat, dual_ring, True, 1),
+                      _path_exponents(lat, [(2, 0), (2, 1), (2, 2)], False, 1),
+                      _path_exponents(lat, [(1, 0), (1, 1)], True, 1)])
+    units.flags.writeable = False
+    return units
 
 
 def _closed_form_checked(d: int, phi: int, dyon1: tuple[int, int], dyon2: tuple[int, int]):
@@ -703,10 +756,14 @@ def braiding_table(d: int) -> list:
     ``r r' u_ee + r s' u_em + s r' u_me + s s' u_mm mod 2d`` over the four
     unit pairs ``u``.  Those four are the commutation phases of the unit
     charge and flux loops with the two unit creation strings of
-    :func:`dyon_braiding_phase`, built once, each checked against the closed
-    form.  The table extends them over the grid, and its entry for (1, 1)
-    around (1, 1) must equal the composition of the four strings, checked
-    against the closed form as in :func:`dyon_braiding_phase`.  A table over
+    :func:`dyon_braiding_phase`, each checked against the closed form; the
+    strings are the per-process :func:`_unit_dyon_exponents` reduced mod d,
+    four :class:`PauliString` objects per call.  The table extends the
+    phases over the grid as one integer product ``D^T u D`` with the
+    ``(2, d^2)`` array ``D`` of every ``(r, s)``, and its entry for (1, 1)
+    around (1, 1) must equal
+    the composition of the four strings, checked against the closed form as
+    in :func:`dyon_braiding_phase`.  A table over
     :data:`BRAIDING_TABLE_CAP` entries raises :class:`ResourceError` first.
     """
     if d < 2:
@@ -723,10 +780,10 @@ def braiding_table(d: int) -> list:
          for creation, b in zip((charge_str, flux_str), units)]
         for loop, a in zip((charge_loop, flux_loop), units)
     ])
-    q = np.arange(d)
-    r, s, rp, sp = np.ix_(q, q, q, q)
-    table = (r * rp * u[0, 0] + r * sp * u[0, 1] + s * rp * u[1, 0] + s * sp * u[1, 1])
+    dyons = np.indices((d, d)).reshape(2, -1)  # (r, s) of every dyon, row-major
+    table = dyons.T @ u @ dyons
     table %= 2 * d
+    table = table.reshape(d, d, d, d)
     phi = commutation_phase(charge_loop * flux_loop, charge_str * flux_str)
     if table[1, 1, 1, 1] != _closed_form_checked(d, phi, (1, 1), (1, 1)):
         raise InvariantViolation("the bilinear table disagrees with the composition")

@@ -61,9 +61,10 @@ Everything here deliberately avoids the code paths it checks:
   ``(lx*ly, 2*lx*ly)`` arrays and row-reduces them over Z_p (the
   implementation counts the connected components of the graphs whose
   incidence matrices the blocks are);
-* the braiding-table oracle composes every one of the d^4 entries with
-  ``dyon_braiding_phase`` (the implementation composes the four unit pairs
-  and extends them by bilinearity);
+* the braiding-table oracle composes every one of the d^4 entries from
+  powers of the four strings the string oracle walks (the implementation
+  composes the four unit pairs of held unit strings and extends them by
+  bilinearity);
 * the Hadamard-test oracle keeps every shot's two +-1 outcomes as floats
   and takes numpy's mean and standard deviation (the implementation draws
   the same random stream block by block and keeps only the two counts of
@@ -91,8 +92,8 @@ from anyons.stringnet import branching_allowed
 from anyons.toric import (
     EDGE_SIGNS,
     Syndrome,
+    TorusLattice,
     build_stabilizers,
-    dyon_braiding_phase,
     homology_class,
     string_operator,
     syndrome,
@@ -510,17 +511,27 @@ def check_blocks(lat) -> tuple[np.ndarray, np.ndarray]:
 
 
 def braiding_table_oracle(d: int) -> list:
-    """The ``[r][s][r'][s']`` braiding table, one composition per entry."""
-    return [
-        [
-            [
-                [dyon_braiding_phase(d, (r, s), (rp, sp)) for sp in range(d)]
-                for rp in range(d)
-            ]
-            for s in range(d)
-        ]
-        for r in range(d)
-    ]
+    """The ``[r][s][r'][s']`` braiding table, one composition per entry: the
+    commutation phase of the loops winding ``(r, s)`` with the strings
+    creating ``(r', s')`` on the 4x4 torus, each a power of a unit string
+    that :func:`string_operator_oracle` walks (the paths of
+    :func:`anyons.toric.dyon_braiding_phase`)."""
+    lat = TorusLattice(4, 4)
+    ring = [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2), (1, 1)]
+    charge_loop, flux_loop, charge_str, flux_str = (
+        string_operator_oracle(lat, path, kind, 1, d) for path, kind in (
+            (ring, "charge"), ([(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)], "flux"),
+            ([(2, 0), (2, 1), (2, 2)], "charge"), ([(1, 0), (1, 1)], "flux")))
+
+    def power(string, k):  # a pure X or pure Z string with phase 0
+        return PauliString(d, k * string.x, k * string.z)
+
+    table = np.zeros((d,) * 4, dtype=np.int64)
+    for r, s, rp, sp in itertools.product(range(d), repeat=4):
+        table[r, s, rp, sp] = commutation_phase(
+            power(charge_loop, r) * power(flux_loop, s),
+            power(charge_str, rp) * power(flux_str, sp))
+    return table.tolist()
 
 
 def pauli_dense(p: PauliString) -> np.ndarray:

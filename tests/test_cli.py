@@ -265,6 +265,12 @@ class TestExitCodes:
         ["braid-check", "--rep", "tl", "--t", "1e100,0", "--braid", "B3: s1 s1 s1 s1 s1"],
         ["trace-est", "--rep", "tl", "--t", "1e90,0", "--braid",
          "B3: s1 s1 s1 s1 s1 s1 s1 s1", "--shots", "100", "--seed", "1"],
+        # |t| near the largest float: refused before d^-2 overflows
+        ["trace-est", "--braid", "B3: s1", "--rep", "tl", "--t", "1e308,1e308",
+         "--shots", "10", "--seed", "1"],
+        ["braid-check", "--rep", "tl", "--t", "1e308,1e308"],
+        ["bracket", "--braid", "B3: s1", "--method", "tl", "--t", "1e308,1e308"],
+        ["braid-check", "--rep", "tl", "--t", "5e-324,0"],
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error")
     def test_non_finite_or_bad_float_is_refused(self, argv, capsys):

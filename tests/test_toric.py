@@ -22,7 +22,9 @@ from anyons.toric import (
     Syndrome,
     TorusLattice,
     _incidence_rank,
+    _signed_incidence,
     _star_face_overlaps,
+    _unit_dyon_exponents,
     _vertex_far_from,
     braiding_table,
     build_stabilizers,
@@ -128,6 +130,18 @@ class TestCheckMatrix:
         stacked = np.array([np.concatenate([p.x, p.z]) for p in stars + plaqs])
         rank = rank_mod_p(stacked, d)
         assert ground_space_dim(lat, d) == d ** (lat.n_edges - rank)
+
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (2, 5), (3, 2), (4, 3)])
+    def test_signed_incidence_against_the_dense_blocks(self, lx, ly):
+        lat = TorusLattice(lx, ly)
+        hx, hz = check_blocks(lat)
+        both = np.zeros((2 * lat.n_vertices, 2 * lat.n_edges), dtype=np.int64)
+        both[:lat.n_vertices, :lat.n_edges] = hx
+        both[lat.n_vertices:, lat.n_edges:] = hz
+        counts, rows = lat.signed_incidence
+        for side, sign in enumerate(EDGE_SIGNS[[0, 2]]):
+            assert np.array_equal(counts[side], (both == sign).sum(axis=0))
+            assert np.array_equal(rows[side], (both == sign).argmax(axis=0))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 2), (4, 5)])
@@ -263,7 +277,8 @@ class TestCheckMatrix:
         for lx, ly in itertools.product(range(2, 9), repeat=2):
             lat = TorusLattice(lx, ly)
             for edges, block in zip((lat.star_edges, lat.face_edges), check_blocks(lat)):
-                assert _incidence_rank(edges, lat.n_edges) == rank_mod_p(block, p), (lx, ly)
+                incidence = _signed_incidence(edges, lat.n_edges)
+                assert _incidence_rank(*incidence, len(edges)) == rank_mod_p(block, p), (lx, ly)
 
     @pytest.mark.parametrize("attr", ["star_edges", "face_edges"])
     @pytest.mark.parametrize("fault,message", [
@@ -319,28 +334,52 @@ class TestWorkCounts:
         assert res.status == 0 and res.payload["stabilizers_commute"] is True
         assert len(calls) == 1
 
+    def test_each_toric_run_computes_its_own_incidence_and_overlap(self, monkeypatch):
+        from anyons.cli import run
+
+        incidences = _counting(monkeypatch, "_signed_incidence")
+        overlaps = _counting(monkeypatch, "_star_face_overlaps")
+        for _ in range(2):  # one shape: the edge rows are shared, these are not
+            res = run(["toric", "--lx", "3", "--ly", "3", "--d", "3"])
+            assert res.status == 0 and res.payload["product_of_stars_is_identity"] is True
+        assert len(incidences) == len(overlaps) == 2
+
     def test_one_rank_pass_per_ground_space_dim(self, monkeypatch):
         calls = _counting(monkeypatch, "_incidence_rank")
+        incidences = _counting(monkeypatch, "_signed_incidence")
         lat = TorusLattice(4, 3)
         assert ground_space_dim(lat, 3) == 9
-        assert len(calls) == 1
-        edges, n_edges = calls[0]
-        assert n_edges == 2 * lat.n_edges and len(edges) == 2 * lat.n_vertices
+        assert ground_space_dim(lat, 5) == 25
+        # one rank pass per call, over the one incidence the lattice object holds
+        assert len(calls) == 2 and len(incidences) == 1
+        counts, ends, n_rows = calls[0]
+        assert counts is lat.signed_incidence[0] and ends is lat.signed_incidence[1]
+        assert counts.shape == (2, 2 * lat.n_edges) and n_rows == 2 * lat.n_vertices
 
     def test_each_lattice_object_computes_its_own_overlap(self, monkeypatch):
         calls = _counting(monkeypatch, "_star_face_overlaps")
+        incidences = _counting(monkeypatch, "_signed_incidence")
         a, b = TorusLattice(3, 3), TorusLattice(3, 3)
         for lat in (a, b, a, b):
             lat.validate()
             assert stabilizers_commute(lat, 5)
-        assert len(calls) == 2
+            assert stabilizer_products_are_identity(lat, 5) == (True, True)
+        assert len(calls) == len(incidences) == 2
         assert a.star_face_overlap[1] is not b.star_face_overlap[1]
+        assert a.signed_incidence[0] is not b.signed_incidence[0]
 
     def test_held_overlap_is_read_only(self):
         lat = TorusLattice(3, 4)
         expected = _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
         for held, fresh in zip(lat.star_face_overlap, expected):
             assert np.array_equal(held, fresh) and not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 0
+
+    def test_held_incidence_is_read_only(self):
+        lat = TorusLattice(3, 4)
+        for held in lat.signed_incidence:
+            assert not held.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 held[0, 0] = 0
 
@@ -634,19 +673,43 @@ class TestBraidingTable:
         assert braiding_table(d) == (2 * (r * sp + s * rp) % (2 * d)).tolist()
 
     def test_four_unit_strings_and_one_composition(self, monkeypatch):
-        strings, checked = [], []
-        original_string, original_check = toric.string_operator, toric._closed_form_checked
-        monkeypatch.setattr(toric, "string_operator",
-                            lambda *args: strings.append(args[2:]) or original_string(*args))
+        walks, checked, phases = [], [], []
+        original_walk, original_check = toric._path_exponents, toric._closed_form_checked
+        original_phase = toric.commutation_phase
+        monkeypatch.setattr(toric, "_path_exponents", lambda lat, path, flux, r: (
+            walks.append((flux, r)) or original_walk(lat, path, flux, r)))
         monkeypatch.setattr(toric, "_closed_form_checked", lambda d, phi, a, b: (
             checked.append((a, b)) or original_check(d, phi, a, b)))
+        monkeypatch.setattr(toric, "commutation_phase", lambda p, q: (
+            phases.append(p.d) or original_phase(p, q)))
         monkeypatch.setattr(toric, "dyon_braiding_phase", None)  # any call fails
-        braiding_table(5)
-        # the four unit strings, built once: the four unit pairs, then the
-        # (1, 1)-around-(1, 1) check composes the same strings
-        assert strings == [("charge", 1, 5), ("flux", 1, 5)] * 2
+        _unit_dyon_exponents.cache_clear()
+        try:
+            for d in (5, 3, 5):
+                braiding_table(d)
+            held = _unit_dyon_exponents()
+        finally:
+            _unit_dyon_exponents.cache_clear()  # built through the counting wrapper
+        # the four unit strings (charge loop, flux loop, then the two creation
+        # strings), walked once per process and held read-only
+        assert walks == [(False, 1), (True, 1)] * 2
+        assert held.shape == (4, TorusLattice(4, 4).n_edges) and not held.flags.writeable
+        # per call: the four unit pairs, then the (1, 1)-around-(1, 1) check
+        # composes the same strings
         units = ((1, 0), (0, 1))
-        assert checked == [(a, b) for a in units for b in units] + [((1, 1), (1, 1))]
+        assert checked == ([(a, b) for a in units for b in units] + [((1, 1), (1, 1))]) * 3
+        assert phases == [5] * 5 + [3] * 5 + [5] * 5
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_unit_strings_are_the_path_walks(self, d):
+        # the held exponents, reduced mod d, are string_operator's strings
+        lat = TorusLattice(4, 4)
+        ring = [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2), (1, 1)]
+        walked = (charge_string(lat, ring, 2, d),
+                  flux_string(lat, [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)], 3, d),
+                  charge_string(lat, [(2, 0), (2, 1), (2, 2)], d - 1, d),
+                  flux_string(lat, [(1, 0), (1, 1)], 1, d))
+        assert toric._dyon_strings(d, (2, 3), (d - 1, 1)) == walked
 
     def test_table_against_the_composition(self, monkeypatch):
         # a bilinear extension that disagrees with the explicit composition raises
@@ -670,6 +733,36 @@ class TestBraidingTable:
         assert 13 ** 4 <= BRAIDING_TABLE_CAP < 14 ** 4
         with pytest.raises(ResourceError, match=f"has {14 ** 4} entries"):
             braiding_table(14)
+
+
+@functools.cache
+def _oracle_table(d):
+    return braiding_table_oracle(d)
+
+
+class TestSummaryAgainstOracles:
+    """The parts of the ``anyons toric`` summary against the dense oracles."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 3), (5, 5), (2, 3), (3, 2), (2, 5), (4, 3)])
+    def test_summary_parts(self, lx, ly, d):
+        from anyons.cli import run
+
+        res = run(["toric", "--lx", str(lx), "--ly", str(ly), "--d", str(d)])
+        assert res.status == 0
+        lat = TorusLattice(lx, ly)
+        stars, plaqs = build_stabilizers(lat, d)
+        stacked = np.array([np.concatenate([p.x, p.z]) for p in stars + plaqs])
+        assert res.payload["degeneracy"] == d ** (lat.n_edges - rank_mod_p(stacked, d))
+        one = PauliString(d, [0] * lat.n_edges, [0] * lat.n_edges)
+        explicit = [functools.reduce(PauliString.__mul__, ops, one) == one
+                    for ops in (stars, plaqs)]
+        assert explicit == [res.payload["product_of_stars_is_identity"],
+                            res.payload["product_of_plaquettes_is_identity"]]
+        ops = stars + plaqs
+        every_pair = all(commutation_phase(p, q) == 0 for p in ops for q in ops)
+        assert res.payload["stabilizers_commute"] is every_pair
+        assert res.payload["braiding_phase_exponents"] == _oracle_table(d)
 
 
 class TestGroundState:
