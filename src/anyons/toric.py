@@ -43,17 +43,12 @@ Syndromes, the commutation check, the stabilizer products and the rank
 (each block is a graph's incidence matrix, and one rank pass takes both
 as one disjoint graph) are computed from them with O(n) memory, and
 :func:`build_stabilizers` expands rows of them into explicit Pauli
-strings.  Two structures derived from them are held, read-only, by each
-lattice object, never shared between objects, so one ``anyons toric`` job
-computes each once:
-
-* the signed incidence (:attr:`TorusLattice.signed_incidence`): the +1
-  and -1 entry counts of every edge in both blocks and the row of each
-  entry, from one ``bincount``.  :meth:`TorusLattice.validate`,
-  :func:`stabilizer_products_are_identity` and :func:`ground_space_dim`
-  read it, each with its own check;
-* the star/face overlap (:attr:`TorusLattice.star_face_overlap`), which
-  :meth:`TorusLattice.validate` and :func:`stabilizers_commute` read.
+strings.  One structure derived from them, the signed incidence
+(:attr:`TorusLattice.signed_incidence`: the +1 and -1 entry counts of every
+edge in both blocks and the row of each entry, from one ``bincount``), is
+held read-only by each lattice object, never shared, so one ``anyons toric``
+job computes it once.  Every lattice check reads it, and the star/face
+sign sums are computed from it.
 
 The qubit code state is never stored: a Pauli string's expectation on it is
 read off its syndrome and flux winding (Gottesman, quant-ph/9807006;
@@ -77,13 +72,13 @@ import numpy as np
 from .errors import InputError, InvariantViolation, ResourceError
 from .pauli import PauliString, commutation_phase
 
-#: Edge cap of the O(n) :func:`ground_space_dim` and :func:`interferometer_run`,
-#: checked before any edge array is built.  At 128x128, the largest square
-#: lattice admitted, the ``anyons toric`` job takes 11-12 ms in process (best
-#: of 9) at a 9.6 MiB tracemalloc peak, 4 MiB of it the signed incidence and
-#: the star/face overlap its lattice object holds, and ``anyons
-#: interferometer`` 13-21 ms in process (2-core x86 host, numpy 2.4), next to
-#: a 0.2-0.3 s import.
+#: Edge cap of the O(n) lattice checks, tested by
+#: :attr:`TorusLattice.signed_incidence` and :func:`interferometer_run` before
+#: any edge array is built.  At 128x128, the largest square lattice admitted,
+#: the ``anyons toric`` job takes 8-13 ms in process (best of 9) at a 7.0 MiB
+#: tracemalloc peak, 2.5 MiB of it held by its lattice object, and ``anyons
+#: interferometer`` 8-12 ms (2-core x86 host, numpy 2.4), next to a 0.2-0.3 s
+#: import.
 LATTICE_EDGE_CAP = 2 * 128 * 128
 
 #: Entries (``d^4``) of the dyon braiding table :func:`braiding_table`
@@ -155,37 +150,37 @@ class TorusLattice:
         return _edge_rows(self)[1]
 
     @cached_property
-    def star_face_overlap(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only shared-edge counts and sign sums of
-        :func:`_star_face_overlaps` with :data:`EDGE_SIGNS` on both sides,
-        computed once per lattice object for :meth:`validate` and
-        :func:`stabilizers_commute`."""
-        shared, sums = _star_face_overlaps(self, EDGE_SIGNS, EDGE_SIGNS)
-        shared.flags.writeable = sums.flags.writeable = False
-        return shared, sums
-
-    @cached_property
     def signed_incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only :func:`_signed_incidence` of the star rows and the
         face rows taken as one block (face edges shifted by ``n_edges``, face
-        rows by ``n_vertices``), computed once per lattice object for
-        :meth:`validate`, :func:`stabilizer_products_are_identity` and
-        :func:`ground_space_dim`."""
+        rows by ``n_vertices``), computed once per lattice object for every
+        lattice check.  Over :data:`LATTICE_EDGE_CAP` edges it raises
+        :class:`ResourceError` before any edge array is built."""
+        if self.n_edges > LATTICE_EDGE_CAP:
+            raise ResourceError(f"{self.n_edges} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
         both = np.concatenate([self.star_edges, self.face_edges + self.n_edges])
         counts, rows = _signed_incidence(both, 2 * self.n_edges)
         counts.flags.writeable = rows.flags.writeable = False
         return counts, rows
 
+    @cached_property
+    def star_face_sums(self) -> np.ndarray:
+        """The read-only :func:`_star_face_sums` of :attr:`signed_incidence`,
+        computed once per lattice object for :meth:`validate` and
+        :func:`stabilizers_commute`."""
+        sums = _star_face_sums(*self.signed_incidence)
+        sums.flags.writeable = False
+        return sums
+
     def validate(self):
         """Structural sanity: every edge in two stars and two faces (read from
-        :attr:`signed_incidence`), and every star/face pair that meets sharing
-        two edges (read from :attr:`star_face_overlap`)."""
+        :attr:`signed_incidence`), then each block an oriented incidence and
+        every star/face pair that meets sharing two edges (the refusals of
+        :attr:`star_face_sums`)."""
         counts, _ = self.signed_incidence
         if (counts[0] + counts[1] != 2).any():
             raise InvariantViolation("an edge is not in exactly 2 stars and 2 faces")
-        shared, _ = self.star_face_overlap
-        if (shared != 2).any():
-            raise InvariantViolation("a star and a face share 1 edge")
+        self.star_face_sums  # built only through its checks
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,6 +207,36 @@ def _signed_incidence(edges: np.ndarray, n_edges: int) -> tuple[np.ndarray, np.n
     rows = np.full(2 * n_edges, -1, dtype=np.int64)
     rows[slot] = np.arange(len(edges))[:, None]
     return counts.reshape(2, n_edges), rows.reshape(2, n_edges)
+
+
+def _check_oriented(counts: np.ndarray, ends: np.ndarray):
+    """Raise :class:`InvariantViolation` unless the block of a
+    :func:`_signed_incidence` ``(counts, ends)`` is an oriented incidence
+    matrix: each edge in two distinct rows with cancelling signs."""
+    if (counts != 1).any():
+        raise InvariantViolation("an edge is not in exactly two rows with opposite signs")
+    if (ends[0] == ends[1]).any():  # the row of each edge's +1, then of its -1
+        raise InvariantViolation("an edge is in one row twice")
+
+
+def _star_face_sums(counts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The sign sum ``sum_e s_e p_e`` of every star/plaquette pair that
+    shares an edge, in (star, face) order, from the signed incidence of both
+    blocks taken as one (:attr:`TorusLattice.signed_incidence`).
+
+    Each edge of an oriented incidence (:func:`_check_oriented`) meets four
+    (star, face) pairs; one stable sort of their codes puts each pair's
+    edges side by side, and each pair must meet in exactly two edges.
+    """
+    _check_oriented(counts, ends)
+    stars, faces = np.hsplit(ends, 2)  # (2, n_edges) each: the +1 row, then the -1 row
+    codes = (stars[:, None] * ends.shape[1] + faces).ravel()  # [star sign][face sign][edge]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    if (codes[::2] != codes[1::2]).any() or (codes[1:-1:2] == codes[2::2]).any():
+        raise InvariantViolation("a star and a face share 1 edge")
+    products = np.array([1, -1, -1, 1]).repeat(stars.shape[1])[order]
+    return products[::2] + products[1::2]
 
 
 @dataclass(frozen=True)
@@ -273,37 +298,6 @@ def build_stabilizers(
     return stars, plaqs
 
 
-def _star_face_overlaps(lat: TorusLattice, star_signs, face_signs):
-    """Shared-edge count and summed sign products ``sum_e s_e p_e`` of every
-    star/plaquette pair that shares an edge, as ``(n_vertices, 8)`` arrays:
-    one entry per (edge of the star, face of that edge) incidence, each
-    row's entries in face order.
-
-    Each edge lies in two faces, so a star's four edges meet eight face
-    incidences.  Sorting each row by face puts the incidences of one face
-    in one run, and every entry holds its run's length and sum: O(n) memory,
-    and O(n) time beyond the sort that finds the faces of each edge.
-    Requires every edge in exactly two faces (see
-    :meth:`TorusLattice.validate`).
-    """
-    star_signs = np.asarray(star_signs)[..., None]  # EDGE_SIGNS or one row per star
-    face_signs = np.broadcast_to(face_signs, lat.face_edges.shape).ravel()
-    # flat positions in face_edges of the two occurrences of every edge
-    where = np.argsort(lat.face_edges.ravel(), kind="stable").reshape(lat.n_edges, 2)
-    faces = (where // 4)[lat.star_edges].reshape(-1, 8)
-    products = (star_signs * face_signs[where][lat.star_edges]).ravel()
-    order = (faces.argsort(axis=1) + np.arange(0, faces.size, 8)[:, None]).ravel()
-    faces = faces.ravel()[order]
-    # a run starts at each row's first entry and where the face changes
-    bound = np.ones(faces.size + 1, dtype=bool)
-    np.not_equal(faces[1:], faces[:-1], out=bound[1:-1])
-    bound[::8] = True
-    bounds = np.flatnonzero(bound)
-    counts = bounds[1:] - bounds[:-1]
-    sums = np.add.reduceat(products[order], bounds[:-1])
-    return counts.repeat(counts).reshape(-1, 8), sums.repeat(counts).reshape(-1, 8)
-
-
 def stabilizers_commute(lat: TorusLattice, d: int) -> bool:
     """Whether every pair of stabilizers commutes over Z_d.
 
@@ -311,15 +305,15 @@ def stabilizers_commute(lat: TorusLattice, d: int) -> bool:
     or any pair with disjoint supports commute identically.  A star S and
     a plaquette P that share edges have ``commutation_phase(S, P) =
     -2 sum_e s_e p_e mod 2d`` over the shared edges, so the check is one
-    exact symplectic product per edge-sharing pair, read from the sign sums
-    of :attr:`TorusLattice.star_face_overlap`: O(n) memory, and O(n log n)
-    time for the sort that finds the faces of each edge, once per lattice
-    object (:meth:`TorusLattice.validate` reads the same overlap).
+    exact symplectic product per edge-sharing pair, read from
+    :attr:`TorusLattice.star_face_sums`, which each lattice object computes
+    once from its signed incidence (:meth:`TorusLattice.validate` reads the
+    same sums).  A lattice whose blocks are not oriented incidence matrices
+    raises :class:`InvariantViolation`.
     """
     if d < 2:
         raise InputError("qudit dimension must be >= 2")
-    _, sums = lat.star_face_overlap
-    return not (sums % d).any()
+    return not (lat.star_face_sums % d).any()
 
 
 def stabilizer_products_are_identity(lat: TorusLattice, d: int) -> tuple[bool, bool]:
@@ -351,16 +345,13 @@ def _incidence_rank(counts: np.ndarray, ends: np.ndarray, n_rows: int) -> int:
     :func:`_signed_incidence` ``(counts, ends)``: its rows minus the connected
     components of its graph.
 
-    Raises :class:`InvariantViolation` unless each edge sits in two distinct
-    rows with cancelling signs (an oriented incidence matrix).  Each round of
-    min-label propagation points the larger root of every edge at the smaller
-    and flattens the forest by pointer jumping, until both ends of every edge
+    Raises :class:`InvariantViolation` unless the block is an oriented
+    incidence matrix (:func:`_check_oriented`).  Each round of min-label
+    propagation points the larger root of every edge at the smaller and
+    flattens the forest by pointer jumping, until both ends of every edge
     share a label: one O(n) round on a torus lattice.
     """
-    if (counts != 1).any():
-        raise InvariantViolation("an edge is not in exactly two rows with opposite signs")
-    if (ends[0] == ends[1]).any():  # the row of each edge's +1, then of its -1
-        raise InvariantViolation("an edge is in one row twice")
+    _check_oriented(counts, ends)
     label = np.arange(n_rows)
     roots = label[ends]
     while (roots[0] != roots[1]).any():
@@ -381,20 +372,18 @@ def ground_space_dim(lat: TorusLattice, d: int) -> int:
     diagonal (stars have no Z part, plaquettes no X part), so its rank is
     ``rank(Hx) + rank(Hz)``: the rank of the disjoint union of the primal
     and dual graphs, one :func:`_incidence_rank` over
-    :attr:`TorusLattice.signed_incidence`, in O(n): 3.5-3.7 ms for 128x128
-    at a 6.0 MiB tracemalloc peak that includes the first build of the edge
-    rows, 5.0 MiB without it, 2 MiB of which the lattice object keeps
-    (2-core x86 host, numpy 2.4).  A
-    ``d`` of :data:`PRIME_TEST_CAP` or more raises :class:`ResourceError`
-    before the prime test, and over :data:`LATTICE_EDGE_CAP` edges it
-    raises one before any edge array is built.
+    :attr:`TorusLattice.signed_incidence`, in O(n): 3.6-6.0 ms for 128x128
+    (best of 9, on a busy 2-core x86 host, numpy 2.4) at a 6.0 MiB
+    tracemalloc peak that includes the first build of the edge rows, 5.0 MiB
+    without it, 2 MiB of which the lattice object keeps.  A ``d`` of
+    :data:`PRIME_TEST_CAP` or more raises :class:`ResourceError` before the
+    prime test, and over :data:`LATTICE_EDGE_CAP` edges the incidence raises
+    one before any edge array is built.
     """
     if d >= PRIME_TEST_CAP:
         raise ResourceError(f"d = {d} is over the prime-test cap {PRIME_TEST_CAP}")
     if not _is_prime(d):
         raise InputError(f"ground_space_dim needs prime d, got {d}")
-    if lat.n_edges > LATTICE_EDGE_CAP:
-        raise ResourceError(f"{lat.n_edges} edges exceed the lattice edge cap {LATTICE_EDGE_CAP}")
     rank = _incidence_rank(*lat.signed_incidence, 2 * lat.n_vertices)
     return d ** (lat.n_edges - rank)
 

@@ -23,7 +23,7 @@ from anyons.toric import (
     TorusLattice,
     _incidence_rank,
     _signed_incidence,
-    _star_face_overlaps,
+    _star_face_sums,
     _unit_dyon_exponents,
     _vertex_far_from,
     braiding_table,
@@ -152,30 +152,61 @@ class TestCheckMatrix:
         every_pair = all(commutation_phase(p, q) == 0 for p in ops for q in ops)
         assert stabilizers_commute(lat, d) is every_pair is True
 
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("which", ["star", "face"])
     def test_commutation_check_catches_one_flipped_sign(self, which, d):
+        # row 5 trades the signs of two of its edges; even where -1 = +1 mod
+        # d (d = 2) the block is no longer an oriented incidence
         lat = TorusLattice(4, 3)
-        signs = np.tile(EDGE_SIGNS, (lat.lx * lat.ly, 1))
-        signs[5, 2] = -signs[5, 2]
-        args = (signs, EDGE_SIGNS) if which == "star" else (EDGE_SIGNS, signs)
-        _, sums = _star_face_overlaps(lat, *args)
-        assert np.any(sums % d)
-        # qubits do not see a sign: -1 = +1 mod 2
-        assert not np.any(sums % 2)
+        attr = f"{which}_edges"
+        edges = getattr(lat, attr).copy()
+        edges[5, [0, 2]] = edges[5, [2, 0]]
+        vars(lat)[attr] = edges  # the cached property's slot
+        with pytest.raises(InvariantViolation, match="opposite signs"):
+            stabilizers_commute(lat, d)
 
     def test_overlap_memory_is_a_few_rows_per_star(self):
-        # an (n, 8, 8) comparison of each star's face incidences took 896
-        # bytes per star; ten (n, 8) int64 arrays take 640
+        # the (n, 8) run sums of each star's face incidences took ten int64
+        # rows, 640 bytes per star; four 4 n_edges int64 arrays take 256
         lat = TorusLattice(64, 64)
-        lat.star_edges, lat.face_edges
+        incidence = lat.signed_incidence
         tracemalloc.start()
         try:
-            _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
+            _star_face_sums(*incidence)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 8 * 8 * lat.n_vertices
+        assert peak < 5 * 8 * 8 * lat.n_vertices
+
+    @pytest.mark.parametrize("lx,ly", [(lx, ly) for lx in range(2, 7) for ly in range(2, 7)])
+    def test_star_face_sums_against_the_dense_product(self, lx, ly):
+        lat = TorusLattice(lx, ly)
+        hx, hz = check_blocks(lat)
+        meets = np.abs(hx) @ np.abs(hz).T != 0  # row-major: (star, face) order
+        sums = lat.star_face_sums
+        assert len(sums) == np.count_nonzero(meets)
+        assert np.array_equal(sums, (hx @ hz.T)[meets])
+
+    @pytest.mark.parametrize("fault,message", [
+        ("edge in three stars", "exactly 2 stars and 2 faces"),
+        ("faces trade their +1 edges", "share 1 edge"),
+        ("star trades two signs", "opposite signs"),
+    ])
+    def test_validate_refuses_a_malformed_lattice(self, fault, message):
+        lat = TorusLattice(4, 3)
+        attr = "face_edges" if fault.startswith("faces") else "star_edges"
+        edges = getattr(lat, attr).copy()
+        if fault == "edge in three stars":
+            edges[0, 0] = edges[1, 0]
+        elif fault == "faces trade their +1 edges":
+            edges[[0, 5], 0] = edges[[5, 0], 0]
+        else:
+            edges[5, [0, 2]] = edges[5, [2, 0]]
+        vars(lat)[attr] = edges  # the cached property's slot
+        with pytest.raises(InvariantViolation, match=message):
+            lat.validate()
+        with pytest.raises(InvariantViolation):  # the parent answered False for the first
+            stabilizers_commute(lat, 3)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("lx,ly", [(2, 2), (3, 2), (4, 4)])
@@ -303,10 +334,13 @@ class TestCheckMatrix:
 
     def test_lattice_edge_cap(self):
         assert TorusLattice(128, 128).n_edges == LATTICE_EDGE_CAP
-        for lx, ly in [(400, 400), (129, 128)]:
+        checks = (TorusLattice.validate, functools.partial(ground_space_dim, d=2),
+                  functools.partial(stabilizers_commute, d=2),
+                  functools.partial(stabilizer_products_are_identity, d=2))
+        for (lx, ly), check in itertools.product([(400, 400), (129, 128)], checks):
             big = TorusLattice(lx, ly)
-            with pytest.raises(ResourceError):
-                ground_space_dim(big, 2)
+            with pytest.raises(ResourceError, match="lattice edge cap"):
+                check(big)
             assert "star_edges" not in vars(big)  # refused before the arrays are built
 
 
@@ -329,7 +363,7 @@ class TestWorkCounts:
     def test_one_toric_run_computes_one_overlap(self, monkeypatch):
         from anyons.cli import run
 
-        calls = _counting(monkeypatch, "_star_face_overlaps")
+        calls = _counting(monkeypatch, "_star_face_sums")
         res = run(["toric", "--lx", "3", "--ly", "3", "--d", "3"])
         assert res.status == 0 and res.payload["stabilizers_commute"] is True
         assert len(calls) == 1
@@ -338,11 +372,11 @@ class TestWorkCounts:
         from anyons.cli import run
 
         incidences = _counting(monkeypatch, "_signed_incidence")
-        overlaps = _counting(monkeypatch, "_star_face_overlaps")
+        sums = _counting(monkeypatch, "_star_face_sums")
         for _ in range(2):  # one shape: the edge rows are shared, these are not
             res = run(["toric", "--lx", "3", "--ly", "3", "--d", "3"])
             assert res.status == 0 and res.payload["product_of_stars_is_identity"] is True
-        assert len(incidences) == len(overlaps) == 2
+        assert len(incidences) == len(sums) == 2
 
     def test_one_rank_pass_per_ground_space_dim(self, monkeypatch):
         calls = _counting(monkeypatch, "_incidence_rank")
@@ -357,7 +391,7 @@ class TestWorkCounts:
         assert counts.shape == (2, 2 * lat.n_edges) and n_rows == 2 * lat.n_vertices
 
     def test_each_lattice_object_computes_its_own_overlap(self, monkeypatch):
-        calls = _counting(monkeypatch, "_star_face_overlaps")
+        calls = _counting(monkeypatch, "_star_face_sums")
         incidences = _counting(monkeypatch, "_signed_incidence")
         a, b = TorusLattice(3, 3), TorusLattice(3, 3)
         for lat in (a, b, a, b):
@@ -365,16 +399,16 @@ class TestWorkCounts:
             assert stabilizers_commute(lat, 5)
             assert stabilizer_products_are_identity(lat, 5) == (True, True)
         assert len(calls) == len(incidences) == 2
-        assert a.star_face_overlap[1] is not b.star_face_overlap[1]
+        assert a.star_face_sums is not b.star_face_sums
         assert a.signed_incidence[0] is not b.signed_incidence[0]
 
     def test_held_overlap_is_read_only(self):
         lat = TorusLattice(3, 4)
-        expected = _star_face_overlaps(lat, EDGE_SIGNS, EDGE_SIGNS)
-        for held, fresh in zip(lat.star_face_overlap, expected):
-            assert np.array_equal(held, fresh) and not held.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                held[0, 0] = 0
+        held = lat.star_face_sums
+        assert np.array_equal(held, _star_face_sums(*lat.signed_incidence))
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0
 
     def test_held_incidence_is_read_only(self):
         lat = TorusLattice(3, 4)
